@@ -1,4 +1,4 @@
-"""End-to-end simulation-run benchmark with a batching regression gate.
+"""End-to-end simulation-run benchmark with a row-level golden gate.
 
 Measures what ``BENCH_telemetry.json`` never did: the cost of **running**
 a measurement, not analysing it.  Three workloads cover the hot paths:
@@ -15,20 +15,22 @@ Per workload it records wall-clock seconds, events executed, simulation
 events/second, the per-phase breakdown from ``RunResult.perf``, and the
 process peak RSS.
 
-The **regression gate** re-runs a mid-size scenario with Apps-Script
-trigger batching disabled (one heap event per script per tick — the
-pre-batch scheduling) and requires the batched fast path to be at least
-``BATCHING_REGRESSION_LIMIT``x faster, while producing a bit-identical
-headline analysis.  Machine-independent, like the telemetry bench's
-gates: it compares two code paths in the same process instead of
-absolute seconds.
+The **golden gate** re-runs every case of the committed row-level
+golden (``tests/golden/run_rows.json``: ``fast``, ``paper_default`` and
+the defended ``scaled(200)``, serial and on 2 shards), each in a fresh
+interpreter, and fails unless the notification, access and defense
+rows, ``events_executed`` and ``quota_trips`` all match it.  Scheduling
+work on the scan runtime must be invisible to everything a run
+observes; the golden pins that against the committed trajectory rather
+than against a replica of older code.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_run.py [--quick] \
         [--out BENCH_run.json]
 
-``--quick`` shrinks the workloads for CI; the gate runs in every mode.
+``--quick`` shrinks the timed workloads for CI; the gate runs in every
+mode.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ import sys
 import time
 from pathlib import Path
 
-from repro.api.envelope import run_scenario
-from repro.api.registry import scenarios
-from repro.perf import peak_rss_kb
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "golden"))
 
-#: The batched trigger path must beat the unbatched replica by at least
-#: this factor; below it, the fast path has regressed toward one heap
-#: event per script per tick.
-BATCHING_REGRESSION_LIMIT = 1.25
+import run_rows  # noqa: E402
+
+from repro.api.envelope import run_scenario  # noqa: E402
+from repro.api.registry import scenarios  # noqa: E402
+from repro.perf import peak_rss_kb  # noqa: E402
 
 
 def _scenario(name: str, duration_days: float | None, **kwargs):
@@ -96,79 +97,22 @@ def bench_one_isolated(label: str, scenario, seed: int = 2016) -> dict:
         return pool.apply(bench_one, (label, scenario, seed))
 
 
-def _gate_run(scenario, disable_batching: bool):
-    """One gate measurement (runs inside a fresh forked child)."""
-    on_built = None
-    if disable_batching:
-        def on_built(experiment) -> None:
-            experiment.runtime.batch_triggers = False
-    return run_scenario(scenario, seed=2016, on_built=on_built)
-
-
-def bench_batching_gate(
-    n_accounts: int, duration_days: float, rounds: int = 3
-) -> dict:
-    """Batched vs unbatched trigger scheduling on the same scenario.
-
-    Alternates the two modes ``rounds`` times and compares best-of-N
-    simulate-phase seconds (individual runs are sub-second, so a single
-    sample is too noisy to gate on).  Also asserts the two modes
-    observe identical datasets: trigger batching must be a pure
-    scheduling optimisation, invisible to the analysis.
-
-    Every run happens in a fresh forked child so process-global
-    allocators (the webmail message-id counter) restart from the same
-    state — two runs in one process get different raw message ids, which
-    would trip the row-level equality below for reasons that have
-    nothing to do with batching.
-
-    The gate scenario runs at the paper's 10-minute scan cadence so the
-    per-event scheduling overhead — the thing batching removes — is the
-    dominant cost and the ratio stays well clear of run-to-run noise.
-    """
-    scenario = (
-        _scenario("scaled", duration_days, n_accounts=n_accounts)
-        .to_builder()
-        .with_scan_period(600.0)
-        .build()
-    )
-
-    ctx = multiprocessing.get_context("fork")
-    batched = unbatched = None
-    batched_simulate = unbatched_simulate = float("inf")
-    for _ in range(rounds):
-        with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-            batched = pool.apply(_gate_run, (scenario, False))
-        with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-            unbatched = pool.apply(_gate_run, (scenario, True))
-        batched_simulate = min(batched_simulate, batched.perf["simulate"])
-        unbatched_simulate = min(
-            unbatched_simulate, unbatched.perf["simulate"]
-        )
-
-    # Row-level, order-sensitive equality of everything both runs
-    # observed: the column dumps decode every access and notification
-    # field in append order, so any reordered or divergent row fails.
-    if batched.dataset.access_store.to_json_dict() != (
-        unbatched.dataset.access_store.to_json_dict()
-    ) or batched.dataset.notification_store.to_json_dict() != (
-        unbatched.dataset.notification_store.to_json_dict()
-    ):
-        raise AssertionError(
-            "batched and unbatched trigger scheduling observed different "
-            "datasets — batching is no longer order-preserving"
-        )
-
+def bench_golden_gate() -> dict:
+    """Every row-golden case, each in a fresh interpreter, against the
+    committed golden; returns per-case results and the mismatches."""
+    golden = run_rows.load_golden()
+    cases = {}
+    for case in run_rows.CASES:
+        started = time.perf_counter()
+        observed = run_rows.measure_isolated(case)
+        cases[case] = {
+            "seconds": time.perf_counter() - started,
+            "matches": observed == golden[case],
+            **observed,
+        }
     return {
-        "n_accounts": n_accounts,
-        "duration_days": duration_days,
-        "rounds": rounds,
-        "batched_events": batched.events_executed,
-        "unbatched_events": unbatched.events_executed,
-        "batched_simulate_seconds": batched_simulate,
-        "unbatched_simulate_seconds": unbatched_simulate,
-        "speedup": unbatched_simulate / max(batched_simulate, 1e-9),
-        "limit": BATCHING_REGRESSION_LIMIT,
+        "cases": cases,
+        "mismatched": [case for case, r in cases.items() if not r["matches"]],
     }
 
 
@@ -196,11 +140,6 @@ def main(argv: list[str] | None = None) -> int:
             ("scaled_200", _scenario("scaled", None, n_accounts=200)),
             ("credential_stuffing", _scenario("credential_stuffing", None)),
         ]
-    # Same gate workload in both modes: the ratio (not absolute seconds)
-    # is what gates, and ~0.5M unbatched events is already well past the
-    # noise floor while staying CI-sized.
-    gate_accounts, gate_days = 60, 60.0
-
     runs = {}
     for label, scenario in workloads:
         record = bench_one_isolated(label, scenario)
@@ -213,30 +152,28 @@ def main(argv: list[str] | None = None) -> int:
             f"peak RSS {record['peak_rss_kb'] / 1024:.0f} MB"
         )
 
-    gate = bench_batching_gate(gate_accounts, gate_days)
-    print(
-        f"batching gate (scaled({gate_accounts}), {gate_days:g}d): "
-        f"unbatched {gate['unbatched_simulate_seconds']:.3f}s "
-        f"({gate['unbatched_events']} events) vs batched "
-        f"{gate['batched_simulate_seconds']:.3f}s "
-        f"({gate['batched_events']} events) = {gate['speedup']:.2f}x "
-        f"(limit {gate['limit']}x)"
-    )
+    gate = bench_golden_gate()
+    for case, result in gate["cases"].items():
+        print(
+            f"golden {case}: {'ok' if result['matches'] else 'DIFFERS'} "
+            f"({result['events_executed']} events, "
+            f"{result['quota_trips']} quota trips, "
+            f"{result['seconds']:.1f}s)"
+        )
 
     payload = {
         "quick": args.quick,
         "runs": runs,
-        "batching_gate": gate,
+        "golden_gate": gate,
     }
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(f"wrote {out}")
 
-    if gate["speedup"] < BATCHING_REGRESSION_LIMIT:
+    if gate["mismatched"]:
         print(
-            "FAIL: batched trigger scheduling is only "
-            f"{gate['speedup']:.2f}x faster than the unbatched replica "
-            f"(limit {BATCHING_REGRESSION_LIMIT}x)",
+            "FAIL: runs diverged from the row-level golden: "
+            + ", ".join(gate["mismatched"]),
             file=sys.stderr,
         )
         return 1

@@ -12,10 +12,9 @@ Two numbers matter per shard count:
 * ``critical_path_seconds`` — slowest shard plus the merge: what an
   idealised K-worker pool pays end to end.  The **gate** requires the
   K=4 critical path to beat the serial run by at least
-  ``SHARD_SPEEDUP_LIMIT``x.  Like the batching gate in
-  ``bench_run.py`` it compares two code paths measured in the same
-  process tree, so it is machine-independent — in particular it does
-  not require the CI box to actually have 4 free cores.
+  ``SHARD_SPEEDUP_LIMIT``x.  It compares two code paths measured in
+  the same process tree, so it is machine-independent — in particular
+  it does not require the CI box to actually have 4 free cores.
 * ``pool_wall_seconds`` — the measured wall-clock of
   ``run_sharded(jobs=K)`` on *this* machine, recorded for context
   (``cpu_count`` says how much parallelism was physically available).

@@ -36,22 +36,22 @@ class TfidfRow:
 
 @dataclass
 class TfidfTable:
-    """All term weights for the (read, all) document pair."""
+    """All term weights for the (read, all) document pair.
+
+    Rankings break exact weight ties by term, so they never depend on
+    the order the terms were inserted in.
+    """
 
     rows: dict[str, TfidfRow]
 
     def top_by_difference(self, k: int = 10) -> list[TfidfRow]:
         """Table 2 left: terms attackers most likely searched for."""
-        ordered = sorted(
-            self.rows.values(), key=lambda r: r.difference, reverse=True
-        )
+        ordered = sorted(self.rows.values(), key=lambda r: (-r.difference, r.term))
         return ordered[:k]
 
     def top_by_corpus_weight(self, k: int = 10) -> list[TfidfRow]:
         """Table 2 right: the most important terms of the whole corpus."""
-        ordered = sorted(
-            self.rows.values(), key=lambda r: r.tfidf_a, reverse=True
-        )
+        ordered = sorted(self.rows.values(), key=lambda r: (-r.tfidf_a, r.term))
         return ordered[:k]
 
     def row(self, term: str) -> TfidfRow:
@@ -104,8 +104,10 @@ def compute_tfidf_table(
         idf = smooth_idf(term, documents)
         raw_r[term] = tf_r.get(term, 0.0) * idf
         raw_a[term] = tf_a.get(term, 0.0) * idf
-    norm_r = math.sqrt(sum(v * v for v in raw_r.values())) or 1.0
-    norm_a = math.sqrt(sum(v * v for v in raw_a.values())) or 1.0
+    # fsum: the norms must not depend on the set's (hash-seeded)
+    # iteration order, or neither may the weights and their ties.
+    norm_r = math.sqrt(math.fsum(v * v for v in raw_r.values())) or 1.0
+    norm_a = math.sqrt(math.fsum(v * v for v in raw_a.values())) or 1.0
     rows = {
         term: TfidfRow(
             term=term,

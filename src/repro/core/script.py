@@ -7,11 +7,17 @@ copies of new drafts to the notification store; a daily heartbeat attests
 the account is alive.  The script keeps running after a hijacker changes
 the password — only deletion or provider suspension stops it — which is
 why the paper kept receiving interaction data from hijacked accounts.
+
+The script also owns the conditions under which a run can do anything
+(:class:`~repro.webmail.appsscript.EventDrivenScript`): its mailbox
+changed since the last run, its heartbeat is due, and it has not been
+halted by a block.  The runtime executes it only then; every other run
+would read an unchanged changelog and skip the heartbeat.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Hashable
 
 from repro.core.notifications import NotificationKind, NotificationRecord
 from repro.sim.clock import days
@@ -66,6 +72,30 @@ class HoneyMonitorScript:
     def account_address(self) -> str:
         return self._account.address
 
+    # ------------------------------------------------------------------
+    # wake conditions (the EventDrivenScript protocol)
+    # ------------------------------------------------------------------
+    def watch(self, on_change: Callable[[], None]) -> None:
+        """Call ``on_change()`` whenever the mailbox records a change."""
+        self._account.mailbox.add_change_hook(on_change)
+
+    def unwatch(self, on_change: Callable[[], None]) -> None:
+        self._account.mailbox.remove_change_hook(on_change)
+
+    @property
+    def heartbeat_key(self) -> Hashable:
+        """Scripts with equal keys are heartbeat-due at the same instants."""
+        return (self._last_heartbeat, self._heartbeat_period)
+
+    def heartbeat_due(self, now: float) -> bool:
+        return now - self._last_heartbeat >= self._heartbeat_period
+
+    @property
+    def halted(self) -> bool:
+        """True once the account is blocked; a block is permanent, so
+        every later run is a no-op."""
+        return self._account.is_blocked
+
     def run(self, now: float) -> None:
         """One trigger firing: scan for changes, then maybe heartbeat."""
         self.scan_count += 1
@@ -97,7 +127,7 @@ class HoneyMonitorScript:
                 )
             )
             self.reported_count += 1
-        if now - self._last_heartbeat >= self._heartbeat_period:
+        if self.heartbeat_due(now):
             self._last_heartbeat = now
             self._sink(
                 NotificationRecord(

@@ -6,15 +6,18 @@ activity-page scraper on its own cadence.  :class:`PeriodicProcess` captures
 that pattern once: a callback re-scheduled at a fixed period, with optional
 jitter so concurrent processes do not fire in lockstep.
 
-:class:`PeriodicBatch` is the calendar-batched variant for the hot path:
-hundreds of same-cadence, same-phase jobs (one monitor scan per honey
-account) share **one** heap event per tick instead of one each, and the
-tick iterates members in join order.  Because every member of a batch
-would have fired at the same instant anyway — and re-scheduled itself in
-the same relative order — collapsing them is observationally identical to
-running one :class:`PeriodicProcess` per member, while shrinking the
-event queue by the membership factor.  Jittered processes cannot share a
-tick and keep using :class:`PeriodicProcess`.
+:class:`PeriodicBatch` is the calendar-batched variant: many same-cadence,
+same-phase callbacks share **one** heap event per tick instead of one
+each, and the tick iterates members in join order.  Because every member
+would have fired at the same instant anyway, and re-scheduled itself in
+the same relative order, collapsing them is observationally identical to
+running one :class:`PeriodicProcess` per member.  Jittered processes
+cannot share a tick and keep using :class:`PeriodicProcess`.
+
+The Apps Script runtime enrols one member per batch, its own tick, and
+decides inside it which installations have work
+(:mod:`repro.webmail.appsscript`), so the heap carries one event per
+cadence per tick however few scripts run on it.
 """
 
 from __future__ import annotations
@@ -176,6 +179,12 @@ class PeriodicBatch:
         if self._event is None or self._event.cancelled:
             return None
         return self._event.time
+
+    @property
+    def event(self) -> Event | None:
+        """The tick event: the one firing while members run, otherwise
+        the pending one (what an error handler receives)."""
+        return self._event
 
     def __len__(self) -> int:
         return self._live_members

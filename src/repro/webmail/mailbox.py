@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import NoSuchMessageError
 from repro.webmail.message import EmailMessage
@@ -31,7 +31,8 @@ class MailboxChange:
     ``kind`` is one of ``"read"``, ``"starred"``, ``"draft_created"``,
     ``"sent"`` or ``"received"``.  The honey monitoring script discovers
     changes by scanning; the changelog gives it (and only it) an efficient
-    equivalent of diffing two snapshots.
+    equivalent of diffing two snapshots, and every append calls the
+    mailbox's change hooks so the script's runtime knows a scan has work.
     """
 
     kind: str
@@ -62,6 +63,12 @@ class Mailbox:
     )
     _changelog: list[MailboxChange] = field(default_factory=list)
     _minted: int = 0
+    #: Zero-argument callables run after every changelog append (the
+    #: Apps Script runtime's per-installation dirty marks).  They must
+    #: pickle, since checkpoints pickle mailboxes.
+    _change_hooks: list[Callable[[], None]] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     # storage
@@ -86,7 +93,7 @@ class Mailbox:
         self._index[message.message_id] = (folder, message)
         kind = self._ADD_CHANGE_KINDS.get(folder)
         if kind is not None:
-            self._changelog.append(MailboxChange(kind, message.message_id))
+            self._record(kind, message.message_id)
         return message
 
     def get(self, message_id: str) -> EmailMessage:
@@ -114,7 +121,7 @@ class Mailbox:
         self._folders[destination].append(message)
         self._index[message_id] = (destination, message)
         if destination is Folder.SENT:
-            self._changelog.append(MailboxChange("sent", message_id))
+            self._record("sent", message_id)
 
     def remove(self, message_id: str) -> EmailMessage:
         """Delete a message outright (used when drafts are discarded)."""
@@ -160,14 +167,14 @@ class Mailbox:
         message = self.get(message_id)
         if not message.flags.read:
             message.flags.read = True
-            self._changelog.append(MailboxChange("read", message_id))
+            self._record("read", message_id)
         return message
 
     def star(self, message_id: str) -> EmailMessage:
         message = self.get(message_id)
         if not message.flags.starred:
             message.flags.starred = True
-            self._changelog.append(MailboxChange("starred", message_id))
+            self._record("starred", message_id)
         return message
 
     def unstar(self, message_id: str) -> EmailMessage:
@@ -190,6 +197,20 @@ class Mailbox:
         return {
             m.message_id: m.snapshot() for m in self.all_messages()
         }
+
+    def _record(self, kind: str, message_id: str) -> None:
+        self._changelog.append(MailboxChange(kind, message_id))
+        for hook in self._change_hooks:
+            hook()
+
+    def add_change_hook(self, hook: Callable[[], None]) -> None:
+        """Call ``hook()`` after every future changelog append."""
+        self._change_hooks.append(hook)
+
+    def remove_change_hook(self, hook: Callable[[], None]) -> None:
+        """Stop calling ``hook`` (idempotent)."""
+        if hook in self._change_hooks:
+            self._change_hooks.remove(hook)
 
     @property
     def changelog_length(self) -> int:

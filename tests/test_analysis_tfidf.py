@@ -1,6 +1,10 @@
 """Tests for repro.analysis.tfidf and ecdf."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,6 +12,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.ecdf import Ecdf
 from repro.analysis.tfidf import (
+    TfidfRow,
+    TfidfTable,
     compute_tfidf_table,
     smooth_idf,
     term_frequencies,
@@ -97,6 +103,47 @@ class TestTfidfTable:
             sum(r.tfidf_r**2 for r in table.rows.values())
         )
         assert norm_r <= 1.0 + 1e-9
+
+
+class TestTieOrder:
+    """Exact weight ties must not rank by set iteration order, which
+    follows ``PYTHONHASHSEED``."""
+
+    def test_tied_terms_rank_the_same_in_either_insertion_order(self):
+        tied = [
+            TfidfRow(term, tfidf_r=0.5, tfidf_a=0.25)
+            for term in ("delta", "alpha", "echo", "charlie", "bravo")
+        ]
+        forward = TfidfTable({row.term: row for row in tied})
+        backward = TfidfTable({row.term: row for row in reversed(tied)})
+        for table in (forward, backward):
+            assert [r.term for r in table.top_by_difference(3)] == [
+                "alpha", "bravo", "charlie",
+            ]
+            assert [r.term for r in table.top_by_corpus_weight(3)] == [
+                "alpha", "bravo", "charlie",
+            ]
+
+    def test_weights_do_not_depend_on_the_hash_seed(self):
+        code = (
+            "from repro.analysis.tfidf import compute_tfidf_table\n"
+            "read = [f'w{i % 37}' for i in range(300)]\n"
+            "every = [f'w{i % 911}' for i in range(7 * 911 + 5)]\n"
+            "table = compute_tfidf_table(read, every)\n"
+            "print(sorted((r.term, r.tfidf_r.hex(), r.tfidf_a.hex())"
+            " for r in table.rows.values()))\n"
+            "print([r.term for r in table.top_by_difference(20)])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "1", "2")
+        }
+        assert len(outputs) == 1
 
 
 class TestEcdf:

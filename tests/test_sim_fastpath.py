@@ -12,8 +12,10 @@ same order.  These tests pin that three ways:
 * queue edge cases the rewrite must preserve: total ``(time, priority,
   sequence)`` order at one instant, cancellation interleaved with
   ``peek_time``, cancel-at-head behaviour;
-* a short end-to-end run with Apps-Script trigger batching on vs off
-  must produce bit-identical analysis fingerprints.
+* the batch itself against one :class:`PeriodicProcess` per member.
+
+End-to-end equivalence of the scan runtime lives in
+``test_scan_runtime.py`` (the committed row-level golden).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from _golden import analysis_fingerprint
 from repro.api.envelope import run_scenario
 from repro.api.registry import scenarios
 from repro.errors import SchedulingError
@@ -424,12 +425,6 @@ class TestRuntimeTriggerBatching:
             runtime.install(f"a{index}@x.example", self._Script(), period=600.0)
         assert sim.pending_events == 1
 
-    def test_unbatched_schedules_one_event_each(self, sim):
-        runtime = AppsScriptRuntime(sim, batch_triggers=False)
-        for index in range(5):
-            runtime.install(f"a{index}@x.example", self._Script(), period=600.0)
-        assert sim.pending_events == 5
-
     def test_different_cadences_use_separate_batches(self, sim):
         runtime = AppsScriptRuntime(sim)
         runtime.install("a@x.example", self._Script(), period=600.0)
@@ -462,21 +457,6 @@ class TestRuntimeTriggerBatching:
 
 
 class TestBatchingEndToEndEquivalence:
-    def test_batched_and_unbatched_runs_are_bit_identical(self):
-        scenario = (
-            scenarios.get("fast").to_builder().with_duration_days(20.0).build()
-        )
-        batched = run_scenario(scenario, seed=2016)
-        unbatched = run_scenario(
-            scenario,
-            seed=2016,
-            on_built=lambda e: setattr(e.runtime, "batch_triggers", False),
-        )
-        assert batched.events_executed < unbatched.events_executed
-        assert analysis_fingerprint(batched.analysis) == analysis_fingerprint(
-            unbatched.analysis
-        )
-
     def test_perf_summary_reports_loop_throughput(self):
         scenario = (
             scenarios.get("fast").to_builder().with_duration_days(5.0).build()
