@@ -7,15 +7,20 @@ Usage::
     PYTHONPATH=src python tests/golden/run_rows.py --check --cases fast-1
 
 For every case it records sha256 digests of the notification, access
-and defense stores (``to_json_dict()``, which decodes every field of
-every row in append order), plus ``events_executed`` and the Apps
-Script runtimes' ``quota_trips``.  Any reordered, missing or divergent
-row, an extra heap event or a moved quota trip changes the golden.
+and defense stores and of the scrape-failure (lockout) log
+(``to_json_dict()``, which decodes every field of every row in append
+order), plus ``events_executed`` and the Apps Script runtimes'
+``quota_trips``.  Serial cases also digest the monitor's scrape log
+(one row per scraper visit: outcome and ``new_events``); a sharded run
+keeps one scrape log per shard and merges none.  Any reordered,
+missing or divergent row, an extra heap event or a moved quota trip
+changes the golden.
 Each case runs in a fresh interpreter, so nothing process-global that
 an earlier run touched can leak into a later one.
 
 The committed ``run_rows.json`` is the oracle for scheduling work on
-the scan runtime: such work must leave every entry unchanged.
+the scan runtime and the monitor's scrape path: such work must leave
+every entry unchanged.
 Regenerate it ONLY for an accepted behaviour change.
 """
 
@@ -63,43 +68,53 @@ def _digest(store) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def observed(dataset, events_executed: int, quota_trips: int) -> dict:
-    """The golden entry for one finished run."""
-    return {
+def observed(
+    dataset, events_executed: int, quota_trips: int, scrape_log=None
+) -> dict:
+    """The golden entry for one finished run; ``scrape_log`` is the
+    monitor's scrape-log store (serial runs only)."""
+    entry = {
         "notifications": _digest(dataset.notification_store),
         "accesses": _digest(dataset.access_store),
         "defense_actions": _digest(dataset.defense_store),
+        "failure_log": _digest(dataset.failure_log),
         "events_executed": events_executed,
         "quota_trips": quota_trips,
     }
+    if scrape_log is not None:
+        entry["scrape_log"] = _digest(scrape_log)
+    return entry
 
 
-def collect_runtimes() -> list:
-    """Keep every Apps Script runtime built from now on (sharded runs
-    build one per shard)."""
-    from repro.webmail.appsscript import AppsScriptRuntime
-
+def collect(cls) -> list:
+    """Keep every instance of ``cls`` built from now on (sharded runs
+    build one Apps Script runtime and one monitor per shard)."""
     found: list = []
-    original = AppsScriptRuntime.__init__
+    original = cls.__init__
 
     def __init__(self, *args, **kwargs):
         original(self, *args, **kwargs)
         found.append(self)
 
-    AppsScriptRuntime.__init__ = __init__
+    cls.__init__ = __init__
     return found
 
 
 def measure(case: str) -> dict:
     """Run one case in this process (shards in-process, ``jobs=1``)."""
     from repro.api.envelope import run_scenario
+    from repro.core.monitor import MonitorInfrastructure
+    from repro.webmail.appsscript import AppsScriptRuntime
 
-    runtimes = collect_runtimes()
+    runtimes = collect(AppsScriptRuntime)
+    monitors = collect(MonitorInfrastructure)
     run = run_scenario(scenario_for(case), jobs=1)
+    serial = CASES[case][2] == 1
     return observed(
         run.dataset,
         run.events_executed,
         sum(runtime.quota_trips for runtime in runtimes),
+        monitors[0].scrape_log_store if serial else None,
     )
 
 

@@ -44,14 +44,15 @@ import run_rows  # noqa: E402
 # the committed row-level golden
 # ----------------------------------------------------------------------
 def _serial(case: str, **kwargs) -> dict:
-    runtimes = []
+    built = []
     run = run_scenario(
-        run_rows.scenario_for(case),
-        on_built=lambda experiment: runtimes.append(experiment.runtime),
-        **kwargs,
+        run_rows.scenario_for(case), on_built=built.append, **kwargs
     )
     return run_rows.observed(
-        run.dataset, run.events_executed, runtimes[0].quota_trips
+        run.dataset,
+        run.events_executed,
+        built[0].runtime.quota_trips,
+        built[0].monitor.scrape_log_store,
     )
 
 
@@ -91,7 +92,7 @@ class TestRowGolden:
         result = resumed.finish_measurement()
         observed = run_rows.observed(
             result.dataset, result.events_executed,
-            resumed.runtime.quota_trips,
+            resumed.runtime.quota_trips, resumed.monitor.scrape_log_store,
         )
         assert observed == run_rows.load_golden()["fast-1"]
 
@@ -99,7 +100,9 @@ class TestRowGolden:
         run = run_scenario(run_rows.scenario_for("fast-1").with_shards(2), jobs=1)
         observed = run_rows.observed(run.dataset, 0, 0)
         golden = run_rows.load_golden()["fast-1"]
-        for store in ("notifications", "accesses", "defense_actions"):
+        for store in (
+            "notifications", "accesses", "defense_actions", "failure_log",
+        ):
             assert observed[store] == golden[store]
 
 
