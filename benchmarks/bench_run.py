@@ -18,9 +18,10 @@ process peak RSS.
 The **golden gate** re-runs every case of the committed row-level
 golden (``tests/golden/run_rows.json``: ``fast``, ``paper_default`` and
 the defended ``scaled(200)``, serial and on 2 shards), each in a fresh
-interpreter, and fails unless the notification, access and defense
-rows, ``events_executed`` and ``quota_trips`` all match it.  Scheduling
-work on the scan runtime must be invisible to everything a run
+interpreter, and fails unless the notification, access, defense and
+lockout rows, the scrape log (serial cases), ``events_executed`` and
+``quota_trips`` all match it.  Scheduling work on the scan runtime and
+the monitor's scrape path must be invisible to everything a run
 observes; the golden pins that against the committed trajectory rather
 than against a replica of older code.
 

@@ -3,8 +3,9 @@
 Five measurements, written to ``BENCH_telemetry.json``:
 
 * **pipeline ingest** — the scrape ingest pipeline as the seed ran it
-  (per-visit ``events_since`` time-filter rescan of each account's full
-  activity history + frozen ``ObservedAccess`` construction into lists)
+  (per-visit time-filter rescan of each account's full activity
+  history, replicated here because ``ActivityPage`` no longer offers a
+  time filter, + frozen ``ObservedAccess`` construction into lists)
   vs the columnar path (per-account index cursor +
   ``AccessStore.append_fields``).  This is the measurement that shows
   the quadratic-rescan fix; the acceptance gate checks it.

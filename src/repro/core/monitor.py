@@ -20,16 +20,26 @@ exactly once.  The historical list attributes (``scraped_accesses``,
 Each watched account carries a monotonic index cursor into its activity
 page, making every scrape O(new events) instead of a full rescan.
 
-The scraper's own logins appear on the activity pages (it is a real
-client); the analysis layer removes them by IP and by city, exactly like
-the paper's cleaning step.
+A scrape visit is a credential check, not a session: the scraper calls
+:meth:`WebmailService.authenticate` (block, password and the auth-failure
+listener, the same checks :meth:`~WebmailService.login` runs), reads
+what *other* clients left on the page since its cursor, and then appends
+its own login row itself — last, exactly where the page read used to
+return it, stamped with the tick time.  The row's other eleven fields
+depend only on the account, the infrastructure IP and the scraper's
+cookie, so each account builds them once per (IP slot, cookie) and
+every later visit re-appends the cached fields.  No
+:class:`~repro.webmail.sessions.Session` is opened and nothing is
+written to the activity page.  The self rows are identical to what a
+real login would record; the analysis layer removes them by IP and by
+city, exactly like the paper's cleaning step.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.notifications import (
@@ -42,10 +52,14 @@ from repro.core.sharding import stable_hash64
 from repro.errors import (
     AccountBlockedError,
     AuthenticationError,
-    WebmailError,
+    NoSuchAccountError,
 )
 from repro.netsim.cities import City
-from repro.netsim.geo import GeoDatabase
+from repro.netsim.fingerprint import (
+    DeviceFingerprint,
+    fingerprint_from_user_agent,
+)
+from repro.netsim.geo import GeoDatabase, GeoLocation
 from repro.netsim.ipaddr import IPAddress
 from repro.sim.clock import hours
 from repro.sim.engine import Simulator
@@ -81,14 +95,20 @@ class ScrapeOutcome(enum.Enum):
 class _WatchedAccount:
     address: str
     password: str
+    #: ``stable_hash64(address)``; plus :attr:`visits` it picks the
+    #: infrastructure IP of the account's next visit.
+    rotation: int
     #: Index cursor into the account's activity page; the next scrape
     #: reads from here, so each visit is O(new events).
     cursor: int = 0
     locked_out: bool = False
     blocked: bool = False
-    #: Scrape visits so far; combined with the address hash it picks
-    #: which infrastructure IP this account's next visit uses.
+    #: Scrape visits so far.
     visits: int = 0
+    #: The scraper's own access row minus its timestamp, per (IP slot,
+    #: cookie value).  A cookie-generation bump mints a new cookie, so
+    #: it misses here by construction.
+    self_rows: dict[tuple[int, str], tuple] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -105,6 +125,30 @@ def _scrape_entry_factory(log, index: int) -> ScrapeLogEntry:
     address, timestamp, outcome, new_events = log.row(index)
     return ScrapeLogEntry(
         address, timestamp, ScrapeOutcome(outcome), new_events
+    )
+
+
+def _access_fields(
+    address: str,
+    cookie: str,
+    ip_address: IPAddress,
+    location: GeoLocation | None,
+    fingerprint: DeviceFingerprint,
+) -> tuple:
+    """One access row's columns, timestamp excluded, in
+    :meth:`AccessStore.append_fields` order."""
+    return (
+        address,
+        cookie,
+        ip_address.dotted,
+        location.city if location else None,
+        location.country if location else None,
+        location.latitude if location else None,
+        location.longitude if location else None,
+        fingerprint.kind.value,
+        fingerprint.os_family,
+        fingerprint.browser,
+        fingerprint.user_agent,
     )
 
 
@@ -225,8 +269,16 @@ class MonitorInfrastructure:
         )
 
     def watch(self, address: str, password: str) -> None:
-        """Start scraping an account with its leaked credentials."""
-        self._watched[address] = _WatchedAccount(address, password)
+        """Start scraping an account with its leaked credentials.
+
+        Raises:
+            NoSuchAccountError: the service has no such account.
+        """
+        if not self._service.has_account(address):
+            raise NoSuchAccountError(address)
+        self._watched[address] = _WatchedAccount(
+            address, password, stable_hash64(address)
+        )
 
     def update_password(self, address: str, new_password: str) -> None:
         """Re-sync the scraper after a defender-forced password reset.
@@ -316,9 +368,9 @@ class MonitorInfrastructure:
             sink.close()
         self._spill_sinks.clear()
 
-    def _next_context(self, watched: _WatchedAccount) -> LoginContext:
-        """The reusable login context for one account's next scrape
-        visit.
+    def _next_slot(self, watched: _WatchedAccount) -> int:
+        """The index into the login contexts (one per infrastructure
+        IP) of one account's next scrape visit.
 
         Rotation is keyed on the account (stable address hash plus that
         account's own visit count), never on a shared cursor: which IP
@@ -327,12 +379,11 @@ class MonitorInfrastructure:
         IPs than the serial one.  All infrastructure IPs are cleaned
         from the analysis either way; this only pins the raw rows.
         """
-        contexts = self._login_contexts
-        index = (stable_hash64(watched.address) + watched.visits) % len(
-            contexts
+        slot = (watched.rotation + watched.visits) % len(
+            self._login_contexts
         )
         watched.visits += 1
-        return contexts[index]
+        return slot
 
     def _scrape_all(self) -> None:
         now = self._sim.now
@@ -347,35 +398,54 @@ class MonitorInfrastructure:
         self.scrape_log_store.append_fields(address, now, outcome.value, count)
 
     def _scrape_one(self, watched: _WatchedAccount, now: float) -> None:
-        context = self._next_context(watched)
+        address = watched.address
+        slot = self._next_slot(watched)
+        context = self._login_contexts[slot]
+        service = self._service
         try:
-            session = self._service.login(
-                watched.address, watched.password, context, now
-            )
+            service.authenticate(address, watched.password, context, now)
         except AuthenticationError:
             # Hijacker changed the password; we lose the activity page but
             # script notifications keep arriving.
             watched.locked_out = True
-            self.failure_log.append((watched.address, now))
-            self._log_scrape(
-                watched.address, now, ScrapeOutcome.LOCKED_OUT, 0
-            )
+            self.failure_log.append((address, now))
+            self._log_scrape(address, now, ScrapeOutcome.LOCKED_OUT, 0)
             return
         except AccountBlockedError:
             watched.blocked = True
-            self._log_scrape(watched.address, now, ScrapeOutcome.BLOCKED, 0)
+            self._log_scrape(address, now, ScrapeOutcome.BLOCKED, 0)
             return
-        except WebmailError:
-            return
-        events, watched.cursor = self._service.activity.read_from(
-            watched.address, watched.cursor
+        events, watched.cursor = service.activity.read_from(
+            address, watched.cursor
         )
         if events:
             ingest = self._ingest_event
             for event in events:
                 ingest(event)
-        self._service.logout(session)
-        self._log_scrape(watched.address, now, ScrapeOutcome.OK, len(events))
+        # The scraper's own login, in the place the page read gave it:
+        # after everything other clients recorded.
+        cookie = service.sessions.cookie_for(context.device_id, address).value
+        fields = watched.self_rows.get((slot, cookie))
+        if fields is None:
+            fields = watched.self_rows[slot, cookie] = self._self_row(
+                address, cookie, context
+            )
+        self.access_store.append_fields(*fields, now)
+        self._log_scrape(address, now, ScrapeOutcome.OK, len(events) + 1)
+
+    def _self_row(
+        self, address: str, cookie: str, context: LoginContext
+    ) -> tuple:
+        """The access-row fields, timestamp excluded, that a login from
+        ``context`` puts on the activity page (as the provider records
+        it: geolocated IP, fingerprinted user agent)."""
+        return _access_fields(
+            address,
+            cookie,
+            context.ip_address,
+            self._geo.locate(context.ip_address),
+            fingerprint_from_user_agent(context.user_agent),
+        )
 
     def _ingest_event(self, event: AccessEvent) -> int:
         """Offline parsing of one dumped activity-page row, straight
@@ -387,20 +457,14 @@ class MonitorInfrastructure:
         instance — so a scrape tick costs interning probes, not string
         building.
         """
-        location = event.location
-        fingerprint = event.fingerprint
         return self.access_store.append_fields(
-            event.account_address,
-            event.cookie.value,
-            event.ip_address.dotted,
-            location.city if location else None,
-            location.country if location else None,
-            location.latitude if location else None,
-            location.longitude if location else None,
-            fingerprint.kind.value,
-            fingerprint.os_family,
-            fingerprint.browser,
-            fingerprint.user_agent,
+            *_access_fields(
+                event.account_address,
+                event.cookie.value,
+                event.ip_address,
+                event.location,
+                event.fingerprint,
+            ),
             event.timestamp,
         )
 

@@ -146,11 +146,11 @@ def _access_ticks(
 ) -> list[int]:
     """Scrape-tick indices at which one account's rows were ingested.
 
-    Every *successful* scrape of an account logs in first (appending
-    the scraper's own row to the activity page, stamped with the exact
-    tick time) and then reads the page tail — so in page order, each
-    ingestion batch ends with a scraper login row, and that row's
-    timestamp names the batch's tick.  ``delimiters`` marks those rows
+    Every *successful* scrape of an account reads the page tail and
+    then appends the scraper's own row, stamped with the exact tick
+    time (see :mod:`repro.core.monitor`) — so in store order, each
+    ingestion batch ends with a scraper row, and that row's timestamp
+    names the batch's tick.  ``delimiters`` marks those rows
     (monitor-IP rows whose timestamp sits exactly on the tick grid); a
     right-to-left scan assigns every row the tick of the next delimiter
     at or after it.

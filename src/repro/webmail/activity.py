@@ -6,18 +6,20 @@ The paper's monitoring scripts scrape this page; its analysis counts
 unique accesses by cookie and measures locations.  :class:`ActivityPage`
 is the provider-side log that scraping reads.
 
-The page is append-only and time-ordered (the simulator's clock is
-monotonic), so incremental consumers never rescan: each account keeps a
-parallel timestamp array for O(log n) time bisection, and
-:meth:`ActivityPage.read_from` hands scrapers an index cursor so every
+The page lists the logins of every client except the monitoring
+scraper: a scrape visit only checks the credential, and the scraper
+appends its own row to the access store after reading the page (see
+:mod:`repro.core.monitor`), so the page never holds the ~99% of rows
+that are the scraper observing itself.
+
+The page is append-only, so incremental consumers never rescan:
+:meth:`ActivityPage.read_from` hands scrapers an index cursor and every
 visit costs O(new events) regardless of how much history the account
 has accumulated.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.netsim.fingerprint import DeviceFingerprint
@@ -48,38 +50,14 @@ class ActivityPage:
     """Per-account access log, append-only, scrape-friendly."""
 
     _events: dict[str, list[AccessEvent]] = field(default_factory=dict)
-    #: Parallel per-account timestamp columns for bisection; appends are
-    #: monotone because the simulator clock never goes backwards.
-    _times: dict[str, array] = field(default_factory=dict)
 
     def record(self, event: AccessEvent) -> None:
         """Append an access event for its account."""
-        address = event.account_address
-        events = self._events.get(address)
-        if events is None:
-            events = self._events[address] = []
-            self._times[address] = array("d")
-        events.append(event)
-        self._times[address].append(event.timestamp)
+        self._events.setdefault(event.account_address, []).append(event)
 
     def events_for(self, account_address: str) -> tuple[AccessEvent, ...]:
         """All recorded events for an account, oldest first."""
         return tuple(self._events.get(account_address, ()))
-
-    def events_since(
-        self, account_address: str, after_time: float
-    ) -> tuple[AccessEvent, ...]:
-        """Events strictly newer than ``after_time`` (incremental scrape).
-
-        O(log n + new events) via bisection on the timestamp column —
-        scrapers that remember their index should prefer
-        :meth:`read_from`, which needs no search at all.
-        """
-        events = self._events.get(account_address)
-        if not events:
-            return ()
-        start = bisect_right(self._times[account_address], after_time)
-        return tuple(events[start:])
 
     def read_from(
         self, account_address: str, cursor: int

@@ -127,6 +127,34 @@ class WebmailService:
     # ------------------------------------------------------------------
     # login / sessions
     # ------------------------------------------------------------------
+    def authenticate(
+        self,
+        address: str,
+        password: str,
+        context: LoginContext,
+        now: float,
+    ) -> WebmailAccount:
+        """Check a credential without opening a session.
+
+        The one place login checks live: :meth:`login` calls it, and
+        the monitoring scraper calls it alone (its visits need no
+        session, see :mod:`repro.core.monitor`).  A bad password fires
+        :attr:`auth_failure_listener` before raising.
+
+        Raises:
+            NoSuchAccountError: unknown address.
+            AccountBlockedError: the account was suspended.
+            AuthenticationError: wrong password.
+        """
+        account = self.account(address)
+        if account.is_blocked:
+            raise AccountBlockedError(address, account.blocked_reason or "")
+        if not account.verify_password(password):
+            if self.auth_failure_listener is not None:
+                self.auth_failure_listener(address, context, now)
+            raise AuthenticationError(f"bad password for {address}")
+        return account
+
     def login(
         self,
         address: str,
@@ -141,13 +169,7 @@ class WebmailService:
             AccountBlockedError: the account was suspended.
             AuthenticationError: wrong password.
         """
-        account = self.account(address)
-        if account.is_blocked:
-            raise AccountBlockedError(address, account.blocked_reason or "")
-        if not account.verify_password(password):
-            if self.auth_failure_listener is not None:
-                self.auth_failure_listener(address, context, now)
-            raise AuthenticationError(f"bad password for {address}")
+        self.authenticate(address, password, context, now)
         session = self.sessions.open_session(
             context.device_id, address, now
         )

@@ -32,8 +32,7 @@ class Cookie:
 class Session:
     """A live login session bound to a cookie.
 
-    Slotted: one session object is minted per login, which on the
-    monitoring path means one per account per scrape tick.
+    Slotted: one session object is minted per login.
     """
 
     cookie: Cookie

@@ -374,17 +374,6 @@ class TestActivityPageCursors:
         page = ActivityPage()
         assert page.read_from("nobody@x", 0) == ((), 0)
 
-    def test_events_since_bisects_identically(self):
-        page = ActivityPage()
-        for t in (1.0, 2.0, 2.0, 5.0):
-            page.record(self.make_event(t))
-        assert [
-            e.timestamp for e in page.events_since("a@x.example", 2.0)
-        ] == [5.0]
-        assert len(page.events_since("a@x.example", 0.0)) == 4
-        assert page.events_since("a@x.example", 9.0) == ()
-        assert page.event_count("a@x.example") == 4
-
 
 class TestMonitorTelemetry:
     PASSWORD = "leakedpass99"
