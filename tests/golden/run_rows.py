@@ -15,12 +15,20 @@ order), plus ``events_executed`` and the Apps Script runtimes'
 keeps one scrape log per shard and merges none.  Any reordered,
 missing or divergent row, an extra heap event or a moved quota trip
 changes the golden.
+
+Two more digests pin the seeded corpus itself: ``mailboxes`` hashes
+every provisioned account's inbox as seeded, in provision order (id,
+``repr(received_at)``, sender name and address, subject, body of each
+message; a sharded run digests every shard's provisioning, since each
+shard provisions the whole population), and ``all_email_texts`` hashes
+the dataset's seeded-history texts, the input of the all-emails TF-IDF
+document.
 Each case runs in a fresh interpreter, so nothing process-global that
 an earlier run touched can leak into a later one.
 
 The committed ``run_rows.json`` is the oracle for scheduling work on
-the scan runtime and the monitor's scrape path: such work must leave
-every entry unchanged.
+the scan runtime, the monitor's scrape path and the corpus generator:
+such work must leave every entry unchanged.
 Regenerate it ONLY for an accepted behaviour change.
 """
 
@@ -68,21 +76,61 @@ def _digest(store) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+class MailboxDigest:
+    """Running digest of seeded inboxes, fed one account at a time."""
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+
+    def add(self, honey) -> None:
+        from repro.webmail.mailbox import Folder
+
+        for message in honey.account.mailbox.messages(Folder.INBOX):
+            row = [
+                message.message_id, repr(message.received_at),
+                message.sender_name, message.sender_address,
+                message.subject, message.body,
+            ]
+            self._hash.update(json.dumps(row).encode() + b"\n")
+        self._hash.update(b"--\n")
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def mailbox_digest(experiment) -> str:
+    """Provision ``experiment``'s accounts (a no-op once done) and
+    digest their inboxes before anything runs."""
+    digest = MailboxDigest()
+    for honey in experiment.provision_accounts():
+        digest.add(honey)
+    return digest.hexdigest()
+
+
 def observed(
-    dataset, events_executed: int, quota_trips: int, scrape_log=None
+    dataset,
+    events_executed: int,
+    quota_trips: int,
+    scrape_log=None,
+    mailboxes: str | None = None,
 ) -> dict:
     """The golden entry for one finished run; ``scrape_log`` is the
-    monitor's scrape-log store (serial runs only)."""
+    monitor's scrape-log store (serial runs only) and ``mailboxes`` a
+    :class:`MailboxDigest` hex digest."""
+    texts = json.dumps(dataset.all_email_texts, sort_keys=True)
     entry = {
         "notifications": _digest(dataset.notification_store),
         "accesses": _digest(dataset.access_store),
         "defense_actions": _digest(dataset.defense_store),
         "failure_log": _digest(dataset.failure_log),
+        "all_email_texts": hashlib.sha256(texts.encode()).hexdigest(),
         "events_executed": events_executed,
         "quota_trips": quota_trips,
     }
     if scrape_log is not None:
         entry["scrape_log"] = _digest(scrape_log)
+    if mailboxes is not None:
+        entry["mailboxes"] = mailboxes
     return entry
 
 
@@ -100,6 +148,21 @@ def collect(cls) -> list:
     return found
 
 
+def digest_provisioning(digest: MailboxDigest) -> None:
+    """Feed every account provisioned from now on into ``digest`` as
+    soon as it is seeded."""
+    from repro.core.honeyaccount import HoneyAccountFactory
+
+    original = HoneyAccountFactory.provision
+
+    def provision(self, *args, **kwargs):
+        honey = original(self, *args, **kwargs)
+        digest.add(honey)
+        return honey
+
+    HoneyAccountFactory.provision = provision
+
+
 def measure(case: str) -> dict:
     """Run one case in this process (shards in-process, ``jobs=1``)."""
     from repro.api.envelope import run_scenario
@@ -108,6 +171,8 @@ def measure(case: str) -> dict:
 
     runtimes = collect(AppsScriptRuntime)
     monitors = collect(MonitorInfrastructure)
+    mailboxes = MailboxDigest()
+    digest_provisioning(mailboxes)
     run = run_scenario(scenario_for(case), jobs=1)
     serial = CASES[case][2] == 1
     return observed(
@@ -115,6 +180,7 @@ def measure(case: str) -> dict:
         run.events_executed,
         sum(runtime.quota_trips for runtime in runtimes),
         monitors[0].scrape_log_store if serial else None,
+        mailboxes.hexdigest(),
     )
 
 

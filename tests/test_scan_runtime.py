@@ -45,14 +45,19 @@ import run_rows  # noqa: E402
 # ----------------------------------------------------------------------
 def _serial(case: str, **kwargs) -> dict:
     built = []
-    run = run_scenario(
-        run_rows.scenario_for(case), on_built=built.append, **kwargs
-    )
+    mailboxes = []
+
+    def on_built(experiment):
+        built.append(experiment)
+        mailboxes.append(run_rows.mailbox_digest(experiment))
+
+    run = run_scenario(run_rows.scenario_for(case), on_built=on_built, **kwargs)
     return run_rows.observed(
         run.dataset,
         run.events_executed,
         built[0].runtime.quota_trips,
         built[0].monitor.scrape_log_store,
+        mailboxes[0],
     )
 
 
@@ -82,6 +87,7 @@ class TestRowGolden:
 
         scenario = run_rows.scenario_for("fast-1")
         experiment = Experiment.from_scenario(scenario)
+        mailboxes = run_rows.mailbox_digest(experiment)
         experiment.advance_to_day(40.0)
         path = save_experiment_checkpoint(
             experiment, tmp_path / "ck.pkl", scenario=scenario,
@@ -93,6 +99,7 @@ class TestRowGolden:
         observed = run_rows.observed(
             result.dataset, result.events_executed,
             resumed.runtime.quota_trips, resumed.monitor.scrape_log_store,
+            mailboxes,
         )
         assert observed == run_rows.load_golden()["fast-1"]
 
@@ -102,6 +109,7 @@ class TestRowGolden:
         golden = run_rows.load_golden()["fast-1"]
         for store in (
             "notifications", "accesses", "defense_actions", "failure_log",
+            "all_email_texts",
         ):
             assert observed[store] == golden[store]
 
