@@ -101,24 +101,21 @@ class HoneyAccountFactory:
         mapped = mapper.map_mailbox(
             generator.generate_mailbox(count), generator.company
         )
+        add = account.mailbox.add
+        recipients = (identity.address,)
         for email in mapped:
-            # Seeded history predates the epoch: negative sim-times.
-            received_at = from_datetime(email.sent_at)
-            message = EmailMessage(
+            add(Folder.INBOX, EmailMessage(
                 sender_name=email.sender_name,
                 sender_address=email.sender_address,
-                recipient_addresses=(identity.address,),
+                recipient_addresses=recipients,
                 subject=email.subject,
                 body=email.body,
-                received_at=received_at,
+                # Seeded history predates the epoch: negative sim-times.
+                received_at=from_datetime(email.sent_at),
                 # Freshly created accounts: nobody has read this mail yet,
                 # so every attacker open is an observable read event.
                 flags=MessageFlags(read=False),
-            )
-            account.mailbox.add(Folder.INBOX, message)
-        # Seeding happens before the experiment starts; the monitoring
-        # script must not report historical state as fresh changes.
-        account.mailbox.changes_since(0)
+            ))
         return count
 
     def provision(
@@ -148,7 +145,9 @@ class HoneyAccountFactory:
         account.send_from_override = SINKHOLE_ADDRESS
         account.suspicious_login_filter = False  # disabled by the provider
         seeded = self._seed_mailbox(account, identity)
-        # Drop pre-seed changelog so the first scan reports nothing.
+        # Seeding happens before the experiment starts; the monitoring
+        # script must not report historical state as fresh changes, so
+        # it starts from the cursor past the seeded changelog.
         _, cursor = account.mailbox.changes_since(0)
         script = HoneyMonitorScript(
             account, self._sink, execution_cost=script_execution_cost

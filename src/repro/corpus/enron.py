@@ -9,13 +9,28 @@ attackers ("gold diggers") can surface.
 
 Emails are plain data (:class:`GeneratedEmail`); the mapping layer turns
 them into mailbox-ready messages for each honey account.
+
+The draw order is part of the contract.  Honey mailboxes are seeded
+from the shared ``provisioning`` stream, which then mints the next
+account's identity, password and mailbox, so for any ``random.Random``
+state the generator must spend exactly the draws it always has, in the
+same order, and render the same text: one draw out of place shifts
+every later account.  :meth:`CorpusGenerator._generate` lists the order;
+it inlines ``random.Random``'s own uniform-index loop rather than calling
+``choice``, and renders only the pool sentences the sample keeps.
+``tests/test_corpus_fastpath.py`` checks messages and final stream state
+against a reference generator written with the library calls.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate
+from operator import attrgetter
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.corpus import wordbank
@@ -74,6 +89,84 @@ _COUNTERPARTIES: tuple[str, ...] = (
 )
 
 
+#: Placeholders of every template, in the order their words are drawn.
+_FIELDS = ("topic_word", "core_word", "counterparty")
+
+
+def _formats(templates: tuple[str, ...]) -> tuple[Callable[..., str], ...]:
+    """Each template as a ``format`` taking the words in draw order."""
+    formats = []
+    for template in templates:
+        for index, name in enumerate(_FIELDS):
+            template = template.replace("{%s}" % name, "{%d}" % index)
+        formats.append(template.format)
+    return tuple(formats)
+
+
+_SUBJECT_FORMATS = _formats(_SUBJECT_TEMPLATES)
+_OPENING_FORMATS = _formats(_OPENINGS)
+_BODY_FORMATS = _formats(_BODY_TEMPLATES)
+_CLOSING_FORMATS = _formats(_CLOSINGS)
+_N_BODY = len(_BODY_FORMATS)
+
+#: Topic-specific pool sentences (after the body templates and notes).
+_EXTRA_LINES = {
+    "finance": "The payment account results are listed below the "
+    "statement summary.",
+    "personal": "Hope the family is doing great; see everyone at the "
+    "birthday party.",
+}
+
+
+@dataclass(frozen=True)
+class _Topic:
+    """A topic's draw-time constants."""
+
+    name: str
+    vocab: tuple[str, ...]
+    #: ``len(vocab)`` and its bit length (the rejection loop's ``k``).
+    n: int
+    k: int
+    #: Population of the notes sample: the vocabulary, then the filler.
+    note_terms: tuple[str, ...]
+    #: Body templates + notes + the extra line, if any.
+    pool_size: int
+    extra_line: str | None
+
+
+def _topic(name: str) -> _Topic:
+    vocab = wordbank.topic_vocabulary(name)
+    extra_line = _EXTRA_LINES.get(name)
+    return _Topic(
+        name=name,
+        vocab=vocab,
+        n=len(vocab),
+        k=len(vocab).bit_length(),
+        note_terms=vocab + wordbank.GENERAL_FILLER,
+        pool_size=_N_BODY + 1 + (extra_line is not None),
+        extra_line=extra_line,
+    )
+
+
+_TOPICS = {name: _topic(name) for name in wordbank.topic_names()}
+_TOPIC_LIST = tuple(_TOPICS.values())
+#: ``choices(topics, weights)`` internals: cumulative weights and total.
+_CUM_WEIGHTS = list(accumulate(wordbank.topic_weights()))
+_TOTAL_WEIGHT = _CUM_WEIGHTS[-1] + 0.0
+_LAST_TOPIC = len(_TOPIC_LIST) - 1
+
+#: The corpus's cast, and for each sender (by index) the characters it
+#: writes to.
+_CHARACTERS: tuple[str, ...] = tuple(
+    f"{first} {last}" for first, last in zip(FIRST_NAMES[:30], LAST_NAMES[:30])
+)
+_RECIPIENTS: tuple[tuple[str, ...], ...] = tuple(
+    tuple(c for c in _CHARACTERS if c != sender) for sender in _CHARACTERS
+)
+
+_SENT_AT = attrgetter("sent_at")
+
+
 @dataclass(frozen=True)
 class GeneratedEmail:
     """One synthetic corpus email, before honey-account remapping."""
@@ -111,78 +204,16 @@ class CorpusGenerator:
     def __init__(self, rng: random.Random, company: str = "Enrova") -> None:
         self._rng = rng
         self.company = company
-        self._topic_names = wordbank.topic_names()
-        self._topic_weights = wordbank.topic_weights()
-        self._characters = [
-            f"{first} {last}"
-            for first, last in zip(FIRST_NAMES[:30], LAST_NAMES[:30])
-        ]
-
-    def _fill(self, template: str, topic_vocab: tuple[str, ...]) -> str:
-        return template.format(
-            topic_word=self._rng.choice(topic_vocab),
-            core_word=self._rng.choice(wordbank.CORE_BUSINESS),
-            counterparty=self._rng.choice(_COUNTERPARTIES),
-        )
-
-    def _sentence_pool(
-        self, topic: str, topic_vocab: tuple[str, ...]
-    ) -> list[str]:
-        sentences = [self._fill(t, topic_vocab) for t in _BODY_TEMPLATES]
-        # Topic flavour: sprinkle extra topic/filler terms as short notes.
-        extra_terms = self._rng.sample(
-            list(topic_vocab) + list(wordbank.GENERAL_FILLER), k=4
-        )
-        sentences.append(
-            "Notes: " + ", ".join(sorted(extra_terms)) + "."
-        )
-        if topic == "finance":
-            sentences.append(
-                "The payment account results are listed below the "
-                "statement summary."
-            )
-        if topic == "personal":
-            sentences.append(
-                "Hope the family is doing great; see everyone at the "
-                "birthday party."
-            )
-        return sentences
 
     def generate_email(self) -> GeneratedEmail:
         """Generate a single email with a weighted-random topic."""
-        topic = self._rng.choices(
-            self._topic_names, weights=self._topic_weights, k=1
-        )[0]
-        return self.generate_email_for_topic(topic)
+        return self._generate(1)[0]
 
     def generate_email_for_topic(self, topic: str) -> GeneratedEmail:
         """Generate a single email with the given topic."""
-        if topic not in self._topic_names:
+        if topic not in _TOPICS:
             raise ConfigurationError(f"unknown topic {topic!r}")
-        vocab = wordbank.topic_vocabulary(topic)
-        sender = self._rng.choice(self._characters)
-        recipient = self._rng.choice(
-            [c for c in self._characters if c != sender]
-        )
-        subject = self._fill(self._rng.choice(_SUBJECT_TEMPLATES), vocab)
-        opening = self._fill(self._rng.choice(_OPENINGS), vocab)
-        pool = self._sentence_pool(topic, vocab)
-        n_sentences = self._rng.randrange(3, 7)
-        chosen = self._rng.sample(pool, k=min(n_sentences, len(pool)))
-        closing = self._fill(self._rng.choice(_CLOSINGS), vocab)
-        body_lines = [opening, *chosen, closing]
-        body = "\n".join(body_lines)
-        body += f"\n{sender}\n{self.company} Corporation"
-        offset_days = self._rng.uniform(0, _CORPUS_SPAN_DAYS)
-        sent_at = _CORPUS_START + timedelta(days=offset_days)
-        return GeneratedEmail(
-            sender_name=sender,
-            recipient_name=recipient,
-            subject=subject,
-            body=body,
-            sent_at=sent_at,
-            topic=topic,
-        )
+        return self._generate(1, _TOPICS[topic])[0]
 
     def generate_mailbox(self, email_count: int) -> list[GeneratedEmail]:
         """Generate a mailbox-sized batch sorted by send time.
@@ -192,8 +223,104 @@ class CorpusGenerator:
         """
         if email_count <= 0:
             raise ConfigurationError("email_count must be positive")
-        emails = [self.generate_email() for _ in range(email_count)]
-        emails.sort(key=lambda e: e.sent_at)
+        emails = self._generate(email_count)
+        emails.sort(key=_SENT_AT)
+        return emails
+
+    def _generate(
+        self, count: int, fixed: _Topic | None = None
+    ) -> list[GeneratedEmail]:
+        """``count`` emails in draw order, each on a weighted-random
+        topic unless ``fixed`` is given.
+
+        Per email the stream sees, in order: the topic (one
+        ``random()``, as ``choices`` spends it), the sender, the
+        recipient, the subject template and its three words, the opening
+        template and its three words, three words for each of the eight
+        body templates, ``sample`` of four note terms, the sentence count
+        (``randrange(3, 7)``), ``sample`` of the pool indices, the
+        closing template and its three words, and the send time (one
+        ``random()``, as ``uniform`` spends it).  Every uniform index is
+        :meth:`random.Random._randbelow`'s ``getrandbits`` rejection
+        loop, inlined; only the sentences the pool sample keeps are
+        rendered.
+        """
+        rng = self._rng
+        bits = rng.getrandbits
+        uniform = rng.random
+        sample = rng.sample
+        core, n_core = wordbank.CORE_BUSINESS, len(wordbank.CORE_BUSINESS)
+        counterparties, n_counterparties = _COUNTERPARTIES, len(_COUNTERPARTIES)
+        k_core = n_core.bit_length()
+        k_counterparties = n_counterparties.bit_length()
+        signature = f"{self.company} Corporation"
+
+        def below(n: int) -> int:
+            """``randrange(n)``, for the once-per-email draws."""
+            k = n.bit_length()
+            i = bits(k)
+            while i >= n:
+                i = bits(k)
+            return i
+
+        def words(vocab: tuple[str, ...], n: int, k: int) -> tuple[str, ...]:
+            """One template's (topic word, core word, counterparty)."""
+            i = bits(k)
+            while i >= n:
+                i = bits(k)
+            j = bits(k_core)
+            while j >= n_core:
+                j = bits(k_core)
+            m = bits(k_counterparties)
+            while m >= n_counterparties:
+                m = bits(k_counterparties)
+            return vocab[i], core[j], counterparties[m]
+
+        emails: list[GeneratedEmail] = []
+        for _ in range(count):
+            if fixed is None:
+                topic = _TOPIC_LIST[bisect(
+                    _CUM_WEIGHTS, uniform() * _TOTAL_WEIGHT, 0, _LAST_TOPIC
+                )]
+            else:
+                topic = fixed
+            vocab, n, k = topic.vocab, topic.n, topic.k
+            i = below(len(_CHARACTERS))
+            sender = _CHARACTERS[i]
+            recipients = _RECIPIENTS[i]
+            recipient = recipients[below(len(recipients))]
+            subject_format = _SUBJECT_FORMATS[below(len(_SUBJECT_FORMATS))]
+            subject = subject_format(*words(vocab, n, k))
+            opening = _OPENING_FORMATS[below(len(_OPENING_FORMATS))]
+            lines = [opening(*words(vocab, n, k))]
+            pool = [words(vocab, n, k) for _ in _BODY_FORMATS]
+            notes = sample(topic.note_terms, 4)
+            size = 3 + below(4)  # randrange(3, 7)
+            # The pool (8 templates, the notes, the topic's extra line)
+            # holds 9 or 10 sentences, more than the 3-6 picked.
+            for index in sample(range(topic.pool_size), size):
+                if index < _N_BODY:
+                    lines.append(_BODY_FORMATS[index](*pool[index]))
+                elif index == _N_BODY:
+                    lines.append("Notes: " + ", ".join(sorted(notes)) + ".")
+                else:
+                    lines.append(topic.extra_line)
+            closing = _CLOSING_FORMATS[below(len(_CLOSING_FORMATS))]
+            lines.append(closing(*words(vocab, n, k)))
+            lines.append(sender)
+            lines.append(signature)
+            # uniform(0, span) is 0 + span * random().
+            offset_days = _CORPUS_SPAN_DAYS * uniform()
+            emails.append(
+                GeneratedEmail(
+                    sender_name=sender,
+                    recipient_name=recipient,
+                    subject=subject,
+                    body="\n".join(lines),
+                    sent_at=_CORPUS_START + timedelta(days=offset_days),
+                    topic=topic.name,
+                )
+            )
         return emails
 
     @staticmethod

@@ -13,6 +13,9 @@ import random
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import partial
+from operator import attrgetter
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.corpus.enron import GeneratedEmail
@@ -60,6 +63,47 @@ class MappedEmail:
         return f"{self.subject}\n{self.body}"
 
 
+_SENT_AT = attrgetter("sent_at")
+
+
+def company_rewriter(original: str, replacement: str) -> Callable[[str], str]:
+    """``text -> re.sub(re.escape(original), replacement, text,
+    flags=re.IGNORECASE)``, with a fast path for ASCII text.
+
+    When ``original`` and the text are both ASCII, case-insensitive
+    matching is plain ASCII case folding: the regex matches exactly where
+    ``str.find`` finds the lower-cased ``original`` in the lower-cased
+    text, leftmost first and without overlap, and a replacement without a
+    backslash is inserted literally.  Anything else takes the regex.
+    """
+    sub = partial(
+        re.compile(re.escape(original), re.IGNORECASE).sub, replacement
+    )
+    if not original or not original.isascii() or "\\" in replacement:
+        return sub
+    needle = original.lower()
+    width = len(needle)
+
+    def rewrite(text: str) -> str:
+        if not text.isascii():
+            return sub(text)
+        lowered = text.lower()
+        at = lowered.find(needle)
+        if at < 0:
+            return text
+        parts = []
+        done = 0
+        while at >= 0:
+            parts.append(text[done:at])
+            parts.append(replacement)
+            done = at + width
+            at = lowered.find(needle, done)
+        parts.append(text[done:])
+        return "".join(parts)
+
+    return rewrite
+
+
 class CorpusMapper:
     """Rewrites generated emails into a honey persona's mailbox.
 
@@ -78,7 +122,6 @@ class CorpusMapper:
         self._config = config
         self._rng = rng
         self._name_map: dict[str, tuple[str, str]] = {}
-        self._company_re: re.Pattern[str] | None = None
 
     def _map_character(self, corpus_name: str) -> tuple[str, str]:
         """Map a corpus character to a stable (name, address) pair."""
@@ -96,26 +139,6 @@ class CorpusMapper:
             self._name_map[corpus_name] = (full, address)
         return self._name_map[corpus_name]
 
-    def _rewrite_company(self, text: str, original_company: str) -> str:
-        if self._company_re is None:
-            self._company_re = re.compile(
-                re.escape(original_company), re.IGNORECASE
-            )
-        return self._company_re.sub(self._config.company_name, text)
-
-    def _shift_time(
-        self, sent_at: datetime, corpus_min: datetime, corpus_max: datetime
-    ) -> datetime:
-        """Linearly map the corpus timeline onto the recent history window."""
-        span = (corpus_max - corpus_min).total_seconds()
-        if span <= 0:
-            fraction = 1.0
-        else:
-            fraction = (sent_at - corpus_min).total_seconds() / span
-        window = timedelta(days=self._config.history_span_days)
-        start = self._config.populate_time - window
-        return start + fraction * window
-
     def map_mailbox(
         self, emails: list[GeneratedEmail], original_company: str
     ) -> list[MappedEmail]:
@@ -123,37 +146,49 @@ class CorpusMapper:
 
         Every corpus email becomes mail *received by* the persona: the
         corpus recipient is replaced by the honey identity, senders become
-        stable fake correspondents, company mentions are rewritten, and
-        dates are refreshed into the recent-history window.
+        stable fake correspondents (a new one draws its alias from the
+        stream, in email order), mentions of ``original_company`` are
+        rewritten, and the corpus timeline is mapped linearly onto the
+        recent-history window.
         """
         if not emails:
             return []
+        config = self._config
+        rewrite = company_rewriter(original_company, config.company_name)
+        persona_name = self._identity.full_name
+        persona_address = self._identity.address
+        name_map = self._name_map
         corpus_min = min(e.sent_at for e in emails)
-        corpus_max = max(e.sent_at for e in emails)
+        span = (max(e.sent_at for e in emails) - corpus_min).total_seconds()
+        window = timedelta(days=config.history_span_days)
+        start = config.populate_time - window
         mapped: list[MappedEmail] = []
         for email in emails:
-            sender_name, sender_address = self._map_character(
-                email.sender_name
+            corpus_sender = email.sender_name
+            if corpus_sender in name_map:
+                sender_name, sender_address = name_map[corpus_sender]
+            else:
+                sender_name, sender_address = self._map_character(corpus_sender)
+            body = (
+                rewrite(email.body)
+                .replace(corpus_sender, sender_name)
+                .replace(email.recipient_name, persona_name)
             )
-            subject = self._rewrite_company(email.subject, original_company)
-            body = self._rewrite_company(email.body, original_company)
-            body = body.replace(email.sender_name, sender_name)
-            body = body.replace(
-                email.recipient_name, self._identity.full_name
-            )
+            if span <= 0:
+                fraction = 1.0
+            else:
+                fraction = (email.sent_at - corpus_min).total_seconds() / span
             mapped.append(
                 MappedEmail(
                     sender_name=sender_name,
                     sender_address=sender_address,
-                    recipient_name=self._identity.full_name,
-                    recipient_address=self._identity.address,
-                    subject=subject,
+                    recipient_name=persona_name,
+                    recipient_address=persona_address,
+                    subject=rewrite(email.subject),
                     body=body,
-                    sent_at=self._shift_time(
-                        email.sent_at, corpus_min, corpus_max
-                    ),
+                    sent_at=start + fraction * window,
                     topic=email.topic,
                 )
             )
-        mapped.sort(key=lambda e: e.sent_at)
+        mapped.sort(key=_SENT_AT)
         return mapped
