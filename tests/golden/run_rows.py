@@ -23,6 +23,7 @@ message; a sharded run digests every shard's provisioning, since each
 shard provisions the whole population), and ``all_email_texts`` hashes
 the dataset's seeded-history texts, the input of the all-emails TF-IDF
 document.
+
 Each case runs in a fresh interpreter, so nothing process-global that
 an earlier run touched can leak into a later one.
 

@@ -20,6 +20,7 @@ import random
 import re
 import string
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -362,16 +363,15 @@ class TestSeeding:
     def test_seed_mailbox_matches_reference(self, seed):
         identity = _identity(seed, "uk")
         config = MappingConfig()
-        factory = HoneyAccountFactory.__new__(HoneyAccountFactory)
-        factory._rng = random.Random(seed)
-        factory._emails_per_account = (150, 250)
-        factory._mapping_config = config
-
-        class _Account:
-            mailbox = Mailbox(owner=identity.address)
-
-        count = factory._seed_mailbox(_Account, identity)
-        inbox = _Account.mailbox.messages(Folder.INBOX)
+        rng = random.Random(seed)
+        # Seeding touches only the stream and the account's mailbox.
+        factory = HoneyAccountFactory(
+            None, None, None, rng, emails_per_account=(150, 250),
+            mapping_config=config,
+        )
+        account = SimpleNamespace(mailbox=Mailbox(owner=identity.address))
+        count = factory._seed_mailbox(account, identity)
+        inbox = account.mailbox.messages(Folder.INBOX)
         want_count, want_rows, want_state = self._reference_inbox(
             seed, identity, config, (150, 250)
         )
@@ -388,7 +388,7 @@ class TestSeeding:
             f"msg-{identity.address}-{i:06d}" for i in range(1, count + 1)
         ]
         assert not any(m.flags.read for m in inbox)
-        assert factory._rng.getstate() == want_state
+        assert rng.getstate() == want_state
 
 
 class TestCompanyRewrite:
@@ -418,7 +418,7 @@ class TestCompanyRewrite:
     @example(original="Enrova", replacement="Lumenor",
              text="enROVA Corporation, Enrova and ENRova")
     @example(original="s", replacement="x", text="s S \u017f")
-    @example(original="\u212a", replacement="x", text="k K")
+    @example(original="\u017f", replacement="x", text="s S")
     @example(original="Ab", replacement="x", text="\u0130Ab ab")
     @example(original="Aa", replacement="x", text="aAaA aaa")
     def test_rewriter_matches_regex(self, original, replacement, text):
