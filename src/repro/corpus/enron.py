@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate
 from operator import attrgetter
-from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.corpus import wordbank
@@ -89,25 +88,7 @@ _COUNTERPARTIES: tuple[str, ...] = (
 )
 
 
-#: Placeholders of every template, in the order their words are drawn.
-_FIELDS = ("topic_word", "core_word", "counterparty")
-
-
-def _formats(templates: tuple[str, ...]) -> tuple[Callable[..., str], ...]:
-    """Each template as a ``format`` taking the words in draw order."""
-    formats = []
-    for template in templates:
-        for index, name in enumerate(_FIELDS):
-            template = template.replace("{%s}" % name, "{%d}" % index)
-        formats.append(template.format)
-    return tuple(formats)
-
-
-_SUBJECT_FORMATS = _formats(_SUBJECT_TEMPLATES)
-_OPENING_FORMATS = _formats(_OPENINGS)
-_BODY_FORMATS = _formats(_BODY_TEMPLATES)
-_CLOSING_FORMATS = _formats(_CLOSINGS)
-_N_BODY = len(_BODY_FORMATS)
+_N_BODY = len(_BODY_TEMPLATES)
 
 #: Topic-specific pool sentences (after the body templates and notes).
 _EXTRA_LINES = {
@@ -263,8 +244,8 @@ class CorpusGenerator:
                 i = bits(k)
             return i
 
-        def words(vocab: tuple[str, ...], n: int, k: int) -> tuple[str, ...]:
-            """One template's (topic word, core word, counterparty)."""
+        def words(vocab: tuple[str, ...], n: int, k: int) -> dict[str, str]:
+            """One template's words, by placeholder."""
             i = bits(k)
             while i >= n:
                 i = bits(k)
@@ -274,7 +255,11 @@ class CorpusGenerator:
             m = bits(k_counterparties)
             while m >= n_counterparties:
                 m = bits(k_counterparties)
-            return vocab[i], core[j], counterparties[m]
+            return {
+                "topic_word": vocab[i],
+                "core_word": core[j],
+                "counterparty": counterparties[m],
+            }
 
         emails: list[GeneratedEmail] = []
         for _ in range(count):
@@ -289,24 +274,24 @@ class CorpusGenerator:
             sender = _CHARACTERS[i]
             recipients = _RECIPIENTS[i]
             recipient = recipients[below(len(recipients))]
-            subject_format = _SUBJECT_FORMATS[below(len(_SUBJECT_FORMATS))]
-            subject = subject_format(*words(vocab, n, k))
-            opening = _OPENING_FORMATS[below(len(_OPENING_FORMATS))]
-            lines = [opening(*words(vocab, n, k))]
-            pool = [words(vocab, n, k) for _ in _BODY_FORMATS]
+            template = _SUBJECT_TEMPLATES[below(len(_SUBJECT_TEMPLATES))]
+            subject = template.format(**words(vocab, n, k))
+            template = _OPENINGS[below(len(_OPENINGS))]
+            lines = [template.format(**words(vocab, n, k))]
+            pool = [words(vocab, n, k) for _ in _BODY_TEMPLATES]
             notes = sample(topic.note_terms, 4)
             size = 3 + below(4)  # randrange(3, 7)
             # The pool (8 templates, the notes, the topic's extra line)
             # holds 9 or 10 sentences, more than the 3-6 picked.
             for index in sample(range(topic.pool_size), size):
                 if index < _N_BODY:
-                    lines.append(_BODY_FORMATS[index](*pool[index]))
+                    lines.append(_BODY_TEMPLATES[index].format(**pool[index]))
                 elif index == _N_BODY:
                     lines.append("Notes: " + ", ".join(sorted(notes)) + ".")
                 else:
                     lines.append(topic.extra_line)
-            closing = _CLOSING_FORMATS[below(len(_CLOSING_FORMATS))]
-            lines.append(closing(*words(vocab, n, k)))
+            template = _CLOSINGS[below(len(_CLOSINGS))]
+            lines.append(template.format(**words(vocab, n, k)))
             lines.append(sender)
             lines.append(signature)
             # uniform(0, span) is 0 + span * random().

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from operator import attrgetter
-from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.corpus.enron import GeneratedEmail
@@ -64,44 +63,6 @@ class MappedEmail:
 
 
 _SENT_AT = attrgetter("sent_at")
-
-
-def company_rewriter(original: str, replacement: str) -> Callable[[str], str]:
-    """``text -> re.sub(re.escape(original), replacement, text,
-    flags=re.IGNORECASE)``, with a fast path for ASCII text.
-
-    When ``original`` and the text are both ASCII, case-insensitive
-    matching is plain ASCII case folding: the regex matches exactly where
-    ``str.find`` finds the lower-cased ``original`` in the lower-cased
-    text, leftmost first and without overlap, and a replacement without a
-    backslash is inserted literally.  Anything else takes the regex.
-    """
-    sub = partial(
-        re.compile(re.escape(original), re.IGNORECASE).sub, replacement
-    )
-    if not original or not original.isascii() or "\\" in replacement:
-        return sub
-    needle = original.lower()
-    width = len(needle)
-
-    def rewrite(text: str) -> str:
-        if not text.isascii():
-            return sub(text)
-        lowered = text.lower()
-        at = lowered.find(needle)
-        if at < 0:
-            return text
-        parts = []
-        done = 0
-        while at >= 0:
-            parts.append(text[done:at])
-            parts.append(replacement)
-            done = at + width
-            at = lowered.find(needle, done)
-        parts.append(text[done:])
-        return "".join(parts)
-
-    return rewrite
 
 
 class CorpusMapper:
@@ -154,10 +115,14 @@ class CorpusMapper:
         if not emails:
             return []
         config = self._config
-        rewrite = company_rewriter(original_company, config.company_name)
+        # Keyed by this call's company: a mapper reused across corpora
+        # must not keep rewriting the first company it saw.
+        rewrite = partial(
+            re.compile(re.escape(original_company), re.IGNORECASE).sub,
+            config.company_name,
+        )
         persona_name = self._identity.full_name
         persona_address = self._identity.address
-        name_map = self._name_map
         corpus_min = min(e.sent_at for e in emails)
         span = (max(e.sent_at for e in emails) - corpus_min).total_seconds()
         window = timedelta(days=config.history_span_days)
@@ -165,10 +130,7 @@ class CorpusMapper:
         mapped: list[MappedEmail] = []
         for email in emails:
             corpus_sender = email.sender_name
-            if corpus_sender in name_map:
-                sender_name, sender_address = name_map[corpus_sender]
-            else:
-                sender_name, sender_address = self._map_character(corpus_sender)
+            sender_name, sender_address = self._map_character(corpus_sender)
             body = (
                 rewrite(email.body)
                 .replace(corpus_sender, sender_name)
