@@ -9,9 +9,12 @@ to tax the happy path.
 The workload is the ``fast`` scenario run as a 4-way sharded pool,
 measured two ways in the same process tree:
 
-* ``supervised`` — the default path (``run_sharded(supervise=True)``);
-* ``baseline`` — the pre-supervision executor
-  (``run_sharded(supervise=False)``, a plain ``ProcessPoolExecutor``).
+* ``supervised`` — ``run_sharded``, whose pooled shards always run
+  under supervision;
+* ``baseline`` — a bare ``ProcessPoolExecutor`` mapping the same shard
+  worker over the same tasks, then the same ``merge_shard_runs``.  This
+  pool lives only here; the library forks solely through
+  ``supervise_iter``.
 
 Each is run ``REPEATS`` times and the **minimum** wall-clock compared
 (minima are the low-noise estimator for cold-pool workloads).  The
@@ -39,12 +42,14 @@ import os
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from repro import shard
 from repro.analysis.fingerprint import fingerprint_digest
 from repro.api.registry import scenarios
 from repro.faults import FaultPlan, FaultRule
-from repro.shard import dataset_mismatches, run_sharded
+from repro.shard import dataset_mismatches, merge_shard_runs, run_sharded
 
 #: Supervised / unsupervised wall-clock ratio allowed on the
 #: fault-free path (full workload).
@@ -71,27 +76,34 @@ def _workload(days: float):
     )
 
 
-def _time_run(scenario, *, supervise: bool):
+def _time_supervised(scenario):
     started = time.perf_counter()
-    run = run_sharded(
-        scenario, shards=SHARDS, jobs=SHARDS, supervise=supervise
-    )
+    run = run_sharded(scenario, shards=SHARDS, jobs=SHARDS)
     return run, time.perf_counter() - started
+
+
+def _time_baseline(scenario):
+    """Bare-pool dispatch of the shard worker plus the same merge."""
+    started = time.perf_counter()
+    scenario = scenario.with_shards(SHARDS)
+    serialized = scenario.to_json()
+    tasks = [(serialized, index, SHARDS, None) for index in range(SHARDS)]
+    with ProcessPoolExecutor(SHARDS) as pool:
+        shard_runs = list(pool.map(shard._execute_shard, tasks))
+    dataset, _ = merge_shard_runs(scenario, shard_runs)
+    return dataset, time.perf_counter() - started
 
 
 def bench_overhead(scenario) -> dict:
     """Alternate supervised/baseline repeats; compare the minima."""
     supervised_walls, baseline_walls = [], []
-    supervised_run = baseline_run = None
     for _ in range(REPEATS):
-        run, wall = _time_run(scenario, supervise=False)
+        baseline_dataset, wall = _time_baseline(scenario)
         baseline_walls.append(round(wall, 6))
-        baseline_run = run
-        run, wall = _time_run(scenario, supervise=True)
+        supervised_run, wall = _time_supervised(scenario)
         supervised_walls.append(round(wall, 6))
-        supervised_run = run
     mismatches = dataset_mismatches(
-        baseline_run.dataset, supervised_run.dataset
+        baseline_dataset, supervised_run.dataset
     )
     overhead = min(supervised_walls) / min(baseline_walls)
     return {

@@ -10,8 +10,10 @@ Three layers on top of :class:`repro.core.experiment.Experiment`:
   ``forum_only``, ``malware_only``, ``no_case_studies``, ``scaled``,
   ``high_frequency_monitoring``);
 * :class:`BatchRunner` (:mod:`repro.api.runner`) — multi-seed /
-  multi-scenario sweeps on a process pool, returning per-run
-  :class:`RunResult` envelopes plus cross-seed aggregates.
+  multi-scenario sweeps, serial or in supervised forked workers (one
+  child per cell, so a crashed worker fails only its own cell),
+  returning per-run :class:`RunResult` envelopes plus cross-seed
+  aggregates.
 
 Attacker personas (:mod:`repro.attackers.personas`) are re-exported
 here because they are scenario inputs: ``personas`` is the persona

@@ -1,11 +1,12 @@
 """Multi-seed, multi-scenario batch execution.
 
-:class:`BatchRunner` executes the cross product of scenarios and seeds,
-either serially or on a ``concurrent.futures`` process pool.  Both paths
-funnel through the same module-level task function operating on the
-*serialized* scenario, so a pooled sweep is bit-identical to a serial
-one: every worker rebuilds its world from JSON exactly like the parent
-would, and determinism rests solely on the master seed.
+:class:`BatchRunner` executes the cross product of scenarios and seeds
+on the sweep dispatch backends (:mod:`repro.sweeps.backends`): serially
+in this process, or in supervised forked workers, one child per cell.
+Both paths run the same cell function on the *serialized* scenario, so
+a pooled batch is bit-identical to a serial one: every worker rebuilds
+its world from JSON exactly like the parent would, and determinism
+rests solely on the master seed.
 
 Cross-seed aggregation produces mean/stdev/min/max summaries of the
 overview statistics plus *pooled* Cramér-von Mises p-values — the
@@ -17,14 +18,12 @@ the paper's single 7-month run.
 from __future__ import annotations
 
 import statistics
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.api.envelope import RunResult, cvm_panel_p_values, run_scenario
+from repro.api.envelope import RunResult, cvm_panel_p_values
 from repro.api.scenario import Scenario
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SweepError
 
 #: Overview fields aggregated across seeds.
 AGGREGATED_METRICS: tuple[str, ...] = (
@@ -40,44 +39,22 @@ AGGREGATED_METRICS: tuple[str, ...] = (
 )
 
 
-def _execute_task(task: tuple[str, int]) -> RunResult:
-    """Run one (serialized scenario, seed) task.
-
-    Module-level so process pools can pickle it; the serial path calls
-    it too, guaranteeing identical execution either way.
-    """
-    scenario_json, seed = task
-    scenario = Scenario.from_json(scenario_json)
-    return run_scenario(scenario, seed=seed)
-
-
 @dataclass(frozen=True)
 class FailedRun:
-    """One (scenario, seed) task that raised instead of producing a run.
+    """One (scenario, seed) task that failed instead of producing a run.
 
-    Captured by the batch/sweep machinery so a single bad cell cannot
-    abort a long sweep and discard every completed sibling; the error
-    string and formatted traceback survive process boundaries (the
-    original exception object may not pickle).
+    The task raised, or its worker died or timed out.  Captured by the
+    batch/sweep machinery so a single bad cell cannot abort a long
+    sweep and discard every completed sibling; the error string and
+    formatted traceback survive process boundaries (the original
+    exception object may not pickle).  A worker that died leaves no
+    traceback.
     """
 
     scenario_name: str
     seed: int
     error: str
     traceback: str = ""
-
-    @classmethod
-    def from_exception(
-        cls, scenario_name: str, seed: int, exc: BaseException
-    ) -> "FailedRun":
-        return cls(
-            scenario_name=scenario_name,
-            seed=seed,
-            error=f"{type(exc).__name__}: {exc}",
-            traceback="".join(
-                traceback.format_exception(type(exc), exc, exc.__traceback__)
-            ),
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -190,9 +167,9 @@ def aggregate_runs(runs: Sequence[RunResult]) -> AggregateStats:
 class BatchResult:
     """Every run of a batch plus lazily-computed per-scenario aggregates.
 
-    ``failures`` lists the tasks that raised instead of completing
-    (empty for a clean batch — and always empty under ``strict=True``,
-    which re-raises instead of capturing).
+    ``failures`` lists the tasks that failed instead of completing
+    (empty for a clean batch; under ``strict=True`` a failed batch
+    raises instead of returning).
     """
 
     runs: list[RunResult]
@@ -251,7 +228,7 @@ class BatchResult:
 
 
 class BatchRunner:
-    """Executes N seeds x M scenarios, serially or on a process pool.
+    """Executes N seeds x M scenarios, serially or in forked workers.
 
     Args:
         jobs: default worker-process count; 1 (or ``None``) runs every
@@ -286,13 +263,22 @@ class BatchRunner:
     ) -> BatchResult:
         """Run the full scenario x seed cross product, in stable order.
 
-        A raising task no longer aborts the batch: its exception is
-        captured into a :class:`FailedRun` on ``BatchResult.failures``
-        while every other task completes, so one bad cell cannot
-        discard a sweep's worth of finished runs.  ``strict=True``
-        restores the old propagate-immediately behaviour (the first
-        failure re-raises after in-flight tasks drain).
+        A failing task does not abort the batch: a raised exception,
+        or a worker that dies, becomes a :class:`FailedRun` on
+        ``BatchResult.failures`` while every other task completes.
+        Pooled tasks each run in their own supervised child, so a
+        SIGKILLed worker fails only its own cell.  ``strict=True``
+        raises :class:`~repro.errors.SweepError` naming the first
+        failed cell once the batch has finished.
         """
+        # The sweeps package imports this module; import its backends
+        # here to keep the cycle out of module load.
+        from repro.sweeps.backends import (
+            CellTask,
+            InProcessBackend,
+            LocalPoolBackend,
+        )
+
         seed_list = list(seeds)
         if not scenario_list:
             raise ConfigurationError("need at least one scenario")
@@ -304,40 +290,43 @@ class BatchRunner:
                 "scenario names in a batch must be unique "
                 "(use with_name() to disambiguate)"
             )
-        tasks = [
-            (scenario.name, scenario.to_json(), seed)
-            for scenario in scenario_list
-            for seed in seed_list
-        ]
         workers = self.jobs if jobs is None else jobs
         if workers < 1:
             raise ConfigurationError("jobs must be >= 1")
-        results: list[RunResult] = []
+        cells = [
+            (scenario, seed)
+            for scenario in scenario_list
+            for seed in seed_list
+        ]
+        tasks = [
+            CellTask(index=index, scenario_json=scenario.to_json(), seed=seed)
+            for index, (scenario, seed) in enumerate(cells)
+        ]
+        backend = (
+            InProcessBackend()
+            if workers == 1 or len(tasks) == 1
+            else LocalPoolBackend(workers)
+        )
+        outcomes = sorted(backend.run_cells(tasks), key=lambda o: o.index)
+        runs: list[RunResult] = []
         failures: list[FailedRun] = []
-
-        def _finish(name: str, seed: int, compute) -> None:
-            try:
-                results.append(compute())
-            except Exception as exc:  # noqa: BLE001 - isolation by design
-                if strict:
-                    raise
-                failures.append(FailedRun.from_exception(name, seed, exc))
-
-        if workers == 1 or len(tasks) == 1:
-            for name, scenario_json, seed in tasks:
-                _finish(
-                    name,
-                    seed,
-                    lambda t=(scenario_json, seed): _execute_task(t),
+        for outcome in outcomes:
+            if outcome.ok:
+                runs.append(outcome.run)
+                continue
+            scenario, seed = cells[outcome.index]
+            failures.append(
+                FailedRun(
+                    scenario_name=scenario.name,
+                    seed=seed,
+                    error=outcome.error,
+                    traceback=outcome.traceback or "",
                 )
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(tasks))
-            ) as pool:
-                futures = [
-                    (name, seed, pool.submit(_execute_task, (js, seed)))
-                    for name, js, seed in tasks
-                ]
-                for name, seed, future in futures:
-                    _finish(name, seed, future.result)
-        return BatchResult(runs=results, failures=failures)
+            )
+        if strict and failures:
+            first = failures[0]
+            raise SweepError(
+                f"{len(failures)} cell(s) failed; first: "
+                f"{first.scenario_name} seed={first.seed}: {first.error}"
+            )
+        return BatchResult(runs=runs, failures=failures)

@@ -367,7 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="cell_timeout",
         help="wall-clock limit per cell attempt on the pool/subprocess "
         "backends; a cell past it is killed, reported failed, and "
-        "requeued under --retries (default: no limit)",
+        "requeued under --retries (store mode only; default: no "
+        "limit)",
     )
 
     store_parser = subparsers.add_parser(
@@ -898,10 +899,15 @@ def _command_sweep(args) -> int:
         for name in names
     ]
     if args.store is None:
-        if args.resume or args.max_cells is not None or args.backend:
+        if (
+            args.resume
+            or args.max_cells is not None
+            or args.backend
+            or args.cell_timeout is not None
+        ):
             raise ConfigurationError(
-                "--resume/--max-cells/--backend need a persistent "
-                "store; add --store DIR"
+                "--resume/--max-cells/--backend/--cell-timeout need a "
+                "persistent store; add --store DIR"
             )
         started = time.time()
         batch = BatchRunner(jobs=args.jobs).run_matrix(

@@ -1,10 +1,12 @@
 """Supervised execution of forked workers: timeouts, heartbeats,
 kill-and-requeue.
 
-:func:`supervise_iter` is the one supervision loop shared by sharded
-runs and the pooled sweep backend.  Each task runs in its own forked
-child (so a SIGKILL takes out exactly one task, never a shared pool);
-the child ships its result back through a pickle file written
+:func:`supervise_iter` is the only way the library forks workers:
+pooled sharded runs, the pooled sweep backend and pooled
+:class:`~repro.api.runner.BatchRunner` batches (which dispatch through
+that backend) all run on it.  Each task runs in its own forked child
+(so a SIGKILL takes out exactly one task, never a shared pool); the
+child ships its result back through a pickle file written
 atomically, and touches a heartbeat file from a daemon thread while it
 works.  The parent polls children against two clocks:
 
@@ -22,7 +24,8 @@ asserts.
 
 The fault-free overhead is one ``fork`` per task plus a poll loop —
 benchmarked in ``benchmarks/bench_faults.py`` and gated at ≤5 % over
-the unsupervised pool on the sharded critical path.
+a bare process pool (kept in the benchmark only) on the sharded
+critical path.
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
+from repro.errors import ConfigurationError
 from repro.faults.plan import hang_active
+
+#: Parent poll cadence, seconds.
+POLL_INTERVAL = 0.02
 
 
 @dataclass
@@ -138,8 +145,6 @@ def supervise_iter(
     retries: int = 0,
     heartbeat_interval: float = 0.2,
     stale_after: float | None = None,
-    poll_interval: float = 0.02,
-    on_event: Callable[[str, int, int, str], None] | None = None,
 ) -> Iterator[SupervisedOutcome]:
     """Run ``worker(task)`` for every task under supervision, yielding
     :class:`SupervisedOutcome`s as they resolve (not in input order).
@@ -147,7 +152,7 @@ def supervise_iter(
     Args:
         worker: picklable callable executed in a forked child.
         tasks: the task sequence; each must be picklable.
-        jobs: concurrent children.
+        jobs: concurrent children; must be >= 1.
         timeout: per-attempt wall-clock limit in seconds; ``None``
             disables the deadline (heartbeats still apply).
         retries: requeues allowed per task after a crash/hang/timeout.
@@ -155,22 +160,19 @@ def supervise_iter(
         stale_after: kill a child whose heartbeat is older than this;
             ``None`` disables the watchdog.  Must comfortably exceed
             ``heartbeat_interval`` (a 4x margin is a good floor).
-        poll_interval: parent poll cadence.
-        on_event: optional observer ``(kind, index, attempt, detail)``
-            with kind in {"start", "retry", "fail", "done"} — the shard
-            coordinator uses it for progress lines.
 
     The generator owns every child it forks: closing it early (or a
     ``KeyboardInterrupt`` unwinding through it) kills outstanding
     children and removes their scratch files — no orphans.
     """
+    if jobs < 1:
+        raise ConfigurationError("supervise_iter needs jobs >= 1")
     ctx = multiprocessing.get_context("fork")
     pending: deque[tuple[int, int]] = deque(
         (index, 1) for index in range(len(tasks))
     )
     first_start: dict[int, float] = {}
     running: list[_Attempt] = []
-    notify = on_event or (lambda kind, index, attempt, detail: None)
 
     with tempfile.TemporaryDirectory(prefix="repro-supervise-") as scratch:
         scratch_dir = Path(scratch)
@@ -203,7 +205,6 @@ def supervise_iter(
                     deadline,
                 )
             )
-            notify("start", index, attempt, "")
 
         def _resolve(att: _Attempt) -> SupervisedOutcome | None:
             """Outcome/requeue for a finished or condemned attempt."""
@@ -229,7 +230,6 @@ def supervise_iter(
                 )
             elapsed = time.monotonic() - first_start[att.index]
             if failure is None:
-                notify("done", att.index, att.attempt, "")
                 return SupervisedOutcome(
                     index=att.index,
                     result=result,
@@ -237,10 +237,8 @@ def supervise_iter(
                     elapsed_seconds=elapsed,
                 )
             if att.attempt <= retries:
-                notify("retry", att.index, att.attempt, failure)
                 pending.append((att.index, att.attempt + 1))
                 return None
-            notify("fail", att.index, att.attempt, failure)
             return SupervisedOutcome(
                 index=att.index,
                 error=failure,
@@ -256,10 +254,8 @@ def supervise_iter(
             if not att.result_path.exists():
                 elapsed = time.monotonic() - first_start[att.index]
                 if att.attempt <= retries:
-                    notify("retry", att.index, att.attempt, reason)
                     pending.append((att.index, att.attempt + 1))
                     return None
-                notify("fail", att.index, att.attempt, reason)
                 return SupervisedOutcome(
                     index=att.index,
                     error=reason,
@@ -273,7 +269,7 @@ def supervise_iter(
                 while pending and len(running) < jobs:
                     index, attempt = pending.popleft()
                     _launch(index, attempt)
-                time.sleep(poll_interval)
+                time.sleep(POLL_INTERVAL)
                 now = time.monotonic()
                 still_running: list[_Attempt] = []
                 for att in running:

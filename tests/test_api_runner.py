@@ -6,18 +6,14 @@ import pytest
 
 from repro.api import (
     BatchRunner,
-    FailedRun,
     RunResult,
     aggregate_runs,
     run_scenario,
     scenarios,
 )
-from repro.api.runner import (
-    AGGREGATED_METRICS,
-    AggregateStats,
-    _execute_task,
-)
-from repro.errors import ConfigurationError
+from repro.api.runner import AGGREGATED_METRICS, AggregateStats
+from repro.errors import ConfigurationError, SweepError
+from repro.faults import FaultPlan, FaultRule
 from repro.sim.clock import hours
 
 #: A deliberately small scenario so runner tests stay fast.
@@ -92,6 +88,13 @@ class TestRunResult:
         assert run.significance() == {}
 
 
+def _strip_timings(run):
+    summary = run.summary()
+    summary.pop("elapsed_seconds")
+    summary.pop("perf")
+    return summary
+
+
 class TestBatchRunner:
     def test_pooled_matches_serial_bit_for_bit(self):
         seeds = [2016, 2017, 2018]
@@ -100,14 +103,9 @@ class TestBatchRunner:
         assert [r.seed for r in serial.runs] == seeds
         assert [r.seed for r in pooled.runs] == seeds
 
-        def strip(run):
-            summary = run.summary()
-            summary.pop("elapsed_seconds")
-            summary.pop("perf")  # wall-clock timings; not deterministic
-            return summary
-
-        assert [strip(r) for r in serial.runs] == [
-            strip(r) for r in pooled.runs
+        # wall-clock timings are not deterministic; all else must match
+        assert [_strip_timings(r) for r in serial.runs] == [
+            _strip_timings(r) for r in pooled.runs
         ]
         assert (
             serial.aggregate().to_dict() == pooled.aggregate().to_dict()
@@ -149,16 +147,15 @@ class TestBatchRunner:
             BatchRunner(jobs=0)
 
 
-def _boom_on_seed_2(task):
-    """A drop-in for ``_execute_task`` that fails exactly one cell.
+def _boom_on_seed_2(scenario, seed=None, **kwargs):
+    """A drop-in for ``run_scenario`` that fails exactly one cell.
 
-    Module-level so process pools can pickle it; under the fork start
-    method the monkeypatched module global propagates to pool workers.
+    Patched over ``repro.api.envelope.run_scenario``, which every cell
+    looks up when it runs; forked workers inherit the patch.
     """
-    scenario_json, seed = task
     if seed == 2:
         raise RuntimeError("injected failure for seed 2")
-    return _execute_task(task)
+    return run_scenario(scenario, seed=seed, **kwargs)
 
 
 class TestFailureIsolation:
@@ -178,35 +175,47 @@ class TestFailureIsolation:
 
     def test_serial_failure_is_contained(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.api.runner._execute_task", _boom_on_seed_2
+            "repro.api.envelope.run_scenario", _boom_on_seed_2
         )
         batch = BatchRunner(jobs=1).run(TINY, seeds=[1, 2, 3])
         self.assert_isolated(batch)
 
     def test_pooled_failure_is_contained(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.api.runner._execute_task", _boom_on_seed_2
+            "repro.api.envelope.run_scenario", _boom_on_seed_2
         )
         batch = BatchRunner(jobs=2).run(TINY, seeds=[1, 2, 3])
         self.assert_isolated(batch)
 
     def test_strict_reraises(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.api.runner._execute_task", _boom_on_seed_2
+            "repro.api.envelope.run_scenario", _boom_on_seed_2
         )
-        with pytest.raises(RuntimeError, match="injected failure"):
+        with pytest.raises(
+            SweepError, match="tiny seed=2: RuntimeError: injected failure"
+        ):
             BatchRunner().run(TINY, seeds=[1, 2, 3], strict=True)
 
-    def test_failed_run_from_exception(self):
-        try:
-            raise ValueError("bad input")
-        except ValueError as exc:
-            failure = FailedRun.from_exception("s", 7, exc)
-        assert failure.error == "ValueError: bad input"
-        assert "ValueError: bad input" in failure.traceback
-        assert failure.to_dict() == {
-            "scenario": "s", "seed": 7, "error": "ValueError: bad input",
-        }
+    def test_pooled_worker_crash_fails_only_its_cell(self, tmp_path):
+        seeds = [2016, 2017, 2018]
+        plan = FaultPlan(
+            rules=(
+                FaultRule(
+                    site="sweep.cell", kind="crash", match={"seed": 2017}
+                ),
+            ),
+            state_dir=str(tmp_path / "budget"),
+        )
+        with plan.scoped():
+            batch = BatchRunner(jobs=2).run(TINY, seeds)
+        assert [(f.scenario_name, f.seed) for f in batch.failures] == [
+            ("tiny", 2017)
+        ]
+        assert "died" in batch.failures[0].error
+        serial = BatchRunner(jobs=1).run(TINY, [2016, 2018])
+        assert [_strip_timings(r) for r in batch.runs] == [
+            _strip_timings(r) for r in serial.runs
+        ]
 
 
 class TestAggregates:

@@ -449,26 +449,11 @@ class TestSuperviseIter:
         assert outcome.ok, outcome.error
         assert outcome.attempts == 2
 
-    def test_events_narrate_the_lifecycle(self, tmp_path):
-        marker = str(tmp_path / "crashed-once")
-        events = []
-        list(
-            supervise_iter(
-                _crash_if_marked,
-                [(1, marker)],
-                jobs=1,
-                retries=1,
-                on_event=lambda kind, index, attempt, detail: events.append(
-                    (kind, index, attempt)
-                ),
-            )
-        )
-        assert events == [
-            ("start", 0, 1),
-            ("retry", 0, 1),
-            ("start", 0, 2),
-            ("done", 0, 2),
-        ]
+    def test_zero_jobs_is_rejected_not_hung(self):
+        # Regression: jobs=0 never launched a child and polled an empty
+        # running list forever.
+        with pytest.raises(ConfigurationError, match="jobs >= 1"):
+            list(supervise_iter(abs, [-1, -2], jobs=0))
 
     def test_early_close_leaves_no_orphans(self):
         iterator = supervise_iter(

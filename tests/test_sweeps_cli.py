@@ -69,6 +69,15 @@ class TestSweepStoreFlow:
         err = capsys.readouterr().err
         assert "--store" in err
 
+    def test_cell_timeout_requires_store(self, capsys):
+        # Regression: storeless sweeps used to ignore --cell-timeout
+        # and run to completion.
+        argv = ["sweep", "--seeds", "1", "--duration-days", "2",
+                "--cell-timeout", "0.001"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--cell-timeout" in err and "--store" in err
+
     def test_multi_scenario_sweep(self, tmp_path, capsys):
         store = tmp_path / "store"
         argv = [
