@@ -1,7 +1,7 @@
 """End-to-end simulation-run benchmark with a row-level golden gate.
 
-Measures what ``BENCH_telemetry.json`` never did: the cost of **running**
-a measurement, not analysing it.  Three workloads cover the hot paths:
+Measures the cost of **running** a measurement, not analysing it.
+Three workloads cover the hot paths:
 
 * **fast** — the paper's leak plan at relaxed monitoring cadences (the
   default test/dev loop);

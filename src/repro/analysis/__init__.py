@@ -14,11 +14,7 @@ paper's Section 4:
 * ``report`` / ``figures`` — assembled tables and figure series.
 """
 
-from repro.analysis.accesses import (
-    UniqueAccess,
-    clean_accesses,
-    extract_unique_accesses,
-)
+from repro.analysis.accesses import UniqueAccess, extract_unique_accesses
 from repro.analysis.cvm import CvmResult, cramer_von_mises_2samp
 from repro.analysis.dataset import AnalysisResults, analyze
 from repro.analysis.defense import DefenseReport, defense_report
@@ -53,7 +49,6 @@ __all__ = [
     "access_durations",
     "analyze",
     "classify_accesses",
-    "clean_accesses",
     "compute_tfidf_table",
     "cramer_von_mises_2samp",
     "defense_report",

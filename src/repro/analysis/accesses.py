@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.records import ObservedAccess, ObservedDataset
+from repro.core.records import ObservedDataset
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,42 +46,19 @@ class UniqueAccess:
         return self.city is not None
 
 
-def clean_accesses(dataset: ObservedDataset) -> list[ObservedAccess]:
-    """Drop monitoring-infrastructure rows (by IP, then by city)."""
-    cleaned = []
-    for access in dataset.accesses:
-        if access.ip_address in dataset.monitor_ips:
-            continue
-        if (
-            dataset.monitor_city is not None
-            and access.city == dataset.monitor_city
-        ):
-            continue
-        cleaned.append(access)
-    return cleaned
-
-
 def extract_unique_accesses(
     dataset: ObservedDataset,
 ) -> list[UniqueAccess]:
-    """Collapse cleaned rows into cookie-level unique accesses.
+    """Drop monitoring rows, then collapse the rest into cookie-level
+    unique accesses.
 
-    Location and fingerprint fields come from the first located
-    observation of the cookie (cookies are per-device, so these are
-    stable in practice; the first row wins on conflict).
-
-    Columnar datasets take a single-pass scan over the raw columns;
-    list-backed (legacy) datasets fall through to row iteration.  Both
-    paths produce identical output.
+    Cleaning removes rows from a monitor IP and rows geolocated in the
+    monitor city.  Location and fingerprint fields come from the first
+    located observation of the cookie (cookies are per-device, so these
+    are stable in practice; the first row wins on conflict).  One pass
+    over the raw columns; no intermediate row objects.
     """
-    store = getattr(dataset, "access_store", None)
-    if store is not None:
-        return _extract_unique_columnar(dataset, store)
-    return _extract_unique_rows(dataset)
-
-
-def _extract_unique_columnar(dataset, store) -> list[UniqueAccess]:
-    """One pass over the columns; no intermediate row objects."""
+    store = dataset.access_store
     strings = store.strings
     lookup = strings.lookup
     monitor_ip_ids = {
@@ -163,42 +140,6 @@ def _extract_unique_columnar(dataset, store) -> list[UniqueAccess]:
                 empty_user_agent=(lookup(store.ua_ids[first]) == ""),
             )
         )
-    unique.sort(key=lambda u: (u.t0, u.account_address, u.cookie_id))
-    return unique
-
-
-def _extract_unique_rows(dataset) -> list[UniqueAccess]:
-    """The original object path, kept for legacy list-backed datasets."""
-    cleaned = clean_accesses(dataset)
-    by_cookie: dict[tuple[str, str], list[ObservedAccess]] = {}
-    for access in cleaned:
-        key = (access.account_address, access.cookie_id)
-        by_cookie.setdefault(key, []).append(access)
-    unique: list[UniqueAccess] = []
-    for (address, cookie_id), rows in by_cookie.items():
-        rows.sort(key=lambda r: r.timestamp)
-        first = rows[0]
-        located = next((r for r in rows if r.city is not None), first)
-        unique.append(
-            UniqueAccess(
-                account_address=address,
-                cookie_id=cookie_id,
-                t0=rows[0].timestamp,
-                t_last=rows[-1].timestamp,
-                observation_count=len(rows),
-                ip_addresses=tuple(
-                    dict.fromkeys(r.ip_address for r in rows)
-                ),
-                city=located.city,
-                country=located.country,
-                latitude=located.latitude,
-                longitude=located.longitude,
-                device_kind=first.device_kind,
-                browser=first.browser,
-                os_family=first.os_family,
-                empty_user_agent=(first.user_agent == ""),
-                )
-            )
     unique.sort(key=lambda u: (u.t0, u.account_address, u.cookie_id))
     return unique
 

@@ -97,62 +97,49 @@ class AnalysisResults:
 def _count_actions(dataset: ObservedDataset) -> tuple[int, int, int]:
     """(unique emails read, emails sent, unique drafts) from notifications.
 
-    Columnar datasets are counted straight off the interned-id columns
-    (string ids are bijective with the strings, so the distinct-key
-    counts are identical); legacy datasets iterate records.
+    Counted straight off the interned-id columns (string ids are
+    bijective with the strings, so the distinct-key counts are the same
+    as over the strings).
     """
-    store = getattr(dataset, "notification_store", None)
-    if store is not None:
-        import numpy as np
+    import numpy as np
 
-        from repro.telemetry.spill import iter_column_chunks
+    from repro.telemetry.spill import iter_column_chunks
 
-        id_of = store.strings.id_of
-        read_id = id_of(NotificationKind.READ.value)
-        sent_id = id_of(NotificationKind.SENT.value)
-        draft_id = id_of(NotificationKind.DRAFT.value)
-        read_keys: set[tuple[int, int]] = set()
-        draft_keys: set[tuple[int, int]] = set()
-        sent = 0
-        # Chunk-aligned scan (kind/account/message columns flush in
-        # lockstep) so a spilled store never materialises a full column;
-        # vectorised masks keep the Python work to the matching rows.
-        for kind_chunk, account_chunk, message_chunk in zip(
-            iter_column_chunks(store.kind_ids, np.int64),
-            iter_column_chunks(store.account_ids, np.int64),
-            iter_column_chunks(store.message_ids, np.int64),
-        ):
-            if read_id is not None:
-                mask = kind_chunk == read_id
-                read_keys.update(
-                    zip(
-                        account_chunk[mask].tolist(),
-                        message_chunk[mask].tolist(),
-                    )
-                )
-            if sent_id is not None:
-                sent += int(np.count_nonzero(kind_chunk == sent_id))
-            if draft_id is not None:
-                mask = kind_chunk == draft_id
-                draft_keys.update(
-                    zip(
-                        account_chunk[mask].tolist(),
-                        message_chunk[mask].tolist(),
-                    )
-                )
-        return len(read_keys), sent, len(draft_keys)
-    read_messages: set[tuple[str, str]] = set()
-    draft_messages: set[tuple[str, str]] = set()
+    store = dataset.notification_store
+    id_of = store.strings.id_of
+    read_id = id_of(NotificationKind.READ.value)
+    sent_id = id_of(NotificationKind.SENT.value)
+    draft_id = id_of(NotificationKind.DRAFT.value)
+    read_keys: set[tuple[int, int]] = set()
+    draft_keys: set[tuple[int, int]] = set()
     sent = 0
-    for notification in dataset.notifications:
-        key = (notification.account_address, notification.message_id)
-        if notification.kind is NotificationKind.READ:
-            read_messages.add(key)
-        elif notification.kind is NotificationKind.SENT:
-            sent += 1
-        elif notification.kind is NotificationKind.DRAFT:
-            draft_messages.add(key)
-    return len(read_messages), sent, len(draft_messages)
+    # Chunk-aligned scan (kind/account/message columns flush in
+    # lockstep) so a spilled store never materialises a full column;
+    # vectorised masks keep the Python work to the matching rows.
+    for kind_chunk, account_chunk, message_chunk in zip(
+        iter_column_chunks(store.kind_ids, np.int64),
+        iter_column_chunks(store.account_ids, np.int64),
+        iter_column_chunks(store.message_ids, np.int64),
+    ):
+        if read_id is not None:
+            mask = kind_chunk == read_id
+            read_keys.update(
+                zip(
+                    account_chunk[mask].tolist(),
+                    message_chunk[mask].tolist(),
+                )
+            )
+        if sent_id is not None:
+            sent += int(np.count_nonzero(kind_chunk == sent_id))
+        if draft_id is not None:
+            mask = kind_chunk == draft_id
+            draft_keys.update(
+                zip(
+                    account_chunk[mask].tolist(),
+                    message_chunk[mask].tolist(),
+                )
+            )
+    return len(read_keys), sent, len(draft_keys)
 
 
 def analyze_experiment(result) -> AnalysisResults:

@@ -51,52 +51,38 @@ def _read_bodies(dataset: ObservedDataset) -> tuple[int, list[str]]:
     """(distinct read messages with content, their bodies in first-seen
     order) — the ``dR`` document's raw material.
 
-    Columnar datasets scan the kind/account/message id columns directly
-    (dedup keys are interned-id pairs, bijective with the string pairs);
-    legacy datasets iterate records.
+    Scans the kind/account/message id columns directly (dedup keys are
+    interned-id pairs, bijective with the string pairs).
     """
-    store = getattr(dataset, "notification_store", None)
-    if store is not None:
-        import numpy as np
+    import numpy as np
 
-        from repro.telemetry.spill import iter_column_chunks
+    from repro.telemetry.spill import iter_column_chunks
 
-        read_id = store.strings.id_of(NotificationKind.READ.value)
-        seen_keys: set[tuple[int, int]] = set()
-        texts: list[str] = []
-        if read_id is not None:
-            bodies = store.bodies
-            account_ids = store.account_ids
-            message_ids = store.message_ids
-            # Chunked kind-id scan: READ rows are a sliver of the
-            # stream, so only they pay the (possibly disk-backed)
-            # body/account/message lookups.
-            base = 0
-            for kind_chunk in iter_column_chunks(store.kind_ids, np.int64):
-                matches = np.nonzero(kind_chunk == read_id)[0]
-                for index in (matches + base).tolist():
-                    if not bodies[index]:
-                        continue
-                    key = (account_ids[index], message_ids[index])
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                    texts.append(bodies[index])
-                base += len(kind_chunk)
-        return len(seen_keys), texts
-    seen_messages: set[tuple[str, str]] = set()
-    texts = []
-    for notification in dataset.notifications:
-        if notification.kind is not NotificationKind.READ:
-            continue
-        if not notification.body_copy:
-            continue
-        key = (notification.account_address, notification.message_id)
-        if key in seen_messages:
-            continue
-        seen_messages.add(key)
-        texts.append(notification.body_copy)
-    return len(seen_messages), texts
+    store = dataset.notification_store
+    read_id = store.strings.id_of(NotificationKind.READ.value)
+    seen_keys: set[tuple[int, int]] = set()
+    texts: list[str] = []
+    if read_id is None:
+        return 0, texts
+    bodies = store.bodies
+    account_ids = store.account_ids
+    message_ids = store.message_ids
+    # Chunked kind-id scan: READ rows are a sliver of the stream, so
+    # only they pay the (possibly disk-backed) body/account/message
+    # lookups.
+    base = 0
+    for kind_chunk in iter_column_chunks(store.kind_ids, np.int64):
+        matches = np.nonzero(kind_chunk == read_id)[0]
+        for index in (matches + base).tolist():
+            if not bodies[index]:
+                continue
+            key = (account_ids[index], message_ids[index])
+            if key in seen_keys:
+                continue
+            seen_keys.add(key)
+            texts.append(bodies[index])
+        base += len(kind_chunk)
+    return len(seen_keys), texts
 
 
 def infer_searched_words(dataset: ObservedDataset) -> KeywordInference:

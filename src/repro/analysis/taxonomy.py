@@ -155,21 +155,10 @@ def _action_stream(dataset: ObservedDataset):
     """Yield ``(kind, account_address, timestamp)`` for action
     notifications, in arrival order.
 
-    Columnar datasets are scanned over the raw id columns — kind
-    filtering is integer comparison and only matching rows pay a string
-    lookup; legacy datasets iterate records.  Order and content are
-    identical either way.
+    Scans the raw id columns: kind filtering is integer comparison and
+    only matching rows pay a string lookup.
     """
-    store = getattr(dataset, "notification_store", None)
-    if store is None:
-        for notification in dataset.notifications:
-            if notification.kind in _ACTION_KINDS:
-                yield (
-                    notification.kind,
-                    notification.account_address,
-                    notification.timestamp,
-                )
-        return
+    store = dataset.notification_store
     id_of = store.strings.id_of
     kind_for_id = {
         ident: kind
@@ -318,10 +307,10 @@ def persona_ground_truth_report(
 ) -> PersonaGroundTruthReport:
     """Score the classifier's labels against per-access ground truth.
 
-    Datasets without ground truth (legacy captures, external imports)
-    produce a report with every access unmatched.
+    Datasets without ground truth (external imports) produce a report
+    with every access unmatched.
     """
-    truth = getattr(dataset, "ground_truth_personas", None) or {}
+    truth = dataset.ground_truth_personas
     signatures = persona_signature_table()
     report = PersonaGroundTruthReport(total_accesses=len(classified))
     metrics = {label.value: PersonaLabelMetrics() for label in TaxonomyLabel}

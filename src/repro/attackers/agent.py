@@ -9,11 +9,9 @@ minutes — re-authenticates near the end, which is what makes access
 durations observable on the activity page, as cookies are observed at
 each login.
 
-The agent knows nothing about taxonomy classes any more: what happens
-inside the account is entirely the policies' business.  Callers that
-still construct agents from bare :class:`~repro.attackers.
-sophistication.TaxonomyClass` profiles get the paper-equivalent chain
-via :func:`~repro.attackers.personas.default_policies_for`.
+The agent knows nothing about taxonomy classes: what happens inside the
+account is entirely the policies' business, and every caller passes the
+chain explicitly (the population builds it from the drawn personas).
 """
 
 from __future__ import annotations
@@ -23,11 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
-from repro.attackers.personas import (
-    BehaviorPolicy,
-    VisitContext,
-    default_policies_for,
-)
+from repro.attackers.personas import BehaviorPolicy, VisitContext
 from repro.attackers.sophistication import AttackerProfile
 from repro.errors import ConfigurationError, WebmailError
 from repro.netsim.anonymity import AnonymityNetwork, OriginKind
@@ -70,9 +64,9 @@ class AttackerAgent:
         anonymity: AnonymityNetwork,
         ua_factory: UserAgentFactory,
         rng: random.Random,
+        policies: Sequence[BehaviorPolicy],
         blacklist_registrar=None,
         advertised_midpoint: tuple[float, float] | None = None,
-        policies: Sequence[BehaviorPolicy] | None = None,
     ) -> None:
         self.profile = profile
         self.account_address = account_address
@@ -88,8 +82,6 @@ class AttackerAgent:
         self._device_id = f"dev-{profile.attacker_id}"
         self._user_agent = self._pick_user_agent(ua_factory)
         self._source_ip: IPAddress | None = None
-        if policies is None:
-            policies = default_policies_for(profile)
         self._policies: list[BehaviorPolicy] = list(policies)
         # Per-session constants, computed once: the connection identity
         # never changes between visits, and neither does the policy

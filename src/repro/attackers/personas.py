@@ -888,39 +888,6 @@ class PersonaMix:
         return mix.validate(registry)
 
 
-# ----------------------------------------------------------------------
-# TaxonomyClass migration shim
-# ----------------------------------------------------------------------
-#: Canonical policy order of the paper's dispatch: gold-digging runs
-#: every visit, hijack and spam trigger on the first one.
-_CLASS_POLICY_ORDER = (
-    (TaxonomyClass.GOLD_DIGGER, GoldDiggerPolicy),
-    (TaxonomyClass.HIJACKER, HijackerPolicy),
-    (TaxonomyClass.SPAMMER, SpammerPolicy),
-)
-
-
-def default_policies_for(profile) -> list[BehaviorPolicy]:
-    """Paper-equivalent policies for a profile built without personas.
-
-    This is the migration shim for code that still constructs
-    :class:`~repro.attackers.agent.AttackerAgent` directly from
-    :class:`~repro.attackers.sophistication.TaxonomyClass` sets: the
-    derived policy list reproduces the seed's ``_act`` dispatch order
-    exactly.
-    """
-    if profile.is_curious_only:
-        return [CuriousPolicy()]
-    policies: list[BehaviorPolicy] = [
-        factory()
-        for taxonomy_class, factory in _CLASS_POLICY_ORDER
-        if profile.has(taxonomy_class)
-    ]
-    if not policies:
-        policies.append(CuriousPolicy())
-    return policies
-
-
 def policies_for_personas(
     names: Sequence[str],
     rng: random.Random,

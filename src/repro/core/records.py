@@ -12,30 +12,24 @@ Two artifact streams exist, mirroring the paper's Section 3.1:
 cleaning step (monitor IPs and monitor city) and per-account leak
 provenance.  The analysis package consumes *only* this object.
 
-Since the columnar-telemetry refactor the dataset is a thin view over
-:mod:`repro.telemetry` stores: rows live in struct-of-arrays event logs
-with a shared string-interning table, and the historical list-of-
-dataclass accessors (``dataset.accesses``, ``dataset.notifications``)
-are lazy :class:`~repro.telemetry.eventlog.RowView` adapters.  Code
-that *assigns* lists of records to those attributes keeps working — the
-setters ingest the rows into fresh columns.  The pre-refactor container
-survives as :class:`LegacyObservedDataset` (see :meth:`ObservedDataset.
-to_legacy`) so the object path can still be benchmarked and used as an
-equivalence oracle.
+The dataset is a thin view over :mod:`repro.telemetry` stores: rows
+live in struct-of-arrays event logs with a shared string-interning
+table.  The analysis layer reads those columns directly
+(:attr:`ObservedDataset.access_store` and friends); the row accessors
+(``dataset.accesses``, ``dataset.notifications``) are read-only, lazy
+:class:`~repro.telemetry.eventlog.RowView` adapters for code that wants
+records.  Rows are written only through the stores' ``append`` /
+``append_fields``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from repro.core.groups import GroupSpec
-from repro.core.notifications import (
-    NotificationRecord,
-    notification_row_factory,
-    notification_to_fields,
-)
+from repro.core.notifications import notification_row_factory
 from repro.telemetry import (
     AccessStore,
     DefenseActionStore,
@@ -133,11 +127,10 @@ class ObservedDataset:
 
     Attributes:
         accesses: scraped activity-page rows (uncleaned; analysis applies
-            the monitor-IP / monitor-city filter).  A lazy row view over
-            the columnar store; assigning a list of
-            :class:`ObservedAccess` re-ingests it.
+            the monitor-IP / monitor-city filter).  A lazy, read-only row
+            view over the columnar store.
         notifications: script notifications, in arrival order (same
-            view/assign semantics).
+            read-only view semantics).
         provenance: per-account leak group and leak time.
         monitor_ips: IP addresses belonging to the monitoring and sandbox
             infrastructure, to be excluded from analysis.
@@ -323,7 +316,7 @@ class ObservedDataset:
         return copy
 
     # ------------------------------------------------------------------
-    # columnar access (analysis fast paths read these)
+    # columnar stores (the analysis layer reads these)
     # ------------------------------------------------------------------
     @property
     def access_store(self) -> AccessStore:
@@ -342,85 +335,29 @@ class ObservedDataset:
         return self._defense_store
 
     # ------------------------------------------------------------------
-    # row-compatible accessors
+    # read-only row views
     # ------------------------------------------------------------------
     @property
     def accesses(self) -> RowView:
         return RowView(self._access_store, access_row_factory)
 
-    @accesses.setter
-    def accesses(self, rows: Iterable[ObservedAccess]) -> None:
-        store = AccessStore(strings=self._access_store.strings)
-        for access in rows:
-            store.append_fields(*access_to_fields(access))
-        self._access_store = store
-
     @property
     def notifications(self) -> RowView:
         return RowView(self._notification_store, notification_row_factory)
-
-    @notifications.setter
-    def notifications(self, rows: Iterable[NotificationRecord]) -> None:
-        store = NotificationStore(strings=self._notification_store.strings)
-        for record in rows:
-            store.append_fields(*notification_to_fields(record))
-        self._notification_store = store
 
     @property
     def scrape_failures(self) -> ScrapeFailureLog:
         """(address, time) rows — the log doubles as a tuple sequence."""
         return self._failure_log
 
-    @scrape_failures.setter
-    def scrape_failures(self, rows: Iterable[tuple[str, float]]) -> None:
-        log = ScrapeFailureLog(strings=self._failure_log.strings)
-        for address, timestamp in rows:
-            log.append((address, timestamp))
-        self._failure_log = log
-
     @property
     def defense_actions(self) -> RowView:
         """Defender-side events, lazily materialised."""
         return RowView(self._defense_store, defense_action_row_factory)
 
-    @defense_actions.setter
-    def defense_actions(self, rows: Iterable[DefenseAction]) -> None:
-        store = DefenseActionStore(strings=self._defense_store.strings)
-        for action in rows:
-            store.append_fields(
-                action.defense,
-                action.action,
-                action.account_address,
-                action.timestamp,
-                action.detail,
-            )
-        self._defense_store = store
-
     @property
     def account_addresses(self) -> tuple[str, ...]:
         return tuple(self.provenance)
-
-    def accesses_for(self, address: str) -> list[ObservedAccess]:
-        store = self._access_store
-        ident = store.strings.id_of(address)
-        if ident is None:
-            return []
-        return [
-            access_row_factory(store, i)
-            for i, account in enumerate(store.account_ids)
-            if account == ident
-        ]
-
-    def notifications_for(self, address: str) -> list[NotificationRecord]:
-        store = self._notification_store
-        ident = store.strings.id_of(address)
-        if ident is None:
-            return []
-        return [
-            notification_row_factory(store, i)
-            for i, account in enumerate(store.account_ids)
-            if account == ident
-        ]
 
     # ------------------------------------------------------------------
     # serialization
@@ -506,24 +443,6 @@ class ObservedDataset:
         }
         return dataset
 
-    def to_legacy(self) -> "LegacyObservedDataset":
-        """Materialise the pre-refactor list-of-dataclass container."""
-        return LegacyObservedDataset(
-            accesses=list(self.accesses),
-            notifications=list(self.notifications),
-            provenance=dict(self.provenance),
-            monitor_ips=set(self.monitor_ips),
-            monitor_city=self.monitor_city,
-            all_email_texts={
-                address: list(texts)
-                for address, texts in self.all_email_texts.items()
-            },
-            blocked_accounts=list(self.blocked_accounts),
-            scrape_failures=[tuple(row) for row in self._failure_log],
-            ground_truth_personas=dict(self.ground_truth_personas),
-            defense_actions=list(self.defense_actions),
-        )
-
     def __repr__(self) -> str:
         return (
             f"ObservedDataset({len(self._access_store)} accesses, "
@@ -531,38 +450,3 @@ class ObservedDataset:
             f"{len(self.provenance)} accounts)"
         )
 
-
-@dataclass
-class LegacyObservedDataset:
-    """The seed's object-path dataset: plain lists of frozen dataclasses.
-
-    Kept as the reference implementation for the telemetry equivalence
-    tests and the old-vs-columnar benchmarks.  The analysis layer
-    accepts it through the same row-iteration fallback it uses for any
-    duck-typed dataset.
-    """
-
-    accesses: list[ObservedAccess] = field(default_factory=list)
-    notifications: list[NotificationRecord] = field(default_factory=list)
-    provenance: dict[str, AccountProvenance] = field(default_factory=dict)
-    monitor_ips: set[str] = field(default_factory=set)
-    monitor_city: str | None = None
-    all_email_texts: dict[str, list[str]] = field(default_factory=dict)
-    blocked_accounts: list[tuple[str, float]] = field(default_factory=list)
-    scrape_failures: list[tuple[str, float]] = field(default_factory=list)
-    ground_truth_personas: dict[tuple[str, str], tuple[str, ...]] = field(
-        default_factory=dict
-    )
-    defense_actions: list[DefenseAction] = field(default_factory=list)
-
-    @property
-    def account_addresses(self) -> tuple[str, ...]:
-        return tuple(self.provenance)
-
-    def accesses_for(self, address: str) -> list[ObservedAccess]:
-        return [a for a in self.accesses if a.account_address == address]
-
-    def notifications_for(self, address: str) -> list[NotificationRecord]:
-        return [
-            n for n in self.notifications if n.account_address == address
-        ]

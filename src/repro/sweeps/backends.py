@@ -144,9 +144,8 @@ class LocalPoolBackend:
 
     Each cell runs in its own forked child under
     :func:`~repro.faults.supervise.supervise_iter`.  A child that
-    crashes, exceeds ``cell_timeout``, or goes heartbeat-silent for
-    ``stale_after`` seconds is killed and surfaced as a *failed*
-    outcome for that one cell; the manager's retry loop decides
+    crashes or exceeds ``cell_timeout`` is killed and surfaced as a
+    *failed* outcome for that one cell; the manager's retry loop decides
     whether to requeue it (the backend itself never retries — retry
     accounting lives in one place).
     """
@@ -158,15 +157,11 @@ class LocalPoolBackend:
         jobs: int = 2,
         *,
         cell_timeout: float | None = None,
-        stale_after: float | None = None,
-        heartbeat_interval: float = 0.2,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError("pool backend needs jobs >= 1")
         self.jobs = jobs
         self.cell_timeout = cell_timeout
-        self.stale_after = stale_after
-        self.heartbeat_interval = heartbeat_interval
 
     def run_cells(
         self, tasks: Sequence[CellTask]
@@ -180,8 +175,6 @@ class LocalPoolBackend:
             jobs=min(self.jobs, len(tasks)),
             timeout=self.cell_timeout,
             retries=0,
-            heartbeat_interval=self.heartbeat_interval,
-            stale_after=self.stale_after,
         ):
             if outcome.ok:
                 yield outcome.result

@@ -2,7 +2,6 @@
 
 
 from repro.analysis.accesses import (
-    clean_accesses,
     extract_unique_accesses,
     observed_ip_strings,
 )
@@ -11,8 +10,16 @@ from repro.analysis.taxonomy import (
     classify_accesses,
     label_counts,
 )
-from repro.core.notifications import NotificationKind, NotificationRecord
-from repro.core.records import ObservedAccess, ObservedDataset
+from repro.core.notifications import (
+    NotificationKind,
+    NotificationRecord,
+    notification_to_fields,
+)
+from repro.core.records import (
+    ObservedAccess,
+    ObservedDataset,
+    access_to_fields,
+)
 from repro.sim.clock import hours
 
 
@@ -42,33 +49,45 @@ def make_access(
 
 def make_dataset(accesses, notifications=(), failures=()):
     dataset = ObservedDataset()
-    dataset.accesses = list(accesses)
-    dataset.notifications = list(notifications)
+    for access in accesses:
+        dataset.access_store.append_fields(*access_to_fields(access))
+    for record in notifications:
+        dataset.notification_store.append_fields(
+            *notification_to_fields(record)
+        )
+    for failure in failures:
+        dataset.failure_log.append(failure)
     dataset.monitor_ips = {"10.99.0.1"}
     dataset.monitor_city = "Reading"
-    dataset.scrape_failures = list(failures)
     return dataset
 
 
 class TestCleaning:
     def test_monitor_ip_removed(self):
         dataset = make_dataset(
-            [make_access(ip="10.99.0.1"), make_access(ip="10.0.0.2")]
+            [
+                make_access(cookie="ck-1", ip="10.99.0.1"),
+                make_access(cookie="ck-2", ip="10.0.0.2"),
+            ]
         )
-        cleaned = clean_accesses(dataset)
+        cleaned = extract_unique_accesses(dataset)
         assert len(cleaned) == 1
-        assert cleaned[0].ip_address == "10.0.0.2"
+        assert cleaned[0].ip_addresses == ("10.0.0.2",)
 
     def test_monitor_city_removed(self):
         dataset = make_dataset(
-            [make_access(city="Reading"), make_access(city="Paris")]
+            [
+                make_access(cookie="ck-1", city="Reading"),
+                make_access(cookie="ck-2", city="Paris"),
+            ]
         )
-        cleaned = clean_accesses(dataset)
+        cleaned = extract_unique_accesses(dataset)
         assert [a.city for a in cleaned] == ["Paris"]
 
     def test_unlocated_rows_kept(self):
         dataset = make_dataset([make_access(city=None)])
-        assert len(clean_accesses(dataset)) == 1
+        (access,) = extract_unique_accesses(dataset)
+        assert not access.has_location
 
 
 class TestUniqueAccesses:

@@ -7,11 +7,16 @@ from repro.analysis.durations import time_to_first_access
 from repro.analysis.geodist import distance_vectors, median_circles
 from repro.analysis.keywords import infer_searched_words
 from repro.core.groups import paper_leak_plan
-from repro.core.notifications import NotificationKind, NotificationRecord
+from repro.core.notifications import (
+    NotificationKind,
+    NotificationRecord,
+    notification_to_fields,
+)
 from repro.core.records import (
     AccountProvenance,
     ObservedAccess,
     ObservedDataset,
+    access_to_fields,
 )
 from repro.sim.clock import days
 
@@ -31,6 +36,18 @@ def located_access(account, cookie, lat, lon, city="X", timestamp=0.0):
         user_agent="UA",
         timestamp=timestamp,
     )
+
+
+def add_accesses(dataset, accesses):
+    for access in accesses:
+        dataset.access_store.append_fields(*access_to_fields(access))
+
+
+def add_notifications(dataset, records):
+    for record in records:
+        dataset.notification_store.append_fields(
+            *notification_to_fields(record)
+        )
 
 
 def make_dataset_with_groups():
@@ -55,12 +72,12 @@ class TestGeodist:
     def test_categories_and_medians(self):
         dataset = make_dataset_with_groups()
         # Two paste_uk accesses: one in London, one in Paris.
-        dataset.accesses = [
+        add_accesses(dataset, [
             located_access("p1@x.example", "ck-l", 51.51, -0.13),
             located_access("p1@x.example", "ck-p", 48.86, 2.35),
             located_access("p2@x.example", "ck-n", 40.71, -74.01),
             located_access("m1@x.example", "ck-m", 44.43, 26.10),
-        ]
+        ])
         unique = extract_unique_accesses(dataset)
         vectors = distance_vectors(dataset, unique, "uk")
         assert sorted(vectors) == ["paste_noloc", "paste_uk"]
@@ -71,10 +88,10 @@ class TestGeodist:
 
     def test_median_circles(self):
         dataset = make_dataset_with_groups()
-        dataset.accesses = [
+        add_accesses(dataset, [
             located_access("p1@x.example", f"ck-{i}", 48.86, 2.35)
             for i in range(3)
-        ]
+        ])
         unique = extract_unique_accesses(dataset)
         circles = median_circles(dataset, unique, "uk")
         assert len(circles) == 1
@@ -92,14 +109,14 @@ class TestGeodist:
 class TestTimeToFirstAccess:
     def test_delays_keyed_by_outlet(self):
         dataset = make_dataset_with_groups()
-        dataset.accesses = [
+        add_accesses(dataset, [
             located_access(
                 "p1@x.example", "ck-1", 51.5, -0.1, timestamp=days(4)
             ),
             located_access(
                 "m1@x.example", "ck-2", 44.4, 26.1, timestamp=days(33)
             ),
-        ]
+        ])
         unique = extract_unique_accesses(dataset)
         delays = time_to_first_access(dataset, unique)
         assert delays["paste"] == [pytest.approx(3.0)]
@@ -126,11 +143,11 @@ class TestKeywordInference:
                 "the payment account statement is attached",
             ]
         }
-        dataset.notifications = [
+        add_notifications(dataset, [
             self.make_read_notification(
                 "the payment account statement is attached"
             )
-        ]
+        ])
         inference = infer_searched_words(dataset)
         # The four read-only terms tie; all must outrank corpus words.
         top_terms = [r.term for r in inference.top_searched(4)]
@@ -141,10 +158,10 @@ class TestKeywordInference:
     def test_read_messages_deduplicated(self):
         dataset = make_dataset_with_groups()
         dataset.all_email_texts = {"p1@x.example": ["company energy"]}
-        dataset.notifications = [
+        add_notifications(dataset, [
             self.make_read_notification("payment payment", "m-1"),
             self.make_read_notification("payment payment", "m-1"),
-        ]
+        ])
         inference = infer_searched_words(dataset)
         assert inference.read_message_count == 1
 
@@ -157,9 +174,9 @@ class TestKeywordInference:
         dataset.provenance["wilbur.henderson@x.example"] = (
             dataset.provenance["p1@x.example"]
         )
-        dataset.notifications = [
+        add_notifications(dataset, [
             self.make_read_notification("wilbur henderson sent the payment")
-        ]
+        ])
         inference = infer_searched_words(dataset)
         assert "wilbur" not in inference.table
         assert "henderson" not in inference.table

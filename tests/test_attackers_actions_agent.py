@@ -6,6 +6,12 @@ import pytest
 
 from repro.attackers import actions
 from repro.attackers.agent import AttackerAgent
+from repro.attackers.personas import (
+    CuriousPolicy,
+    GoldDiggerPolicy,
+    HijackerPolicy,
+    SpammerPolicy,
+)
 from repro.attackers.sophistication import (
     AttackerProfile,
     SophisticationLevel,
@@ -98,6 +104,24 @@ class TestActions:
         assert read >= 1
 
 
+#: The paper's dispatch order: gold-digging runs every visit, hijack and
+#: spam trigger on the first one.
+CLASS_POLICIES = (
+    (TaxonomyClass.GOLD_DIGGER, GoldDiggerPolicy),
+    (TaxonomyClass.HIJACKER, HijackerPolicy),
+    (TaxonomyClass.SPAMMER, SpammerPolicy),
+)
+
+
+def policies_for(classes):
+    """The policy chain for a bare taxonomy-class set."""
+    policies = [
+        factory() for taxonomy_class, factory in CLASS_POLICIES
+        if taxonomy_class in classes
+    ]
+    return policies or [CuriousPolicy()]
+
+
 def make_agent(world, geo, classes, origin=OriginKind.DIRECT, seed=9,
                hide_ua=False, visits=1):
     sim, service, anonymity = world
@@ -125,6 +149,7 @@ def make_agent(world, geo, classes, origin=OriginKind.DIRECT, seed=9,
         anonymity=anonymity,
         ua_factory=UserAgentFactory(random.Random(seed)),
         rng=random.Random(seed),
+        policies=policies_for(classes),
     )
 
 

@@ -8,11 +8,13 @@ from repro.core.notifications import (
     NotificationKind,
     NotificationRecord,
     heartbeat,
+    notification_to_fields,
 )
 from repro.core.records import (
     AccountProvenance,
     ObservedAccess,
     ObservedDataset,
+    access_to_fields,
 )
 from repro.corpus.identity import IdentityFactory
 from repro.leaks.formats import leak_content_for
@@ -62,14 +64,20 @@ class TestObservedDataset:
 
     def test_per_account_views(self):
         dataset = ObservedDataset()
-        dataset.accesses = [
-            self.make_access("a@x.example"),
-            self.make_access("b@x.example"),
+        for address in ("a@x.example", "b@x.example"):
+            dataset.access_store.append_fields(
+                *access_to_fields(self.make_access(address))
+            )
+        dataset.notification_store.append_fields(
+            *notification_to_fields(heartbeat("a@x.example", 1.0))
+        )
+        assert [a.account_address for a in dataset.accesses] == [
+            "a@x.example",
+            "b@x.example",
         ]
-        dataset.notifications = [heartbeat("a@x.example", 1.0)]
-        assert len(dataset.accesses_for("a@x.example")) == 1
-        assert len(dataset.notifications_for("a@x.example")) == 1
-        assert dataset.notifications_for("b@x.example") == []
+        assert [n.account_address for n in dataset.notifications] == [
+            "a@x.example"
+        ]
 
     def test_account_addresses(self):
         dataset = ObservedDataset()

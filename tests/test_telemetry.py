@@ -10,8 +10,13 @@ from repro.core.notifications import (
     NotificationKind,
     NotificationRecord,
     heartbeat,
+    notification_to_fields,
 )
-from repro.core.records import ObservedAccess, ObservedDataset
+from repro.core.records import (
+    ObservedAccess,
+    ObservedDataset,
+    access_to_fields,
+)
 from repro.netsim.cities import city_by_name
 from repro.sim.clock import hours
 from repro.sim.engine import Simulator
@@ -231,8 +236,6 @@ class TestJsonlSink:
 
 class TestTypedStores:
     def test_access_store_row_matches_dataclass(self):
-        from repro.core.records import access_to_fields
-
         store = AccessStore()
         access = make_access()
         store.append_fields(*access_to_fields(access))
@@ -252,7 +255,7 @@ class TestTypedStores:
 
     def test_row_view_lazy_and_sliceable(self):
         store = AccessStore()
-        from repro.core.records import access_row_factory, access_to_fields
+        from repro.core.records import access_row_factory
 
         for i in range(3):
             store.append_fields(
@@ -268,21 +271,37 @@ class TestTypedStores:
             view[3]
 
 
+def fill_dataset(dataset, accesses=(), notifications=(), failures=()):
+    for access in accesses:
+        dataset.access_store.append_fields(*access_to_fields(access))
+    for record in notifications:
+        dataset.notification_store.append_fields(
+            *notification_to_fields(record)
+        )
+    for failure in failures:
+        dataset.failure_log.append(failure)
+    return dataset
+
+
 class TestObservedDatasetColumnar:
     def test_assign_and_read_back(self):
-        dataset = ObservedDataset()
         rows = [make_access(cookie="ck-1"), make_access(cookie="ck-2")]
-        dataset.accesses = rows
+        dataset = fill_dataset(
+            ObservedDataset(),
+            accesses=rows,
+            notifications=[heartbeat("a@x.example", 1.0)],
+            failures=[("a@x.example", 5.0)],
+        )
         assert list(dataset.accesses) == rows
-        dataset.notifications = [heartbeat("a@x.example", 1.0)]
         assert dataset.notifications[0].kind is NotificationKind.HEARTBEAT
-        dataset.scrape_failures = [("a@x.example", 5.0)]
         assert tuple(dataset.scrape_failures[0]) == ("a@x.example", 5.0)
 
     def test_pickle_round_trip(self):
-        dataset = ObservedDataset()
-        dataset.accesses = [make_access()]
-        dataset.notifications = [heartbeat("a@x.example", 1.0)]
+        dataset = fill_dataset(
+            ObservedDataset(),
+            accesses=[make_access()],
+            notifications=[heartbeat("a@x.example", 1.0)],
+        )
         dataset.monitor_ips = {"10.9.9.9"}
         dataset.monitor_city = "Reading"
         rebuilt = pickle.loads(pickle.dumps(dataset))
@@ -294,19 +313,21 @@ class TestObservedDatasetColumnar:
         from repro.core.groups import paper_leak_plan
         from repro.core.records import AccountProvenance
 
-        dataset = ObservedDataset()
-        dataset.accesses = [make_access(), make_access(city=None)]
-        dataset.notifications = [
-            NotificationRecord(
-                kind=NotificationKind.READ,
-                account_address="a@x.example",
-                timestamp=2.0,
-                message_id="m-1",
-                subject="hi",
-                body_copy="text",
-            )
-        ]
-        dataset.scrape_failures = [("a@x.example", 3.0)]
+        dataset = fill_dataset(
+            ObservedDataset(),
+            accesses=[make_access(), make_access(city=None)],
+            notifications=[
+                NotificationRecord(
+                    kind=NotificationKind.READ,
+                    account_address="a@x.example",
+                    timestamp=2.0,
+                    message_id="m-1",
+                    subject="hi",
+                    body_copy="text",
+                )
+            ],
+            failures=[("a@x.example", 3.0)],
+        )
         dataset.provenance["a@x.example"] = AccountProvenance(
             address="a@x.example",
             group=paper_leak_plan().group("malware"),
@@ -326,15 +347,6 @@ class TestObservedDatasetColumnar:
         assert rebuilt.provenance.keys() == dataset.provenance.keys()
         assert rebuilt.provenance["a@x.example"].group.name == "malware"
         assert rebuilt.blocked_accounts == [("a@x.example", 9.0)]
-
-    def test_to_legacy_matches_views(self):
-        dataset = ObservedDataset()
-        dataset.accesses = [make_access()]
-        dataset.notifications = [heartbeat("a@x.example", 1.0)]
-        legacy = dataset.to_legacy()
-        assert legacy.accesses == list(dataset.accesses)
-        assert legacy.notifications == list(dataset.notifications)
-        assert legacy.accesses_for("a@x.example") == list(dataset.accesses)
 
 
 class TestActivityPageCursors:
