@@ -1,6 +1,6 @@
 """Tests for repro.analysis.accesses and taxonomy on synthetic datasets."""
 
-
+from _datasets import fill_dataset
 from repro.analysis.accesses import (
     extract_unique_accesses,
     observed_ip_strings,
@@ -10,16 +10,8 @@ from repro.analysis.taxonomy import (
     classify_accesses,
     label_counts,
 )
-from repro.core.notifications import (
-    NotificationKind,
-    NotificationRecord,
-    notification_to_fields,
-)
-from repro.core.records import (
-    ObservedAccess,
-    ObservedDataset,
-    access_to_fields,
-)
+from repro.core.notifications import NotificationKind, NotificationRecord
+from repro.core.records import ObservedAccess, ObservedDataset
 from repro.sim.clock import hours
 
 
@@ -48,15 +40,9 @@ def make_access(
 
 
 def make_dataset(accesses, notifications=(), failures=()):
-    dataset = ObservedDataset()
-    for access in accesses:
-        dataset.access_store.append_fields(*access_to_fields(access))
-    for record in notifications:
-        dataset.notification_store.append_fields(
-            *notification_to_fields(record)
-        )
-    for failure in failures:
-        dataset.failure_log.append(failure)
+    dataset = fill_dataset(
+        ObservedDataset(), accesses, notifications, failures
+    )
     dataset.monitor_ips = {"10.99.0.1"}
     dataset.monitor_city = "Reading"
     return dataset

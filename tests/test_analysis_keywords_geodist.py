@@ -2,21 +2,17 @@
 
 import pytest
 
+from _datasets import fill_dataset
 from repro.analysis.accesses import extract_unique_accesses
 from repro.analysis.durations import time_to_first_access
 from repro.analysis.geodist import distance_vectors, median_circles
 from repro.analysis.keywords import infer_searched_words
 from repro.core.groups import paper_leak_plan
-from repro.core.notifications import (
-    NotificationKind,
-    NotificationRecord,
-    notification_to_fields,
-)
+from repro.core.notifications import NotificationKind, NotificationRecord
 from repro.core.records import (
     AccountProvenance,
     ObservedAccess,
     ObservedDataset,
-    access_to_fields,
 )
 from repro.sim.clock import days
 
@@ -36,18 +32,6 @@ def located_access(account, cookie, lat, lon, city="X", timestamp=0.0):
         user_agent="UA",
         timestamp=timestamp,
     )
-
-
-def add_accesses(dataset, accesses):
-    for access in accesses:
-        dataset.access_store.append_fields(*access_to_fields(access))
-
-
-def add_notifications(dataset, records):
-    for record in records:
-        dataset.notification_store.append_fields(
-            *notification_to_fields(record)
-        )
 
 
 def make_dataset_with_groups():
@@ -72,7 +56,7 @@ class TestGeodist:
     def test_categories_and_medians(self):
         dataset = make_dataset_with_groups()
         # Two paste_uk accesses: one in London, one in Paris.
-        add_accesses(dataset, [
+        fill_dataset(dataset, accesses=[
             located_access("p1@x.example", "ck-l", 51.51, -0.13),
             located_access("p1@x.example", "ck-p", 48.86, 2.35),
             located_access("p2@x.example", "ck-n", 40.71, -74.01),
@@ -88,7 +72,7 @@ class TestGeodist:
 
     def test_median_circles(self):
         dataset = make_dataset_with_groups()
-        add_accesses(dataset, [
+        fill_dataset(dataset, accesses=[
             located_access("p1@x.example", f"ck-{i}", 48.86, 2.35)
             for i in range(3)
         ])
@@ -109,7 +93,7 @@ class TestGeodist:
 class TestTimeToFirstAccess:
     def test_delays_keyed_by_outlet(self):
         dataset = make_dataset_with_groups()
-        add_accesses(dataset, [
+        fill_dataset(dataset, accesses=[
             located_access(
                 "p1@x.example", "ck-1", 51.5, -0.1, timestamp=days(4)
             ),
@@ -143,7 +127,7 @@ class TestKeywordInference:
                 "the payment account statement is attached",
             ]
         }
-        add_notifications(dataset, [
+        fill_dataset(dataset, notifications=[
             self.make_read_notification(
                 "the payment account statement is attached"
             )
@@ -158,7 +142,7 @@ class TestKeywordInference:
     def test_read_messages_deduplicated(self):
         dataset = make_dataset_with_groups()
         dataset.all_email_texts = {"p1@x.example": ["company energy"]}
-        add_notifications(dataset, [
+        fill_dataset(dataset, notifications=[
             self.make_read_notification("payment payment", "m-1"),
             self.make_read_notification("payment payment", "m-1"),
         ])
@@ -174,7 +158,7 @@ class TestKeywordInference:
         dataset.provenance["wilbur.henderson@x.example"] = (
             dataset.provenance["p1@x.example"]
         )
-        add_notifications(dataset, [
+        fill_dataset(dataset, notifications=[
             self.make_read_notification("wilbur henderson sent the payment")
         ])
         inference = infer_searched_words(dataset)

@@ -3,18 +3,17 @@
 import random
 
 
+from _datasets import fill_dataset
 from repro.core.groups import LocationHint, paper_leak_plan
 from repro.core.notifications import (
     NotificationKind,
     NotificationRecord,
     heartbeat,
-    notification_to_fields,
 )
 from repro.core.records import (
     AccountProvenance,
     ObservedAccess,
     ObservedDataset,
-    access_to_fields,
 )
 from repro.corpus.identity import IdentityFactory
 from repro.leaks.formats import leak_content_for
@@ -63,13 +62,13 @@ class TestObservedDataset:
         )
 
     def test_per_account_views(self):
-        dataset = ObservedDataset()
-        for address in ("a@x.example", "b@x.example"):
-            dataset.access_store.append_fields(
-                *access_to_fields(self.make_access(address))
-            )
-        dataset.notification_store.append_fields(
-            *notification_to_fields(heartbeat("a@x.example", 1.0))
+        dataset = fill_dataset(
+            ObservedDataset(),
+            accesses=[
+                self.make_access("a@x.example"),
+                self.make_access("b@x.example"),
+            ],
+            notifications=[heartbeat("a@x.example", 1.0)],
         )
         assert [a.account_address for a in dataset.accesses] == [
             "a@x.example",

@@ -5,12 +5,12 @@ import pickle
 
 import pytest
 
+from _datasets import fill_dataset
 from repro.core.monitor import MonitorInfrastructure
 from repro.core.notifications import (
     NotificationKind,
     NotificationRecord,
     heartbeat,
-    notification_to_fields,
 )
 from repro.core.records import (
     ObservedAccess,
@@ -269,18 +269,6 @@ class TestTypedStores:
         assert [a.cookie_id for a in view[1:]] == ["ck-1", "ck-2"]
         with pytest.raises(IndexError):
             view[3]
-
-
-def fill_dataset(dataset, accesses=(), notifications=(), failures=()):
-    for access in accesses:
-        dataset.access_store.append_fields(*access_to_fields(access))
-    for record in notifications:
-        dataset.notification_store.append_fields(
-            *notification_to_fields(record)
-        )
-    for failure in failures:
-        dataset.failure_log.append(failure)
-    return dataset
 
 
 class TestObservedDatasetColumnar:
