@@ -75,7 +75,6 @@ def bench_one(label: str, scenario, seed: int = 2016) -> dict:
         "account_count": run.account_count,
         "run_seconds": elapsed,
         "events_executed": run.events_executed,
-        "events_per_second": run.events_per_second,
         "phases": dict(run.perf),
         "access_rows": len(run.dataset.access_store),
         "notification_rows": len(run.dataset.notification_store),
@@ -148,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{label}: {record['run_seconds']:.2f}s end-to-end, "
             f"{record['events_executed']} events "
-            f"({record['events_per_second']:,.0f} events/s in the loop), "
+            f"(simulate {record['phases']['simulate']:.2f}s), "
             f"{record['access_rows']} access rows, "
             f"peak RSS {record['peak_rss_kb'] / 1024:.0f} MB"
         )

@@ -184,20 +184,8 @@ class RunResult:
             analysis.distances_uk, analysis.distances_us
         )
 
-    @property
-    def events_per_second(self) -> float:
-        """Simulation-loop throughput (events / ``simulate`` seconds).
-
-        Falls back to the whole-run wall clock when the run predates
-        phase accounting (e.g. a result unpickled from an old sweep).
-        """
-        simulate = self.perf.get("simulate", 0.0) or self.elapsed_seconds
-        if simulate <= 0.0:
-            return 0.0
-        return self.events_executed / simulate
-
     def perf_summary(self) -> dict:
-        """Throughput, per-phase wall-clock, and memory of this run.
+        """Event count, per-phase wall-clock, and memory of this run.
 
         When per-phase RSS tracking is available (any run made since
         phase RSS accounting landed), the summary also reports the
@@ -212,7 +200,6 @@ class RunResult:
         """
         summary = {
             "events_executed": self.events_executed,
-            "events_per_second": round(self.events_per_second, 2),
             "simulate_seconds": self.perf.get("simulate"),
             "phases": dict(self.perf),
         }
@@ -336,7 +323,7 @@ class RunResult:
 
     def __setstate__(self, state: dict) -> None:
         # Results pickled before phase accounting existed carry no
-        # "perf" entry; default it so events_per_second & friends work.
+        # "perf" entry; default it so perf_summary & friends work.
         # "shard_perf" arrived with the sharded runner and defaults the
         # same way.
         state.setdefault("perf", {})

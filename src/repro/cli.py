@@ -690,8 +690,7 @@ def _report_run(run, args, *, spilled: list | None = None) -> int:
     stats = run.overview()
     print(f"measurement complete in {run.elapsed_seconds:.1f}s "
           f"(scenario={run.scenario.name}, seed={run.seed}, "
-          f"{run.events_executed} events, "
-          f"{run.events_per_second:,.0f} events/s)")
+          f"{run.events_executed} events)")
     if run.shard_perf:
         slowest = max(
             s["elapsed_seconds"] for s in run.shard_perf

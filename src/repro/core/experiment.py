@@ -127,7 +127,7 @@ class ExperimentResult:
     (``build`` / ``provision`` / ``leak`` / ``case_studies`` /
     ``simulate`` / ``assemble`` seconds) collected by the
     :class:`repro.perf.PhaseTimer` threaded through :meth:`Experiment.
-    run`; sweeps read throughput from it without re-running benchmarks.
+    run`; sweeps read run costs from it without re-running benchmarks.
     """
 
     dataset: ObservedDataset

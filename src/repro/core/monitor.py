@@ -20,26 +20,49 @@ exactly once.  The historical list attributes (``scraped_accesses``,
 Each watched account carries a monotonic index cursor into its activity
 page, making every scrape O(new events) instead of a full rescan.
 
-A scrape visit is a credential check, not a session: the scraper calls
-:meth:`WebmailService.authenticate` (block, password and the auth-failure
-listener, the same checks :meth:`~WebmailService.login` runs), reads
-what *other* clients left on the page since its cursor, and then appends
-its own login row itself — last, exactly where the page read used to
-return it, stamped with the tick time.  The row's other eleven fields
-depend only on the account, the infrastructure IP and the scraper's
-cookie, so each account builds them once per (IP slot, cookie) and
-every later visit re-appends the cached fields.  No
+A full scrape visit (:meth:`MonitorInfrastructure._scrape_one`) is a
+credential check, not a session: the scraper calls
+:meth:`WebmailService.authenticate` (block, password and the
+auth-failure listener, the same checks :meth:`~WebmailService.login`
+runs), reads what *other* clients left on the page since its cursor,
+and then appends its own login row itself — last, exactly where the
+page read used to return it, stamped with the tick time.  No
 :class:`~repro.webmail.sessions.Session` is opened and nothing is
 written to the activity page.  The self rows are identical to what a
 real login would record; the analysis layer removes them by IP and by
 city, exactly like the paper's cleaning step.
+
+Most visits find nothing changed, and then their outcome is known in
+advance: an ``OK`` scrape-log row with one new event, and a self row
+whose fields depend only on the account, the IP slot and the scraper's
+cookie.  So a scrape tick **wakes on change**:
+
+* the provider's change hooks — an activity-page append, a password
+  change or block, a cookie-generation bump — and :meth:`watch`,
+  :meth:`update_password` and :meth:`register_monitor_ip` mark accounts
+  dirty, and a dirty account's next visit is a full one;
+* an account is *armed* once full visits have appended its self row
+  for every IP slot under its current cookie; those rows' stored
+  values (interned ids, read back from the store, so the string table
+  grows exactly as before) become its templates;
+* every other active account is quiet: a :class:`_QuietPlan` holds the
+  armed accounts' templates column-wise per rotation phase, each run
+  of quiet accounts between two full visits is one
+  :meth:`~repro.telemetry.eventlog.EventLog.extend` per store, and
+  their visit counts advance arithmetically.
+
+Rows, their order and the interning order are those of a full visit to
+every account on every tick.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.core.notifications import (
@@ -98,17 +121,117 @@ class _WatchedAccount:
     #: ``stable_hash64(address)``; plus :attr:`visits` it picks the
     #: infrastructure IP of the account's next visit.
     rotation: int
+    #: Position in watch order, assigned when the quiet plan is built;
+    #: quiet runs and wake visits interleave by it.
+    order: int = 0
     #: Index cursor into the account's activity page; the next scrape
     #: reads from here, so each visit is O(new events).
     cursor: int = 0
     locked_out: bool = False
     blocked: bool = False
-    #: Scrape visits so far.
+    #: Scrape visits so far.  While the account is a quiet member of
+    #: the monitor's plan this holds the count at an earlier tick; the
+    #: plan adds the ticks since (see :class:`_QuietPlan`).
     visits: int = 0
-    #: The scraper's own access row minus its timestamp, per (IP slot,
-    #: cookie value).  A cookie-generation bump mints a new cookie, so
-    #: it misses here by construction.
-    self_rows: dict[tuple[int, str], tuple] = field(default_factory=dict)
+    #: The scraper's cookie on this account as of the last OK visit.
+    cookie: str | None = None
+    #: The scraper's own access row per IP slot, under :attr:`cookie`:
+    #: its fields minus the timestamp (what ``append_fields`` takes)
+    #: and, captured from the first such row appended, its stored
+    #: values (what a quiet tick extends the store with).  A new
+    #: cookie empties it.
+    self_rows: dict[int, tuple[tuple, tuple]] = field(default_factory=dict)
+    #: The first three stored values (address id, timestamp, ``ok`` id)
+    #: of one of this account's OK scrape-log rows, read back from the
+    #: store.
+    log_row: tuple = ()
+
+
+#: An account's role in a quiet plan: skipped (locked out or blocked),
+#: woken every tick (not yet armed), or quiet (armed: a stored self
+#: row for every IP slot under its current cookie).
+_IDLE, _WAKING, _QUIET = range(3)
+
+
+def _status(watched: _WatchedAccount, slots: int) -> int:
+    if watched.locked_out or watched.blocked:
+        return _IDLE
+    return _QUIET if len(watched.self_rows) == slots else _WAKING
+
+
+class _QuietPlan:
+    """The quiet accounts' rows for every tick until something changes.
+
+    Built at tick :attr:`tick` over the active accounts in watch order:
+    armed ones are members, the rest are woken every tick.  A member's
+    slot advances by one per tick, so at tick ``t`` its row is its
+    stored self row for slot ``(rotation + visits + phase) % slots``,
+    where ``phase = (t - plan.tick) % slots``.  :attr:`phases` holds
+    those rows column-wise for every phase, and a run of consecutive
+    members is one slice of them.  Members' visit counts stay at
+    :attr:`visits` (their values at :attr:`tick`) until a wake visit or
+    the next plan needs them.
+    """
+
+    __slots__ = (
+        "tick",
+        "slots",
+        "members",
+        "orders",
+        "visits",
+        "waking",
+        "waking_orders",
+        "phases",
+        "log_columns",
+        "stale",
+    )
+
+    def __init__(
+        self,
+        tick: int,
+        slots: int,
+        members: list[_WatchedAccount],
+        waking: list[_WatchedAccount],
+        access_store: AccessStore,
+        log_store: ScrapeLogStore,
+    ) -> None:
+        self.tick = tick
+        self.slots = slots
+        self.members = members
+        self.orders = [watched.order for watched in members]
+        self.visits = [watched.visits for watched in members]
+        self.waking = waking
+        self.waking_orders = {watched.order for watched in waking}
+        #: Set by a wake visit that changed an account's role; the next
+        #: tick re-plans.
+        self.stale = False
+        self.phases: list[list] = []
+        self.log_columns: tuple = ()
+        if not members:
+            return
+        for phase in range(slots):
+            rows = [
+                watched.self_rows[
+                    (watched.rotation + watched.visits + phase) % slots
+                ][1]
+                for watched in members
+            ]
+            self.phases.append(access_store.raw_columns(rows))
+        # A quiet visit's log row: OK, one new event (the self row).
+        addresses, _, outcomes, counts = log_store.raw_columns(
+            [(*watched.log_row, 1) for watched in members]
+        )
+        self.log_columns = (addresses, outcomes, counts)
+
+    def drop(self, index: int) -> None:
+        """Remove member ``index`` (it went idle) from every template."""
+        for items in (self.members, self.orders, self.visits):
+            del items[index]
+        for phase in self.phases:
+            for column in phase:
+                del column[index]
+        for column in self.log_columns:
+            del column[index]
 
 
 @dataclass(frozen=True)
@@ -209,6 +332,15 @@ class MonitorInfrastructure:
         )
         self._spill_sinks: list[tuple[object, JsonlSink]] = []
         self._process: PeriodicProcess | None = None
+        # Wake-on-change state.  ``_dirty`` holds addresses whose next
+        # visit must be a full one; the provider's change hooks add to
+        # it directly (bound ``set.add`` pickles, and pickling keeps it
+        # the same set), so it is only ever mutated in place.
+        self._dirty: set[str] = set()
+        self._plan: _QuietPlan | None = None
+        self._ticks = 0
+        service.activity.add_record_hook(self._dirty.add)
+        service.sessions.add_generation_hook(self._dirty.add)
 
     # ------------------------------------------------------------------
     # notification store
@@ -258,7 +390,11 @@ class MonitorInfrastructure:
         return tuple(self._monitor_ips)
 
     def register_monitor_ip(self, address: IPAddress) -> None:
-        """Register an additional infrastructure IP (e.g. the sandbox)."""
+        """Register an additional infrastructure IP (e.g. the sandbox).
+
+        The rotation gains a slot no account has a stored row for, so
+        every account wakes until it has visited from the new IP.
+        """
         self._monitor_ips.append(address)
         self._login_contexts.append(
             LoginContext(
@@ -267,6 +403,8 @@ class MonitorInfrastructure:
                 user_agent=_SCRAPER_USER_AGENT,
             )
         )
+        self._dirty.update(self._watched)
+        self._replan_next_tick()
 
     def watch(self, address: str, password: str) -> None:
         """Start scraping an account with its leaked credentials.
@@ -276,9 +414,15 @@ class MonitorInfrastructure:
         """
         if not self._service.has_account(address):
             raise NoSuchAccountError(address)
+        if address not in self._watched:
+            self._service.account(address).add_change_hook(
+                partial(self._dirty.add, address)
+            )
         self._watched[address] = _WatchedAccount(
             address, password, stable_hash64(address)
         )
+        self._dirty.add(address)
+        self._replan_next_tick()
 
     def update_password(self, address: str, new_password: str) -> None:
         """Re-sync the scraper after a defender-forced password reset.
@@ -292,6 +436,7 @@ class MonitorInfrastructure:
             return
         watched.password = new_password
         watched.locked_out = False
+        self._dirty.add(address)
 
     def start(self) -> None:
         """Begin the periodic scrape of all watched accounts."""
@@ -386,16 +531,119 @@ class MonitorInfrastructure:
         return slot
 
     def _scrape_all(self) -> None:
+        """One scrape tick: every active account, in watch order.
+
+        Accounts that are dirty or not yet armed get a full visit
+        (:meth:`_scrape_one`); the quiet ones between them get their
+        rows as slices of the plan's templates.
+        """
         now = self._sim.now
-        for watched in self._watched.values():
-            if watched.locked_out or watched.blocked:
-                continue
+        tick = self._ticks
+        self._ticks = tick + 1
+        plan = self._plan
+        if plan is None or plan.stale:
+            plan = self._replan(tick)
+        wake = self._wake_list(plan) if self._dirty else plan.waking
+        orders = plan.orders
+        quiet = 0  # first plan member not yet scraped this tick
+        for watched in wake:
+            index = bisect_left(orders, watched.order)
+            self._extend_quiet(plan, quiet, index, tick, now)
+            if index < len(orders) and orders[index] == watched.order:
+                watched.visits = plan.visits[index] + tick - plan.tick
+                quiet = index + 1
+                role = _QUIET
+            else:
+                quiet = index
+                role = (
+                    _WAKING if watched.order in plan.waking_orders else _IDLE
+                )
             self._scrape_one(watched, now)
+            status = _status(watched, plan.slots)
+            if role == _QUIET and status == _IDLE:
+                # Locked out or blocked: it leaves the plan in place.
+                plan.drop(index)
+                quiet = index
+            elif status != role:
+                plan.stale = True
+        self._extend_quiet(plan, quiet, len(orders), tick, now)
+
+    def _replan_next_tick(self) -> None:
+        if self._plan is not None:
+            self._plan.stale = True
+
+    def _replan(self, tick: int) -> _QuietPlan:
+        old = self._plan
+        if old is not None:
+            # Bring the old members' visit counts up to this tick (a
+            # member that went idle was last counted by its wake visit).
+            for watched, visits in zip(old.members, old.visits):
+                if not (watched.locked_out or watched.blocked):
+                    watched.visits = visits + tick - old.tick
+        slots = len(self._login_contexts)
+        members: list[_WatchedAccount] = []
+        waking: list[_WatchedAccount] = []
+        for order, watched in enumerate(self._watched.values()):
+            watched.order = order
+            role = _status(watched, slots)
+            if role == _QUIET:
+                members.append(watched)
+            elif role == _WAKING:
+                waking.append(watched)
+        self._plan = _QuietPlan(
+            tick,
+            slots,
+            members,
+            waking,
+            self.access_store,
+            self.scrape_log_store,
+        )
+        return self._plan
+
+    def _wake_list(self, plan: _QuietPlan) -> list[_WatchedAccount]:
+        """The plan's waking accounts plus the active dirty ones, in
+        watch order; empties the dirty set."""
+        woken = {watched.order: watched for watched in plan.waking}
+        for address in self._dirty:
+            watched = self._watched.get(address)
+            if watched is not None and not (
+                watched.locked_out or watched.blocked
+            ):
+                woken[watched.order] = watched
+        self._dirty.clear()
+        return [woken[order] for order in sorted(woken)]
+
+    def _extend_quiet(
+        self, plan: _QuietPlan, start: int, stop: int, tick: int, now: float
+    ) -> None:
+        """Append the rows of plan members ``start:stop``'s quiet
+        visits at ``now``: one ``extend`` per store."""
+        if start >= stop:
+            return
+        stamps = array("d", [now]) * (stop - start)
+        phase = plan.phases[(tick - plan.tick) % plan.slots]
+        addresses, outcomes, counts = plan.log_columns
+        if stop - start == len(plan.orders):
+            access = [*phase, stamps]
+            log = [addresses, stamps, outcomes, counts]
+        else:
+            access = [column[start:stop] for column in phase]
+            access.append(stamps)
+            log = [
+                addresses[start:stop],
+                stamps,
+                outcomes[start:stop],
+                counts[start:stop],
+            ]
+        self.access_store.extend(access)
+        self.scrape_log_store.extend(log)
 
     def _log_scrape(
         self, address: str, now: float, outcome: ScrapeOutcome, count: int
-    ) -> None:
-        self.scrape_log_store.append_fields(address, now, outcome.value, count)
+    ) -> int:
+        return self.scrape_log_store.append_fields(
+            address, now, outcome.value, count
+        )
 
     def _scrape_one(self, watched: _WatchedAccount, now: float) -> None:
         address = watched.address
@@ -425,13 +673,29 @@ class MonitorInfrastructure:
         # The scraper's own login, in the place the page read gave it:
         # after everything other clients recorded.
         cookie = service.sessions.cookie_for(context.device_id, address).value
-        fields = watched.self_rows.get((slot, cookie))
-        if fields is None:
-            fields = watched.self_rows[slot, cookie] = self._self_row(
-                address, cookie, context
+        if cookie != watched.cookie:
+            # A cookie-generation bump minted a new cookie: every
+            # stored self row is stale.
+            watched.cookie = cookie
+            watched.self_rows = {}
+        stored = watched.self_rows.get(slot)
+        fields = (
+            stored[0]
+            if stored is not None
+            else self._self_row(address, cookie, context)
+        )
+        index = self.access_store.append_fields(*fields, now)
+        log_index = self._log_scrape(
+            address, now, ScrapeOutcome.OK, len(events) + 1
+        )
+        if stored is None:
+            # Arming: keep the row as stored, minus its timestamp.
+            # Reading back what was appended interns nothing new.
+            watched.self_rows[slot] = (
+                fields,
+                self.access_store.raw_row(index)[:-1],
             )
-        self.access_store.append_fields(*fields, now)
-        self._log_scrape(address, now, ScrapeOutcome.OK, len(events) + 1)
+            watched.log_row = self.scrape_log_store.raw_row(log_index)[:3]
 
     def _self_row(
         self, address: str, cookie: str, context: LoginContext

@@ -2,8 +2,10 @@
 
 Each column kind wraps a stdlib :mod:`array` (or a plain list for
 arbitrary payloads such as message bodies) behind a tiny uniform
-interface: ``append(value)``, ``get(index)``, ``__len__``, and a
-decoded-values dump for serialization.
+interface: ``append(value)``, ``get(index)``, ``__len__``, a
+decoded-values dump for serialization, and ``arrays()``, the backing
+containers themselves (what :meth:`EventLog.raw_row` reads and
+:meth:`EventLog.extend` writes).
 
 Kinds:
 
@@ -61,6 +63,9 @@ class FloatColumn:
     def get(self, index: int) -> float:
         return self.data[index]
 
+    def arrays(self) -> tuple:
+        return (self.data,)
+
     def values(self) -> Iterator[float]:
         return iter(self.data)
 
@@ -101,6 +106,9 @@ class OptionalFloatColumn:
     def get(self, index: int) -> float | None:
         return self.data[index] if self.mask[index] else None
 
+    def arrays(self) -> tuple:
+        return (self.data, self.mask)
+
     def values(self) -> Iterator[float | None]:
         return (v if m else None for v, m in zip(self.data, self.mask))
 
@@ -136,6 +144,9 @@ class IntColumn:
 
     def get(self, index: int) -> int:
         return self.data[index]
+
+    def arrays(self) -> tuple:
+        return (self.data,)
 
     def values(self) -> Iterator[int]:
         return iter(self.data)
@@ -173,6 +184,9 @@ class InternedColumn:
     def get(self, index: int) -> str | None:
         return self.strings.lookup(self.ids[index])
 
+    def arrays(self) -> tuple:
+        return (self.ids,)
+
     def values(self) -> Iterator[str | None]:
         lookup = self.strings.lookup
         return (lookup(i) for i in self.ids)
@@ -208,6 +222,9 @@ class ObjectColumn:
 
     def get(self, index: int):
         return self.data[index]
+
+    def arrays(self) -> tuple:
+        return (self.data,)
 
     def values(self) -> Iterator:
         return iter(self.data)

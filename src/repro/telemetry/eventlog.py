@@ -22,6 +22,7 @@ not in a post-hoc pass.
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -72,6 +73,7 @@ class EventLog(Sequence):
         self._by_name = dict(zip((f.name for f in self.schema), self._columns))
         self._sinks: list = []
         self._spill: _SpillState | None = None
+        self._containers = self._list_containers()
 
     # ------------------------------------------------------------------
     # writing
@@ -91,6 +93,49 @@ class EventLog(Sequence):
         if self._spill is not None:
             self._maybe_flush()
         return index
+
+    def extend(self, columns: Sequence[Sequence]) -> int:
+        """Append rows given column-wise in stored form; returns the
+        index of the first new row.
+
+        ``columns`` holds one sequence per backing container, in
+        :meth:`raw_row` order (interned ids, not strings; an ``opt_f64``
+        field as values then mask bytes), all of one length;
+        :meth:`raw_columns` builds them.  It is the bulk counterpart of
+        :meth:`append`: one container ``extend`` per column, nothing
+        interned.  Rows still reach every sink one at a time, and a
+        spilled log splits the batch at its chunk boundaries, so sinks
+        and spill files see exactly what appending the rows one by one
+        would leave.
+        """
+        containers = self._containers
+        if len(columns) != len(containers):
+            raise ValueError(
+                f"got {len(columns)} columns, the log stores {len(containers)}"
+            )
+        if len(set(map(len, columns))) != 1:
+            raise ValueError("extend columns differ in length")
+        total = len(columns[0])
+        start = len(self)
+        spill = self._spill
+        done = 0
+        while done < total:
+            step = total - done
+            if spill is not None:
+                step = min(step, max(spill.chunk_rows - len(spill.tail0), 1))
+            if step == total:
+                for container, column in zip(containers, columns):
+                    container.extend(column)
+            else:
+                for container, column in zip(containers, columns):
+                    container.extend(column[done : done + step])
+            if self._sinks:
+                for index in range(start + done, start + done + step):
+                    self._notify_sinks(index)
+            done += step
+            if spill is not None:
+                self._maybe_flush()
+        return start
 
     def _notify_sinks(self, index: int) -> None:
         """Dispatch an already-appended row to sinks (fast-path helper)."""
@@ -133,7 +178,7 @@ class EventLog(Sequence):
             chunk_rows=chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS,
             tail0=self._columns[0].tail_container(),
         )
-        self._after_restore()
+        self._rebind()
         return self
 
     @property
@@ -184,6 +229,25 @@ class EventLog(Sequence):
         if isinstance(index, slice):
             return [self.row(i) for i in range(*index.indices(len(self)))]
         return self.row(index)
+
+    def _list_containers(self) -> list:
+        """Every column's backing containers, in schema order."""
+        return [part for column in self._columns for part in column.arrays()]
+
+    def raw_row(self, index: int) -> tuple:
+        """Row ``index`` as stored: interned ids instead of strings, an
+        ``opt_f64`` field as its value then its mask byte."""
+        return tuple(container[index] for container in self._containers)
+
+    def raw_columns(self, rows: Sequence[tuple]) -> list:
+        """Transpose non-empty raw rows (as :meth:`raw_row` returns
+        them, or a common prefix of them) into containers of the
+        backing types, which :meth:`extend` copies without conversion."""
+        columns = []
+        for container, values in zip(self._containers, zip(*rows)):
+            typecode = getattr(container, "typecode", None)
+            columns.append(array(typecode, values) if typecode else list(values))
+        return columns
 
     def __iter__(self) -> Iterator[tuple]:
         return self.iter_rows()
@@ -271,7 +335,7 @@ class EventLog(Sequence):
                     f"serialized schema does not match {cls.__name__}"
                 )
         log._load_columns(data)
-        log._after_restore()
+        log._rebind()
         return log
 
     def _load_columns(self, data: dict) -> None:
@@ -302,6 +366,12 @@ class EventLog(Sequence):
         self._spill = None
         for column, raw in zip(self._columns, state["columns"]):
             column.load_raw(raw)
+        self._rebind()
+
+    def _rebind(self) -> None:
+        """Re-cache the backing containers after columns were swapped
+        or reloaded, then let the typed store rebind its own."""
+        self._containers = self._list_containers()
         self._after_restore()
 
     def _after_restore(self) -> None:

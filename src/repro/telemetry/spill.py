@@ -216,6 +216,10 @@ class SpilledArray:
         self.append = self.tail.append
         self.extend = self.tail.extend
 
+    @property
+    def typecode(self) -> str:
+        return self.tail.typecode
+
     def __len__(self) -> int:
         return self.disk.rows + len(self.tail)
 
@@ -588,7 +592,7 @@ def reopen_spilled_log(log: EventLog, directory: str | Path, manifest: dict) -> 
         chunk_rows=manifest["chunk_rows"],
         tail0=log._columns[0].tail_container(),
     )
-    log._after_restore()
+    log._rebind()
     if len(log) != manifest["rows"]:
         raise ValueError(
             f"spill files hold {len(log)} rows, manifest says {manifest['rows']}"

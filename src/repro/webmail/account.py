@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.webmail.mailbox import Mailbox
@@ -61,6 +62,12 @@ class WebmailAccount:
     blocked_at: float | None = None
     password_changed_at: float | None = None
     password_change_count: int = 0
+    #: Called after every password change and block (the scraper's
+    #: wake marks).  They must pickle, since checkpoints pickle
+    #: accounts.
+    _change_hooks: list[Callable[[], None]] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         # Message ids minted by this account's mailbox carry the
@@ -86,9 +93,17 @@ class WebmailAccount:
         self.credentials = self.credentials.with_password(new_password)
         self.password_changed_at = at_time
         self.password_change_count += 1
+        for hook in self._change_hooks:
+            hook()
 
     def block(self, reason: str, at_time: float) -> None:
         """Suspend the account (anti-abuse enforcement)."""
         self.state = AccountState.BLOCKED
         self.blocked_reason = reason
         self.blocked_at = at_time
+        for hook in self._change_hooks:
+            hook()
+
+    def add_change_hook(self, hook: Callable[[], None]) -> None:
+        """Call ``hook()`` after every future password change and block."""
+        self._change_hooks.append(hook)

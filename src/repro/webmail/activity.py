@@ -21,6 +21,7 @@ has accumulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.netsim.fingerprint import DeviceFingerprint
 from repro.netsim.geo import GeoLocation
@@ -50,10 +51,22 @@ class ActivityPage:
     """Per-account access log, append-only, scrape-friendly."""
 
     _events: dict[str, list[AccessEvent]] = field(default_factory=dict)
+    #: Called with the account address after every append (the
+    #: scraper's wake marks).  They must pickle, since checkpoints
+    #: pickle the page.
+    _record_hooks: list[Callable[[str], None]] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     def record(self, event: AccessEvent) -> None:
         """Append an access event for its account."""
         self._events.setdefault(event.account_address, []).append(event)
+        for hook in self._record_hooks:
+            hook(event.account_address)
+
+    def add_record_hook(self, hook: Callable[[str], None]) -> None:
+        """Call ``hook(address)`` after every future append."""
+        self._record_hooks.append(hook)
 
     def events_for(self, account_address: str) -> tuple[AccessEvent, ...]:
         """All recorded events for an account, oldest first."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import SessionError
 from repro.sim.rng import derive_seed
@@ -74,6 +75,12 @@ class SessionManager:
     _retired_cookies: dict[tuple[str, str], list[Cookie]] = field(
         default_factory=dict
     )
+    #: Called with the account address after every generation bump
+    #: (the scraper's wake marks).  They must pickle, since checkpoints
+    #: pickle the manager.
+    _generation_hooks: list[Callable[[str], None]] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         # One draw at construction (a fixed point in the service build
@@ -129,7 +136,13 @@ class SessionManager:
             self._retired_cookies.setdefault(key, []).append(
                 self._device_cookies.pop(key)
             )
+        for hook in self._generation_hooks:
+            hook(account_address)
         return generation
+
+    def add_generation_hook(self, hook: Callable[[str], None]) -> None:
+        """Call ``hook(address)`` after every future generation bump."""
+        self._generation_hooks.append(hook)
 
     def all_minted_cookies(self) -> dict[tuple[str, str], tuple[Cookie, ...]]:
         """Every cookie ever minted per (device, account), oldest first.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.analysis.dataset import analyze
 from repro.core.experiment import Experiment, ExperimentConfig
@@ -21,6 +22,17 @@ from repro.webmail.service import WebmailService
 #: The seed every session-scoped run uses; tests asserting calibration
 #: bands use this fixed, documented seed.
 SESSION_SEED = 2016
+
+# Hypothesis profiles.  ``ci`` (loaded here; Hypothesis's own CI
+# profile plus a 50-example budget) is tier-1's; the nightly workflow
+# passes ``--hypothesis-profile=nightly``.  Only tests that leave
+# ``max_examples`` unset take the profile's budget (the monitor's
+# scrape property test); every other property test pins its own.
+settings.register_profile("ci", settings.get_profile("ci"), max_examples=50)
+settings.register_profile(
+    "nightly", settings.get_profile("ci"), max_examples=500
+)
+settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

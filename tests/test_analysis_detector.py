@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.detector import (
@@ -47,6 +47,7 @@ class TestVocabularyModel:
         malicious = model.score_text(BLACKMAIL_BODY)
         assert malicious > benign
 
+    @settings(max_examples=100)
     @given(st.text(max_size=200))
     def test_scores_finite_and_nonnegative(self, text):
         model = VocabularyModel()

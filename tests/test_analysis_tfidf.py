@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ecdf import Ecdf
@@ -36,6 +36,7 @@ class TestTermFrequencies:
     def test_empty(self):
         assert term_frequencies([]) == {}
 
+    @settings(max_examples=100)
     @given(words)
     def test_sums_to_one(self, terms):
         total = sum(term_frequencies(terms).values())
@@ -96,6 +97,7 @@ class TestTfidfTable:
         with pytest.raises(AnalysisError):
             compute_tfidf_table(["alpha"], [])
 
+    @settings(max_examples=100)
     @given(words, words)
     def test_l2_norms_bounded(self, read, everything):
         table = compute_tfidf_table(read, everything)
@@ -172,6 +174,7 @@ class TestEcdf:
         with pytest.raises(AnalysisError):
             ecdf.quantile(0.0)
 
+    @settings(max_examples=100)
     @given(
         st.lists(
             st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attackers.arrival import (
@@ -125,6 +125,7 @@ class TestReturnGaps:
     def test_gap_count(self, rng):
         assert len(sample_return_gaps(rng, 4, 10.0)) == 3
 
+    @settings(max_examples=100)
     @given(
         st.integers(min_value=1, max_value=8),
         st.floats(min_value=0.1, max_value=60.0),

@@ -1,6 +1,6 @@
 """Tests for repro.corpus.text (the paper's TF-IDF preprocessing)."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.text import (
@@ -23,6 +23,7 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
 
+    @settings(max_examples=100)
     @given(st.text(max_size=200))
     def test_tokens_always_alpha_lowercase(self, text):
         for token in tokenize(text):
@@ -56,6 +57,7 @@ class TestFilterTerms:
         kept = list(filter_terms(["cash", "gold"], min_length=4))
         assert kept == ["cash", "gold"]
 
+    @settings(max_examples=100)
     @given(st.lists(st.text(alphabet="abcdefgh", max_size=10), max_size=50))
     def test_no_short_tokens_survive(self, tokens):
         for term in filter_terms(tokens):

@@ -1,18 +1,26 @@
-"""The monitor's scrape fast path.
+"""The monitor's scrape tick: wake on change, quiet accounts extended.
 
-A scrape visit checks the credential (``WebmailService.authenticate``),
+A full scrape visit checks the credential (``WebmailService.authenticate``),
 reads what other clients left on the activity page and appends the
 scraper's own row itself; it opens no session and writes nothing to
-the page.  This must be invisible in every row.  This module pins that
-two ways:
+the page.  A tick makes one only for accounts the provider's change
+hooks marked dirty or that are not yet armed; every quiet account's
+rows are column extends from templates.  All of this must be invisible
+in every row.  This module pins that two ways:
 
-* a property test against :class:`ReferenceMonitor`, which scrapes as a
-  full client (log in, which records the scraper's row on the page,
-  read the page from the cursor, ingest every row, log out), over
-  generated worlds with attacker logins (some exactly on a scrape
-  tick, before or after it), hijacker password changes, defender
-  resets, blocks, future-stamped sandbox rows and a monitor IP
-  registered mid-run;
+* a property test against :class:`ReferenceMonitor`, whose tick is a
+  loop of full client visits to every active account (log in, which
+  records the scraper's row on the page, read the page from the
+  cursor, ingest every row, log out), over generated worlds with
+  attacker logins (some exactly on a scrape tick, before or after
+  it), hijacker password changes, bare password changes with no page
+  append, bare cookie rotations, scraper re-syncs after a lockout,
+  defender resets and blocks of armed accounts,
+  future-stamped sandbox rows and monitor IPs registered mid-run or
+  late, with resident, spilled (small chunks) and JSONL-sink
+  telemetry.  Its budget is the loaded Hypothesis profile (``ci``
+  unless ``--hypothesis-profile`` names another, see
+  ``tests/conftest.py``);
 * unit tests of the visit itself and of the loud failure on an unknown
   account.
 
@@ -23,8 +31,11 @@ scrape log and the lockout log.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.monitor import MonitorInfrastructure, ScrapeOutcome
@@ -41,12 +52,14 @@ from repro.netsim.ipaddr import IPAddress
 from repro.sim.clock import hours
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_rng
+from repro.telemetry.spill import spill_manifest
 from repro.webmail.account import Credentials
 from repro.webmail.service import LoginContext, WebmailService
 
 PERIOD = hours(6)
+MAX_TICKS = 20
 PASSWORD = "leakedpass99"
-ADDRESSES = ("a@gmail.example", "b@gmail.example", "c@gmail.example")
+ADDRESSES = tuple(f"{name}@gmail.example" for name in "abcdef")
 CITIES = ("Paris", "Lagos", "Reading")
 USER_AGENTS = (
     "",
@@ -57,17 +70,28 @@ USER_AGENTS = (
 )
 #: An address outside every city prefix: the page shows no location.
 UNLOCATED_IP = IPAddress.from_octets(10, 9, 8, 7)
+#: Spilled-variant chunk size: small enough that quiet runs straddle
+#: chunk boundaries.
+CHUNK_ROWS = 7
+
 
 
 # ----------------------------------------------------------------------
-# the reference implementation: a scrape visit is a full client login
+# the reference implementation: every tick, a full client login to
+# every active account
 # ----------------------------------------------------------------------
 class ReferenceMonitor(MonitorInfrastructure):
-    """Scrapes the way a browser does: log in (the page records the
-    scraper's own access), read the page from the cursor, ingest every
-    row, log out."""
+    """Scrapes the way a browser does: each tick, for every active
+    account in watch order, log in (the page records the scraper's own
+    access), read the page from the cursor, ingest every row, log out."""
 
-    def _scrape_one(self, watched, now):
+    def _scrape_all(self):
+        now = self._sim.now
+        for watched in self._watched.values():
+            if not (watched.locked_out or watched.blocked):
+                self._login_and_read(watched, now)
+
+    def _login_and_read(self, watched, now):
         contexts = self._login_contexts
         index = (stable_hash64(watched.address) + watched.visits) % len(
             contexts
@@ -102,13 +126,28 @@ class ReferenceMonitor(MonitorInfrastructure):
 # ----------------------------------------------------------------------
 #: (kind, account index, tick, offset, priority, device, city, agent)
 #: ``offset`` None puts the action exactly on tick ``tick``; priority
-#: -1 runs it before that tick's scrape, +1 after.
+#: -1 runs it before that tick's scrape, +1 after.  ``password``
+#: changes the password with no page append; ``rotate`` bumps the
+#: cookie generation alone; ``resync`` hands the scraper the account's
+#: current password; ``reset`` is the defender's (password, sessions,
+#: cookie generation, scraper re-sync).
 actions = st.tuples(
     st.sampled_from(
-        ("login", "login", "hijack", "reset", "reset", "block", "monitor_ip")
+        (
+            "login",
+            "login",
+            "hijack",
+            "password",
+            "rotate",
+            "resync",
+            "reset",
+            "reset",
+            "block",
+            "monitor_ip",
+        )
     ),
-    st.integers(0, 2),
-    st.integers(0, 7),
+    st.integers(0, len(ADDRESSES) - 1),
+    st.integers(0, MAX_TICKS - 1),
     st.one_of(st.none(), st.floats(0.0, PERIOD, exclude_max=True)),
     st.sampled_from((-1, 0, 1)),
     st.integers(0, 2),
@@ -119,17 +158,18 @@ actions = st.tuples(
 #: (account index, future time, device) sandbox logins recorded at
 #: world build, stamped ahead of the simulated clock.
 sandbox_logins = st.tuples(
-    st.integers(0, 2),
-    st.floats(0.0, 8 * PERIOD),
+    st.integers(0, len(ADDRESSES) - 1),
+    st.floats(0.0, MAX_TICKS * PERIOD),
     st.integers(0, 1),
 )
 
 worlds = st.fixed_dictionaries(
     {
-        "accounts": st.integers(1, 3),
-        "ticks": st.integers(1, 8),
-        "actions": st.lists(actions, max_size=12),
+        "accounts": st.integers(1, len(ADDRESSES)),
+        "ticks": st.integers(1, MAX_TICKS),
+        "actions": st.lists(actions, max_size=16),
         "sandbox": st.lists(sandbox_logins, max_size=3),
+        "telemetry": st.sampled_from(("resident", "spilled", "sink")),
     }
 )
 
@@ -137,6 +177,11 @@ worlds = st.fixed_dictionaries(
 def run_world(world: dict, monitor_cls) -> dict:
     """Build ``world`` with ``monitor_cls`` as the scraper, run it and
     return everything the scraper and the provider observed."""
+    with tempfile.TemporaryDirectory() as scratch:
+        return _run_world(world, monitor_cls, Path(scratch))
+
+
+def _run_world(world: dict, monitor_cls, scratch: Path) -> dict:
     geo = GeoDatabase(derive_rng(77, "fastpath-geo"))
     service = WebmailService(geo, derive_rng(77, "fastpath-service"))
     sim = Simulator()
@@ -151,6 +196,16 @@ def run_world(world: dict, monitor_cls) -> dict:
     )
     monitor = monitor_cls(
         sim, service, geo, city_by_name("Reading"), scrape_period=PERIOD
+    )
+    telemetry = world.get("telemetry", "resident")
+    if telemetry == "spilled":
+        monitor.configure_spill_plan(
+            scratch,
+            {"accesses": True, "notifications": True, "scrape_log": True},
+            chunk_rows=CHUNK_ROWS,
+        )
+    sink_paths = (
+        monitor.spill_telemetry(scratch) if telemetry == "sink" else []
     )
     for address in addresses:
         monitor.watch(address, PASSWORD)
@@ -168,17 +223,27 @@ def run_world(world: dict, monitor_cls) -> dict:
 
     def act(kind, address, device, city, agent, serial):
         now = sim.now
+        account = service.account(address)
         if kind == "block":
-            service.account(address).block("spam", now)
+            account.block("spam", now)
             return
         if kind == "monitor_ip":
             monitor.register_monitor_ip(
                 geo.allocate_in_city(city_by_name("Reading"))
             )
             return
+        if kind == "password":
+            account.change_password(f"changed-{serial}", now)
+            return
+        if kind == "rotate":
+            service.sessions.bump_cookie_generation(address)
+            return
+        if kind == "resync":
+            monitor.update_password(address, account.credentials.password)
+            return
         if kind == "reset":
             new_password = f"reset-{serial}"
-            service.account(address).change_password(new_password, now)
+            account.change_password(new_password, now)
             service.sessions.revoke_account_sessions(address)
             service.sessions.bump_cookie_generation(address)
             monitor.update_password(address, new_password)
@@ -210,9 +275,10 @@ def run_world(world: dict, monitor_cls) -> dict:
     monitor.start()
     sim.run_until(world["ticks"] * PERIOD)
     monitor.stop()
+    monitor.close_spill()
 
     strings = monitor.telemetry_strings
-    return {
+    seen = {
         "accesses": monitor.access_store.to_json_dict(),
         "scrape_log": monitor.scrape_log_store.to_json_dict(),
         "failure_log": monitor.failure_log.to_json_dict(),
@@ -223,16 +289,17 @@ def run_world(world: dict, monitor_cls) -> dict:
             for key, cookies in service.sessions.all_minted_cookies().items()
         ],
         "monitor_ips": [ip.dotted for ip in monitor.monitor_ips],
+        "sink_lines": [path.read_text() for path in sink_paths],
     }
+    if telemetry == "spilled":
+        seen["chunks"] = [
+            spill_manifest(store)["chunk_counts"]
+            for store in (monitor.access_store, monitor.scrape_log_store)
+        ]
+    return seen
 
 
 class TestAgainstReference:
-    @settings(
-        max_examples=50,
-        derandomize=True,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
     @given(worlds)
     def test_rows_identical_to_full_login_scraper(self, world):
         assert run_world(world, MonitorInfrastructure) == run_world(
@@ -266,6 +333,19 @@ class TestAgainstReference:
                 and len(seen["listener_calls"]) == 3
                 and 2 in seen["scrape_log"]["columns"]["new_events"],
             ),
+            # a lockout, then the scraper is handed the hijacker's
+            # password: only that re-sync wakes the account again
+            (
+                {"accounts": 2, "ticks": 8, "sandbox": [], "actions": [
+                    ("hijack", 1, 1, 3600.0, 0, 0, 0, 1),
+                    ("resync", 1, 4, 10.0, 0, 0, 0, 0),
+                ]},
+                lambda seen: seen["failure_log"]["length"] == 1
+                # a: every tick; b: before the lockout and from the
+                # tick after the re-sync
+                and seen["scrape_log"]["columns"]["outcome"].count("ok")
+                == 8 + 1 + 4,
+            ),
             # sandbox rows stamped after the first ticks, a monitor IP
             # registered mid-run and a block
             (
@@ -276,8 +356,47 @@ class TestAgainstReference:
                 lambda seen: len(seen["monitor_ips"]) == 4
                 and "blocked" in seen["scrape_log"]["columns"]["outcome"],
             ),
+            # long quiet stretches on armed accounts broken by a bare
+            # password change (no page append: the account hook alone
+            # wakes it), a defender reset (new cookie, re-arming) and a
+            # late monitor IP, spilled in small chunks
+            (
+                {"accounts": 6, "ticks": 20, "sandbox": [],
+                 "telemetry": "spilled", "actions": [
+                    ("password", 2, 9, 100.0, 0, 0, 0, 0),
+                    ("reset", 4, 11, None, -1, 0, 0, 0),
+                    ("login", 0, 12, 50.0, 0, 1, 0, 1),
+                    ("login", 5, 12, 60.0, 0, 2, 1, 2),
+                    ("monitor_ip", 0, 17, 1.0, 0, 0, 0, 0),
+                ]},
+                lambda seen: seen["failure_log"]["length"] == 1
+                # six scraper cookies, a fresh one after the reset and
+                # the two attackers'
+                and len(set(seen["accesses"]["columns"]["cookie_id"])) == 9
+                and len(seen["chunks"][0]) > 10,
+            ),
+            # a block and a reset of armed accounts in one tick, with
+            # the telemetry streamed to JSONL sinks
+            (
+                {"accounts": 4, "ticks": 12, "sandbox": [],
+                 "telemetry": "sink", "actions": [
+                    ("block", 1, 7, None, -1, 0, 0, 0),
+                    ("reset", 3, 7, None, -1, 0, 0, 0),
+                ]},
+                lambda seen: "blocked"
+                in seen["scrape_log"]["columns"]["outcome"]
+                and seen["sink_lines"][0].count("\n")
+                == seen["accesses"]["length"],
+            ),
         ],
-        ids=["on-tick", "lockout-reset", "sandbox-ip-block"],
+        ids=[
+            "on-tick",
+            "lockout-reset",
+            "lockout-resync",
+            "sandbox-ip-block",
+            "quiet-stretches-spilled",
+            "block-reset-sink",
+        ],
     )
     def test_named_worlds(self, world, reached):
         fast = run_world(world, MonitorInfrastructure)

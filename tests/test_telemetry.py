@@ -34,6 +34,7 @@ from repro.telemetry import (
     read_jsonl,
     write_jsonl,
 )
+from repro.telemetry.spill import spill_manifest
 from repro.webmail.account import Credentials
 from repro.webmail.activity import ActivityPage
 from repro.webmail.service import LoginContext, WebmailService
@@ -149,6 +150,48 @@ class TestEventLog:
         assert list(rebuilt) == list(log)
         rebuilt.append(("gamma", 3.5, 5, 1.0, None))
         assert len(rebuilt) == 3
+
+    @pytest.mark.parametrize("chunk_rows", [None, 4])
+    def test_extend_matches_appending_row_by_row(self, tmp_path, chunk_rows):
+        rows = [
+            (f"n{i % 3}", i / 2, i, None if i % 2 else i * 1.5, f"p{i}")
+            for i in range(11)
+        ]
+        single = EventLog(self.SCHEMA)
+        bulk = EventLog(self.SCHEMA, strings=single.strings)
+        if chunk_rows is not None:
+            single.configure_spill(tmp_path / "single", chunk_rows=chunk_rows)
+            bulk.configure_spill(tmp_path / "bulk", chunk_rows=chunk_rows)
+        for row in rows:
+            single.append(row)
+        seen = []
+
+        class Probe:
+            def write(self, index, row, source):
+                seen.append((index, row))
+
+        bulk.append(rows[0])
+        bulk.attach_sink(Probe())
+        raw = [single.raw_row(i) for i in range(1, len(rows))]
+        assert bulk.extend(bulk.raw_columns(raw)) == 1
+        assert list(bulk) == list(single) == rows
+        assert seen == list(enumerate(rows))[1:]
+        if chunk_rows is not None:
+            assert (
+                spill_manifest(bulk)["chunk_counts"]
+                == spill_manifest(single)["chunk_counts"]
+                == [4, 4, 3]
+            )
+
+    def test_extend_checks_column_shape(self):
+        log = self.make_log()
+        columns = log.raw_columns([log.raw_row(0)])
+        with pytest.raises(ValueError):
+            log.extend(columns[:-1])
+        columns[0] = columns[0] * 2
+        with pytest.raises(ValueError):
+            log.extend(columns)
+        assert len(log) == 2
 
     def test_sink_sees_appends_and_replay(self):
         log = self.make_log()
