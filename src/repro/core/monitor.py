@@ -38,13 +38,15 @@ whose fields depend only on the account, the IP slot and the scraper's
 cookie.  So a scrape tick **wakes on change**:
 
 * the provider's change hooks — an activity-page append, a password
-  change or block, a cookie-generation bump — and :meth:`watch`,
-  :meth:`update_password` and :meth:`register_monitor_ip` mark accounts
-  dirty, and a dirty account's next visit is a full one;
+  change or block, a cookie-generation bump — and
+  :meth:`update_password` mark accounts dirty, and a dirty account's
+  next visit is a full one;
 * an account is *armed* once full visits have appended its self row
   for every IP slot under its current cookie; those rows' stored
   values (interned ids, read back from the store, so the string table
-  grows exactly as before) become its templates;
+  grows exactly as before) become its templates.  A newly watched
+  account, a new IP slot or a new cookie leaves it unarmed, and an
+  unarmed account gets a full visit every tick;
 * every other active account is quiet: a :class:`_QuietPlan` holds the
   armed accounts' templates column-wise per rotation phase, each run
   of quiet accounts between two full visits is one
@@ -223,16 +225,6 @@ class _QuietPlan:
         )
         self.log_columns = (addresses, outcomes, counts)
 
-    def drop(self, index: int) -> None:
-        """Remove member ``index`` (it went idle) from every template."""
-        for items in (self.members, self.orders, self.visits):
-            del items[index]
-        for phase in self.phases:
-            for column in phase:
-                del column[index]
-        for column in self.log_columns:
-            del column[index]
-
 
 @dataclass(frozen=True)
 class ScrapeLogEntry:
@@ -403,7 +395,6 @@ class MonitorInfrastructure:
                 user_agent=_SCRAPER_USER_AGENT,
             )
         )
-        self._dirty.update(self._watched)
         self._replan_next_tick()
 
     def watch(self, address: str, password: str) -> None:
@@ -421,7 +412,6 @@ class MonitorInfrastructure:
         self._watched[address] = _WatchedAccount(
             address, password, stable_hash64(address)
         )
-        self._dirty.add(address)
         self._replan_next_tick()
 
     def update_password(self, address: str, new_password: str) -> None:
@@ -559,12 +549,7 @@ class MonitorInfrastructure:
                     _WAKING if watched.order in plan.waking_orders else _IDLE
                 )
             self._scrape_one(watched, now)
-            status = _status(watched, plan.slots)
-            if role == _QUIET and status == _IDLE:
-                # Locked out or blocked: it leaves the plan in place.
-                plan.drop(index)
-                quiet = index
-            elif status != role:
+            if _status(watched, plan.slots) != role:
                 plan.stale = True
         self._extend_quiet(plan, quiet, len(orders), tick, now)
 

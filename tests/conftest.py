@@ -25,9 +25,10 @@ SESSION_SEED = 2016
 
 # Hypothesis profiles.  ``ci`` (loaded here; Hypothesis's own CI
 # profile plus a 50-example budget) is tier-1's; the nightly workflow
-# passes ``--hypothesis-profile=nightly``.  Only tests that leave
-# ``max_examples`` unset take the profile's budget (the monitor's
-# scrape property test); every other property test pins its own.
+# passes ``--hypothesis-profile=nightly``.  Both are derandomised with
+# no deadline and no example database, locally as under CI.  Only the
+# monitor's scrape property test takes its budget from the profile;
+# every other property test pins ``max_examples`` on its own.
 settings.register_profile("ci", settings.get_profile("ci"), max_examples=50)
 settings.register_profile(
     "nightly", settings.get_profile("ci"), max_examples=500

@@ -1,7 +1,7 @@
 """Tests for repro.netsim.geo."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -33,17 +33,20 @@ class TestHaversine:
         )
         assert distance == pytest.approx(140, rel=0.3)
 
+    @settings(max_examples=100)
     @given(coords)
     def test_self_distance_zero(self, point):
         lat, lon = point
         assert haversine_km(lat, lon, lat, lon) == pytest.approx(0.0, abs=1e-6)
 
+    @settings(max_examples=100)
     @given(coords, coords)
     def test_symmetry(self, a, b):
         d1 = haversine_km(a[0], a[1], b[0], b[1])
         d2 = haversine_km(b[0], b[1], a[0], a[1])
         assert d1 == pytest.approx(d2, rel=1e-9, abs=1e-9)
 
+    @settings(max_examples=100)
     @given(coords, coords)
     def test_bounded_by_half_circumference(self, a, b):
         distance = haversine_km(a[0], a[1], b[0], b[1])

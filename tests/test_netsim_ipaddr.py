@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -39,6 +39,7 @@ class TestIPAddress:
         with pytest.raises(ConfigurationError):
             IPAddress(2**32)
 
+    @settings(max_examples=100)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_roundtrip_property(self, value):
         addr = IPAddress(value)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -55,6 +55,7 @@ class TestParse:
         assert info.is_mobile
         assert info.os_family == "Android"
 
+    @settings(max_examples=100)
     @given(
         st.sampled_from(["chrome", "firefox", "ie", "opera", "safari"]),
         st.sampled_from(

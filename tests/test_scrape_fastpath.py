@@ -16,8 +16,8 @@ in every row.  This module pins that two ways:
   it), hijacker password changes, bare password changes with no page
   append, bare cookie rotations, scraper re-syncs after a lockout,
   defender resets and blocks of armed accounts,
-  future-stamped sandbox rows and monitor IPs registered mid-run or
-  late, with resident, spilled (small chunks) and JSONL-sink
+  future-stamped sandbox rows, accounts watched mid-run and monitor
+  IPs registered mid-run or late, with resident, spilled (small chunks) and JSONL-sink
   telemetry.  Its budget is the loaded Hypothesis profile (``ci``
   unless ``--hypothesis-profile`` names another, see
   ``tests/conftest.py``);
@@ -130,7 +130,8 @@ class ReferenceMonitor(MonitorInfrastructure):
 #: changes the password with no page append; ``rotate`` bumps the
 #: cookie generation alone; ``resync`` hands the scraper the account's
 #: current password; ``reset`` is the defender's (password, sessions,
-#: cookie generation, scraper re-sync).
+#: cookie generation, scraper re-sync); ``watch`` starts watching the
+#: next account not watched from the start, if there is one.
 actions = st.tuples(
     st.sampled_from(
         (
@@ -144,6 +145,7 @@ actions = st.tuples(
             "reset",
             "block",
             "monitor_ip",
+            "watch",
         )
     ),
     st.integers(0, len(ADDRESSES) - 1),
@@ -186,7 +188,8 @@ def _run_world(world: dict, monitor_cls, scratch: Path) -> dict:
     service = WebmailService(geo, derive_rng(77, "fastpath-service"))
     sim = Simulator()
     addresses = ADDRESSES[: world["accounts"]]
-    for address in addresses:
+    unwatched = list(ADDRESSES[world["accounts"]:])
+    for address in ADDRESSES:
         service.create_account(Credentials(address, PASSWORD), address)
     listener_calls: list[tuple] = []
     service.auth_failure_listener = (
@@ -226,6 +229,10 @@ def _run_world(world: dict, monitor_cls, scratch: Path) -> dict:
         account = service.account(address)
         if kind == "block":
             account.block("spam", now)
+            return
+        if kind == "watch":
+            if unwatched:
+                monitor.watch(unwatched.pop(0), PASSWORD)
             return
         if kind == "monitor_ip":
             monitor.register_monitor_ip(

@@ -3,7 +3,7 @@
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.clock import (
@@ -51,6 +51,7 @@ class TestConversions:
         end = datetime(2016, 2, 16, tzinfo=timezone.utc)
         assert from_datetime(end) == days(236)
 
+    @settings(max_examples=100)
     @given(st.floats(min_value=0, max_value=days(400)))
     def test_roundtrip_property(self, sim_time):
         recovered = from_datetime(to_datetime(sim_time))

@@ -1,6 +1,6 @@
 """Tests for repro.sim.rng."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.rng import SeedSequence, derive_rng, derive_seed
@@ -23,6 +23,7 @@ class TestDeriveSeed:
     def test_integer_path_parts(self):
         assert derive_seed(42, 1, 2) == derive_seed(42, "1", "2")
 
+    @settings(max_examples=100)
     @given(st.integers(min_value=0, max_value=2**32), st.text(max_size=20))
     def test_seed_is_64_bit(self, master, name):
         assert 0 <= derive_seed(master, name) < 2**64

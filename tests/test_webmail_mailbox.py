@@ -1,7 +1,7 @@
 """Tests for repro.webmail.mailbox and message."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NoSuchMessageError
@@ -158,6 +158,7 @@ class TestChangelog:
         assert again == []
         assert cursor2 == cursor
 
+    @settings(max_examples=100)
     @given(st.lists(st.sampled_from(["read", "star"]), max_size=30))
     def test_changelog_matches_snapshot_diff(self, operations):
         """Property: replaying the changelog reproduces the state diff."""
