@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.analysis.tfidf import TfidfRow, TfidfTable, compute_tfidf_table
 from repro.core.notifications import NotificationKind
 from repro.core.records import ObservedDataset
-from repro.corpus.text import prepare_document
+from repro.corpus.text import term_counts
 
 
 @dataclass
@@ -86,18 +86,22 @@ def _read_bodies(dataset: ObservedDataset) -> tuple[int, list[str]]:
 
 
 def infer_searched_words(dataset: ObservedDataset) -> KeywordInference:
-    """Run the full Table 2 analysis over an observed dataset."""
+    """Run the full Table 2 analysis over an observed dataset.
+
+    Both documents are counted, never materialised as term lists; the
+    seeded mail is tokenised one mailbox at a time.
+    """
     read_message_count, read_texts = _read_bodies(dataset)
-    all_texts: list[str] = []
-    for texts in dataset.all_email_texts.values():
-        all_texts.extend(texts)
     exclusions = _honey_handles(dataset)
-    read_terms = prepare_document(read_texts, extra_exclusions=exclusions)
-    all_terms = prepare_document(all_texts, extra_exclusions=exclusions)
-    table = compute_tfidf_table(read_terms, all_terms)
+    read_counts = term_counts(read_texts, extra_exclusions=exclusions)
+    all_counts = term_counts(
+        ("\n".join(texts) for texts in dataset.all_email_texts.values()),
+        extra_exclusions=exclusions,
+    )
+    table = compute_tfidf_table(read_counts, all_counts)
     return KeywordInference(
         table=table,
         read_message_count=read_message_count,
-        read_term_count=len(read_terms),
-        all_term_count=len(all_terms),
+        read_term_count=sum(read_counts.values()),
+        all_term_count=sum(all_counts.values()),
     )

@@ -15,7 +15,7 @@ are then L2-normalised per document, which keeps every weight in
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
@@ -67,12 +67,11 @@ class TfidfTable:
         return len(self.rows)
 
 
-def term_frequencies(terms: list[str]) -> dict[str, float]:
-    """Relative term frequencies of one document."""
-    if not terms:
+def term_frequencies(counts: Mapping[str, int]) -> dict[str, float]:
+    """Relative term frequencies of one document, given its term counts."""
+    total = float(sum(counts.values()))
+    if not total:
         return {}
-    counts = Counter(terms)
-    total = float(len(terms))
     return {term: count / total for term, count in counts.items()}
 
 
@@ -84,20 +83,21 @@ def smooth_idf(term: str, documents: list[set[str]]) -> float:
 
 
 def compute_tfidf_table(
-    read_terms: list[str], all_terms: list[str]
+    read_counts: Mapping[str, int], all_counts: Mapping[str, int]
 ) -> TfidfTable:
-    """Compute the full TF-IDF table for the (dR, dA) corpus.
+    """Compute the full TF-IDF table for the (dR, dA) corpus, given
+    each document's term counts (:func:`repro.corpus.text.term_counts`).
 
     Raises:
         AnalysisError: when the "all emails" document is empty.
     """
-    if not all_terms:
+    if not all_counts:
         raise AnalysisError("the all-emails document is empty")
-    vocab_r = set(read_terms)
-    vocab_a = set(all_terms)
+    vocab_r = set(read_counts)
+    vocab_a = set(all_counts)
     documents = [vocab_r, vocab_a]
-    tf_r = term_frequencies(read_terms)
-    tf_a = term_frequencies(all_terms)
+    tf_r = term_frequencies(read_counts)
+    tf_a = term_frequencies(all_counts)
     raw_r: dict[str, float] = {}
     raw_a: dict[str, float] = {}
     for term in vocab_r | vocab_a:

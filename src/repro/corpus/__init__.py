@@ -16,8 +16,8 @@ from repro.corpus.text import (
     DEFAULT_MIN_WORD_LENGTH,
     HEADER_WORDS,
     STOPWORDS,
-    filter_terms,
-    tokenize,
+    prepare_document,
+    term_counts,
 )
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "IdentityFactory",
     "MappingConfig",
     "STOPWORDS",
-    "filter_terms",
+    "prepare_document",
     "random_identity_name",
-    "tokenize",
+    "term_counts",
 ]

@@ -4,13 +4,15 @@ Section 4.6 of the paper preprocesses the corpus by "filtering out all
 words that have less than 5 characters, and removing all known
 header-related words ... honey email handles, and also removing signaling
 information that our monitoring infrastructure introduced".  This module
-implements that exact pipeline.
+implements that exact pipeline: :func:`term_counts` for the TF-IDF
+documents, :func:`prepare_document` where term order matters.  Tokens
+are the maximal runs of ASCII letters in the lowercased text.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, Iterator
+from collections import Counter
+from typing import Iterable
 
 #: Minimum word length retained by the paper's preprocessing.
 DEFAULT_MIN_WORD_LENGTH = 5
@@ -46,49 +48,60 @@ STOPWORDS: frozenset[str] = frozenset(
     }
 )
 
-_TOKEN_RE = re.compile(r"[a-z]+")
-
-#: min_length -> compiled ``[a-z]{min_length,}`` pattern.  Because
-#: ``[a-z]+`` matches maximal runs, a run of length >= n is matched
-#: identically by ``[a-z]{n,}`` — so length filtering can happen inside
-#: the regex scan instead of per token.
-_SIZED_TOKEN_RES: dict[int, re.Pattern] = {}
+#: ``bytes.translate`` table of the tokenizer: ASCII ``a``-``z`` kept,
+#: every other byte a space.
+_TOKEN_BYTES = bytes(
+    byte if ord("a") <= byte <= ord("z") else ord(" ") for byte in range(256)
+)
 
 
-def _sized_token_re(min_length: int) -> re.Pattern:
-    pattern = _SIZED_TOKEN_RES.get(min_length)
-    if pattern is None:
-        pattern = _SIZED_TOKEN_RES[min_length] = re.compile(
-            r"[a-z]{%d,}" % max(min_length, 1)
-        )
-    return pattern
+def _token_text(text: str) -> str:
+    """``text`` lowercased, every character but ``a``-``z`` a space.
+
+    Splitting the result yields exactly the maximal ``[a-z]+`` runs of
+    ``text.lower()``: lowercasing comes first (the Kelvin sign becomes
+    ``k``, ``İ`` becomes ``i`` plus a combining dot), and every
+    character outside ASCII encodes to bytes >= 0x80 (lone surrogates
+    too, under ``surrogatepass``), which all become separators.
+    """
+    encoded = text.lower().encode("utf-8", "surrogatepass")
+    return encoded.translate(_TOKEN_BYTES).decode("ascii")
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase ``text`` and extract alphabetic word tokens."""
-    return _TOKEN_RE.findall(text.lower())
+def _exclusions(extra_exclusions: Iterable[str]) -> frozenset[str]:
+    """Header, signal and stop words plus ``extra_exclusions``."""
+    return (HEADER_WORDS | SIGNAL_WORDS | STOPWORDS).union(
+        term.lower() for term in extra_exclusions
+    )
 
 
-def filter_terms(
-    tokens: Iterable[str],
+def term_counts(
+    texts: Iterable[str],
     *,
     min_length: int = DEFAULT_MIN_WORD_LENGTH,
     extra_exclusions: Iterable[str] = (),
-) -> Iterator[str]:
-    """Apply the paper's preprocessing filters to a token stream.
+) -> Counter:
+    """Term counts of a set of texts treated as one document.
 
-    Drops tokens shorter than ``min_length``, header-related words,
-    monitoring-signal words, stopwords, and anything in
-    ``extra_exclusions`` (used for honey email handles).
+    The TF-IDF analysis needs only how often each term occurs, so no
+    term list is built: each text is tokenised and counted on its own,
+    and the paper's filters — words under ``min_length`` characters,
+    header vocabulary, monitoring-signal words, stopwords and
+    ``extra_exclusions`` (the honey email handles) — run once over the
+    distinct terms at the end.  Equal to
+    ``Counter(prepare_document(texts, ...))``.
     """
-    exclusions = HEADER_WORDS | SIGNAL_WORDS | STOPWORDS
-    exclusions |= {term.lower() for term in extra_exclusions}
-    for token in tokens:
-        if len(token) < min_length:
-            continue
-        if token in exclusions:
-            continue
-        yield token
+    counts: Counter = Counter()
+    for text in texts:
+        counts.update(_token_text(text).split())
+    exclusions = _exclusions(extra_exclusions)
+    return Counter(
+        {
+            term: count
+            for term, count in counts.items()
+            if len(term) >= min_length and term not in exclusions
+        }
+    )
 
 
 def prepare_document(
@@ -97,18 +110,17 @@ def prepare_document(
     min_length: int = DEFAULT_MIN_WORD_LENGTH,
     extra_exclusions: Iterable[str] = (),
 ) -> list[str]:
-    """Tokenise and filter a set of texts into one term list (a document).
+    """Tokenise and filter a set of texts into one ordered term list.
 
-    The TF-IDF analysis treats "all emails" and "read emails" each as one
-    document; this helper builds those documents.
-
-    One pass: the exclusion set is built once (not per text, which
-    dominated ``analyze()`` wall-clock — honey-handle exclusion lists run
-    to hundreds of tokens), and the texts are joined with a newline — a
-    non-token character, so the token stream is identical to tokenising
-    each text separately — for a single regex scan.
+    The same tokenizer and filters as :func:`term_counts`, for callers
+    that need the terms in text order (the content detector scores a
+    text term by term).  The texts are joined with a newline — a
+    non-token character, so the token stream is identical to
+    tokenising each text separately.
     """
-    exclusions = HEADER_WORDS | SIGNAL_WORDS | STOPWORDS
-    exclusions |= {term.lower() for term in extra_exclusions}
-    tokens = _sized_token_re(min_length).findall("\n".join(texts).lower())
-    return [token for token in tokens if token not in exclusions]
+    exclusions = _exclusions(extra_exclusions)
+    return [
+        term
+        for term in _token_text("\n".join(texts)).split()
+        if len(term) >= min_length and term not in exclusions
+    ]

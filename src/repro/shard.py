@@ -19,11 +19,15 @@ that:
    forked workers under :func:`~repro.faults.supervise.supervise_iter`,
    or sequentially in this process when ``jobs <= 1``.
 3. **Merge** — the per-shard columnar stores are merged back into one
-   :class:`~repro.core.records.ObservedDataset`: strings re-interned
-   into a fresh shared table and rows re-sorted into the exact global
-   order the serial monitor would have appended them in (scrape-tick
-   interleaving for accesses, scan-tick interleaving for
-   notifications, watch order breaking ties).
+   :class:`~repro.core.records.ObservedDataset`, column-wise: strings
+   re-interned into a fresh shared table (one id remap array per
+   shard); per store, numpy key arrays (scrape tick for accesses,
+   timestamp for the other stores, then account watch order, then the
+   shard and row) and one ``numpy.lexsort`` give the exact global
+   order the serial monitor would have appended the rows in; every
+   column is then gathered by fancy index, one window of at most a
+   chunk of rows at a time, through :meth:`EventLog.extend`.  No row
+   becomes a Python tuple except ``obj`` payloads.
 
 The contract is the one PRs 2 and 4 established for the telemetry and
 event-loop rewrites, now across process boundaries: *faster, but
@@ -34,11 +38,13 @@ nothing.
 
 from __future__ import annotations
 
-import math
 import os
 import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from repro.api.envelope import RunResult, run_scenario
 from repro.api.scenario import Scenario
@@ -48,6 +54,12 @@ from repro.core.sharding import ShardSpec, shard_of, stable_hash64
 from repro.errors import ConfigurationError, SupervisionError
 from repro.faults.plan import fault_site
 from repro.faults.supervise import supervise_iter
+from repro.telemetry.spill import (
+    DEFAULT_CHUNK_ROWS,
+    NUMPY_BY_TYPECODE,
+    SpilledArray,
+    iter_column_chunks,
+)
 
 __all__ = [
     "ShardRun",
@@ -138,21 +150,57 @@ def _execute_shard(task: tuple) -> ShardRun:
 # ----------------------------------------------------------------------
 # merge
 # ----------------------------------------------------------------------
+def _string_remaps(target_strings, shard_runs: list["ShardRun"]):
+    """Per-shard id translation tables into the merged string table.
+
+    Each shard's stores share one interning table (the monitor wires
+    them that way), so one pass over that table per shard re-interns
+    every distinct string exactly once; the column gather then maps raw
+    ids through ``remap`` without materialising any row.  Remaps are
+    built in shard order, so the merged table's id assignment is
+    deterministic.
+    """
+    intern = target_strings.intern
+    remaps = []
+    for run in shard_runs:
+        table = run.dataset.access_store.strings
+        remaps.append(
+            np.fromiter(
+                (intern(table.lookup(i)) for i in range(len(table))),
+                dtype=np.int64,
+                count=len(table),
+            )
+        )
+    return remaps
+
+
+def _whole_column(raw, dtype) -> np.ndarray:
+    """One raw column as a single numpy array (a view when resident)."""
+    chunks = list(iter_column_chunks(raw, dtype))
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype)
+
+
 def _access_ticks(
-    timestamps: list[float],
+    accounts: np.ndarray,
+    timestamps: np.ndarray,
+    delimiters: np.ndarray,
     period: float,
-    delimiters: list[bool],
-) -> list[int]:
-    """Scrape-tick indices at which one account's rows were ingested.
+) -> np.ndarray:
+    """Scrape-tick index at which each of one shard's access rows was
+    ingested.
 
     Every *successful* scrape of an account reads the page tail and
     then appends the scraper's own row, stamped with the exact tick
     time (see :mod:`repro.core.monitor`) — so in store order, each
     ingestion batch ends with a scraper row, and that row's timestamp
     names the batch's tick.  ``delimiters`` marks those rows
-    (monitor-IP rows whose timestamp sits exactly on the tick grid); a
-    right-to-left scan assigns every row the tick of the next delimiter
-    at or after it.
+    (monitor-IP rows whose timestamp sits exactly on the tick grid);
+    every row takes the tick of its account's next delimiter at or
+    after it.  A stable sort groups the rows by account, each account
+    still in page order, and a running minimum from the right finds
+    every row's next delimiter.
 
     This recovers two cases a plain ``ceil(timestamp / period)`` gets
     wrong: the sandbox campaign's future-stamped login rows (written at
@@ -162,86 +210,136 @@ def _access_ticks(
     scraper was locked out are ingested at the first tick after the
     reset, not the first tick after their timestamps).
     """
-    ticks = [0] * len(timestamps)
-    next_tick: int | None = None
-    for i in range(len(timestamps) - 1, -1, -1):
-        if delimiters[i]:
-            # Exact division: delimiter timestamps are tick times.
-            next_tick = int(timestamps[i] / period)
-            ticks[i] = next_tick
-        elif next_tick is not None:
-            ticks[i] = next_tick
-        else:
-            # No following scrape row (not produced by the monitor's
-            # batch structure); fall back to the live-recording model.
-            ticks[i] = math.ceil(timestamps[i] / period)
-    return ticks
+    order = np.argsort(accounts, kind="stable")
+    grouped = accounts[order]
+    stamps = timestamps[order]
+    # Rows with no later delimiter of their account (not produced by
+    # the monitor's batch structure) keep the live-recording model.
+    ticks = np.ceil(stamps / period).astype(np.int64)
+    # Position of the next delimiter at or after each row (n: none),
+    # as a running minimum from the right.
+    n = len(order)
+    following = np.where(delimiters[order], np.arange(n), n)
+    following = np.minimum.accumulate(following[::-1])[::-1]
+    rows = np.flatnonzero(following < n)
+    marks = following[rows]
+    own = grouped[marks] == grouped[rows]
+    # Exact division: delimiter timestamps are tick times, so
+    # truncation is int() of the quotient.
+    ticks[rows[own]] = (stamps[marks[own]] / period).astype(np.int64)
+    unsorted = np.empty_like(ticks)
+    unsorted[order] = ticks
+    return unsorted
 
 
-def _string_remaps(target_strings, shard_runs: list["ShardRun"]):
-    """Per-shard id translation tables into the merged string table.
+class _ShardKeys:
+    """Sort-key columns of one store, concatenated across shards.
 
-    Each shard's three stores share one interning table (the monitor
-    wires them that way), so one pass over that table per shard
-    re-interns every distinct string exactly once; column merging then
-    copies raw ids through ``remap`` without materialising any row.
-    Remaps are built in shard order, so the merged table's id
-    assignment is deterministic.
+    Every column is translated into the merged string table, so keys
+    compare across shards.  ``position`` is the row's index in the
+    shard-major concatenation — the ``(shard, row)`` tail that makes
+    every merge order total.
     """
-    intern = target_strings.intern
-    remaps = []
-    for run in shard_runs:
-        table = run.dataset.access_store.strings
-        remaps.append(
-            [intern(table.lookup(i)) for i in range(len(table))]
+
+    def __init__(self, stores, remaps, watch_of) -> None:
+        self.stores = stores
+        self.remaps = remaps
+        self.watch_of = watch_of
+        self.sizes = [len(store) for store in stores]
+        self.position = np.arange(sum(self.sizes), dtype=np.int64)
+
+    def ids(self, name: str, s: int) -> np.ndarray:
+        """Shard ``s``'s ``intern`` column ``name``, in merged ids."""
+        raw = self.stores[s].column(name).ids
+        return self.remaps[s][_whole_column(raw, np.int64)]
+
+    def stamps(self, s: int) -> np.ndarray:
+        """Shard ``s``'s timestamp column."""
+        raw = self.stores[s].column("timestamp").data
+        return _whole_column(raw, np.float64)
+
+    def watch(self, name: str) -> np.ndarray:
+        """Watch index of every row's account column ``name``."""
+        merged = [self.ids(name, s) for s in range(len(self.stores))]
+        index = self.watch_of[np.concatenate(merged)]
+        if (index < 0).any():
+            raise ConfigurationError(
+                "a shard holds rows of an account outside the population"
+            )
+        return index
+
+    def timestamps(self) -> np.ndarray:
+        return np.concatenate(
+            [self.stamps(s) for s in range(len(self.stores))]
         )
-    return remaps
+
+    def origin(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(shard, row)`` of the concatenated rows in ``order``."""
+        starts = np.cumsum([0] + self.sizes[:-1])
+        shard = np.searchsorted(starts, order, side="right") - 1
+        return shard, order - starts[shard]
 
 
-def _merge_columns(target, sources, order, remaps) -> None:
-    """Fill ``target``'s columns with the globally ordered rows.
+def _gather_sources(store):
+    """Per backing container of ``store``, in :meth:`EventLog.extend`
+    order: ``(kind, reader)``.  Numeric readers support ``take(rows)``
+    (a zero-copy numpy view of a resident array, or a
+    :class:`~repro.telemetry.spill.SpilledArray` that maps only the
+    chunks a window touches); ``obj`` readers are the payload list."""
+    parts = []
+    for field in store.schema:
+        for raw in store.column(field.name).arrays():
+            if field.kind == "obj" or isinstance(raw, SpilledArray):
+                parts.append((field.kind, raw))
+            else:
+                dtype = NUMPY_BY_TYPECODE[raw.typecode]
+                parts.append((field.kind, np.frombuffer(raw, dtype)))
+    return parts
 
-    ``order`` is the merged row order as ``(shard, row)`` pairs;
-    ``remaps`` translates each shard's string ids into the target
-    table.  Works column-at-a-time on the raw arrays — no row tuples,
-    no per-value interning — which keeps the merge a small fraction of
-    one shard's simulate phase even at hundreds of thousands of rows.
 
-    Both sides may be out-of-core: spilled *sources* serve reads from
-    mmap'd chunks (random access goes through a small per-file mmap
-    cache), and a spilled *target* is filled one chunk-sized batch at a
-    time, sealing each batch to disk before the next — so the merge
-    never holds more than one target chunk of row data resident.  A
-    resident target takes a single whole-``order`` batch, which is
-    byte-for-byte the old behaviour.
+def _merge_store(target, sources, shard, row, remaps) -> None:
+    """Append the rows ``(shard[i], row[i])`` of ``sources`` to
+    ``target``, in that order, with ids remapped into its table.
+
+    Column-at-a-time: each window of at most one target chunk (or
+    :data:`DEFAULT_CHUNK_ROWS` for a resident target) gathers every
+    numeric column with one fancy index per shard and lands through
+    :meth:`EventLog.extend`, so a spilled target seals the same chunks
+    as appending row by row, and no more than one window of row data
+    is ever transient.  ``obj`` payloads gather in Python.
     """
-    batch = target.spill_chunk_rows if target.spilled else 0
-    if not batch:
-        batch = max(len(order), 1)
-    shard_columns_by_field = {
-        field.name: [source.column(field.name) for source in sources]
+    window = target.spill_chunk_rows or DEFAULT_CHUNK_ROWS
+    readers = [_gather_sources(source) for source in sources]
+    typecodes = [
+        getattr(raw, "typecode", None)
         for field in target.schema
-    }
-    for start in range(0, len(order), batch):
-        window = order[start : start + batch]
-        for field in target.schema:
-            column = target.column(field.name)
-            shard_columns = shard_columns_by_field[field.name]
-            if field.kind == "intern":
-                ids = [col.ids for col in shard_columns]
-                column.ids.extend(
-                    [remaps[s][ids[s][r]] for s, r in window]
+        for raw in target.column(field.name).arrays()
+    ]
+    for start in range(0, len(shard), window):
+        shard_w = shard[start : start + window]
+        row_w = row[start : start + window]
+        picks = []
+        for s in range(len(sources)):
+            at = np.flatnonzero(shard_w == s)
+            if len(at):
+                picks.append((s, at, row_w[at]))
+        columns = []
+        for c, typecode in enumerate(typecodes):
+            if typecode is None:  # obj payloads
+                data = [parts[c][1] for parts in readers]
+                columns.append(
+                    [data[s][r] for s, r in zip(shard_w.tolist(), row_w.tolist())]
                 )
-            elif field.kind == "opt_f64":
-                data = [col.data for col in shard_columns]
-                mask = [col.mask for col in shard_columns]
-                column.data.extend([data[s][r] for s, r in window])
-                column.mask.extend([mask[s][r] for s, r in window])
-            else:  # f64, i64, obj — raw payloads copy through
-                data = [col.data for col in shard_columns]
-                column.data.extend([data[s][r] for s, r in window])
-        if target.spilled:
-            target._maybe_flush()
+                continue
+            out = np.empty(len(shard_w), NUMPY_BY_TYPECODE[typecode])
+            for s, at, rows in picks:
+                kind, reader = readers[s][c]
+                values = reader.take(rows)
+                out[at] = remaps[s][values] if kind == "intern" else values
+            column = array(typecode)
+            column.frombytes(out.view(np.uint8))
+            columns.append(column)
+        target.extend(columns)
 
 
 def merge_shard_runs(
@@ -276,7 +374,6 @@ def merge_shard_runs(
                 f"(shard {run.spec.index} vs shard "
                 f"{shard_runs[0].spec.index})"
             )
-    watch_index = {address: i for i, address in enumerate(reference)}
     owner: dict[str, ShardRun] = {}
     for run in shard_runs:
         for address in run.owned_addresses:
@@ -316,91 +413,67 @@ def merge_shard_runs(
                 chunk_rows=telemetry_budget.chunk_rows,
                 stores=spill_stores,
             )
-    remaps = _string_remaps(merged.access_store.strings, shard_runs)
+    strings = merged.access_store.strings
+    remaps = _string_remaps(strings, shard_runs)
+    # Watch (= provision) order per merged string id; -1 for strings
+    # that name no account.
+    watch_of = np.full(len(strings), -1, dtype=np.int64)
+    for index, address in enumerate(reference):
+        ident = strings.id_of(address)
+        if ident is not None:
+            watch_of[ident] = index
 
-    # Access rows interleave at scrape ticks (a per-account property:
-    # the running minimum in _access_ticks needs each account's page
-    # order, and every account's rows live in exactly one shard, in
-    # page order).  Sort keys carry (shard, row) so ties keep the
-    # per-account order and the sort is fully deterministic.
-    access_keys: list[tuple] = []
-    for s, run in enumerate(shard_runs):
-        store = run.dataset.access_store
-        lookup = store.strings.lookup
-        id_of = store.strings.id_of
-        timestamps = store.timestamps
-        ip_ids = store.ip_ids
-        # Scraper login rows delimit ingestion batches: monitor-IP rows
-        # stamped exactly on the tick grid.  (Sandbox rows also carry
-        # monitor IPs but continuous build-time timestamps, so the grid
-        # test excludes them.)
-        monitor_ip_ids = {
-            id_of(ip)
-            for ip in run.dataset.monitor_ips
-            if id_of(ip) is not None
-        }
-        rows_by_account: dict[int, list[int]] = {}
-        for r, account_id in enumerate(store.account_ids):
-            rows_by_account.setdefault(account_id, []).append(r)
-        for account_id, row_ids in rows_by_account.items():
-            index = watch_index[lookup(account_id)]
-            ticks = _access_ticks(
-                [timestamps[r] for r in row_ids],
-                scrape_period,
-                [
-                    ip_ids[r] in monitor_ip_ids
-                    and timestamps[r] > 0.0
-                    and timestamps[r] % scrape_period == 0.0
-                    for r in row_ids
-                ],
+    def merge(attr: str, account: str, leading_keys) -> int:
+        """Sort one store's rows by ``leading_keys(keys)``, then the
+        watch order of column ``account``, then ``(shard, row)``, and
+        gather them into the merged store.  Keys are listed least
+        significant first, as :func:`numpy.lexsort` takes them.
+        Returns the row count."""
+        stores = [getattr(run.dataset, attr) for run in shard_runs]
+        keys = _ShardKeys(stores, remaps, watch_of)
+        order = np.lexsort(
+            (keys.position, keys.watch(account), *leading_keys(keys))
+        )
+        _merge_store(getattr(merged, attr), stores, *keys.origin(order), remaps)
+        return len(order)
+
+    # Access rows interleave at scrape ticks, then watch order, then
+    # page order.  Ticks are a per-account property (the next
+    # delimiter needs each account's page order) and every account's
+    # rows live in exactly one shard, in page order.
+    def access_keys(keys):
+        ticks = []
+        for s, run in enumerate(shard_runs):
+            # Scraper login rows delimit ingestion batches: monitor-IP
+            # rows stamped exactly on the tick grid.  (Sandbox rows
+            # also carry monitor IPs but continuous build-time
+            # timestamps, so the grid test excludes them.)
+            monitor_ids = [
+                ident
+                for ident in map(strings.id_of, run.dataset.monitor_ips)
+                if ident is not None
+            ]
+            stamps = keys.stamps(s)
+            delimiters = (
+                np.isin(keys.ids("ip_address", s), monitor_ids)
+                & (stamps > 0.0)
+                & (stamps % scrape_period == 0.0)
             )
-            access_keys.extend(
-                (tick, index, s, r) for tick, r in zip(ticks, row_ids)
+            ticks.append(
+                _access_ticks(
+                    keys.ids("account_address", s),
+                    stamps,
+                    delimiters,
+                    scrape_period,
+                )
             )
-    access_keys.sort()
-    _merge_columns(
-        merged.access_store,
-        [run.dataset.access_store for run in shard_runs],
-        [(s, r) for _, _, s, r in access_keys],
-        remaps,
-    )
+        return (np.concatenate(ticks),)
 
     # Notifications and scrape failures carry their tick time directly
     # (scripts report at scan ticks, lockouts at scrape ticks); watch
     # order breaks same-tick ties exactly as the serial loops do.
-    notification_keys: list[tuple] = []
-    for s, run in enumerate(shard_runs):
-        store = run.dataset.notification_store
-        lookup = store.strings.lookup
-        timestamps = store.timestamps
-        notification_keys.extend(
-            (timestamps[r], watch_index[lookup(account_id)], s, r)
-            for r, account_id in enumerate(store.account_ids)
-        )
-    notification_keys.sort()
-    _merge_columns(
-        merged.notification_store,
-        [run.dataset.notification_store for run in shard_runs],
-        [(s, r) for _, _, s, r in notification_keys],
-        remaps,
-    )
-
-    failure_keys: list[tuple] = []
-    for s, run in enumerate(shard_runs):
-        log = run.dataset.failure_log
-        lookup = log.strings.lookup
-        timestamps = log.column("timestamp").data
-        failure_keys.extend(
-            (timestamps[r], watch_index[lookup(address_id)], s, r)
-            for r, address_id in enumerate(log.column("address").ids)
-        )
-    failure_keys.sort()
-    _merge_columns(
-        merged.failure_log,
-        [run.dataset.failure_log for run in shard_runs],
-        [(s, r) for _, _, s, r in failure_keys],
-        remaps,
-    )
+    def timed_keys(keys):
+        return (keys.timestamps(),)
 
     # Defense actions carry continuous per-account trigger times (the
     # planner jitters every check phase), so scheduled rows never tie
@@ -408,34 +481,27 @@ def merge_shard_runs(
     # ``prevented_login`` rows from attacker burst waves, where many
     # devices attempt at one shared arrival instant; serial execution
     # order there is device-creation order, i.e. ascending device id —
-    # the ``detail`` column.  Within an account, same-time rows (check +
-    # detect) keep their recorded sequence: equal details fall through
-    # to (shard, row), which is shard-invariant because an account
-    # lives in one shard, and a detect's detail ("", "false_positive")
-    # never sorts before its check's "".
-    defense_keys: list[tuple] = []
-    for s, run in enumerate(shard_runs):
-        store = run.dataset.defense_store
-        lookup = store.strings.lookup
-        timestamps = store.timestamps
-        details = store.detail_ids
-        defense_keys.extend(
-            (
-                timestamps[r],
-                lookup(details[r]),
-                watch_index[lookup(account_id)],
-                s,
-                r,
-            )
-            for r, account_id in enumerate(store.account_ids)
+    # the ``detail`` column, compared as strings (ranked with Python's
+    # ``sorted``).  Within an account, same-time rows (check + detect)
+    # keep their recorded sequence: equal details fall through to
+    # (shard, row), which is shard-invariant because an account lives
+    # in one shard, and a detect's detail ("", "false_positive") never
+    # sorts before its check's "".
+    def defense_keys(keys):
+        details = np.concatenate(
+            [keys.ids("detail", s) for s in range(len(shard_runs))]
         )
-    defense_keys.sort()
-    _merge_columns(
-        merged.defense_store,
-        [run.dataset.defense_store for run in shard_runs],
-        [(s, r) for *_, s, r in defense_keys],
-        remaps,
+        ranked = sorted(np.unique(details).tolist(), key=strings.lookup)
+        rank = np.zeros(len(strings), dtype=np.int64)
+        rank[ranked] = np.arange(len(ranked))
+        return (rank[details], keys.timestamps())
+
+    access_rows = merge("access_store", "account_address", access_keys)
+    notification_rows = merge(
+        "notification_store", "account_address", timed_keys
     )
+    failure_rows = merge("failure_log", "address", timed_keys)
+    defense_rows = merge("defense_store", "account_address", defense_keys)
 
     # Account-keyed fields rebuild in watch order from the owner shard,
     # which is exactly the order the serial assembly walks accounts in.
@@ -469,14 +535,13 @@ def merge_shard_runs(
         )
 
     diagnostics = {
-        "access_rows": len(access_keys),
-        "notification_rows": len(notification_keys),
-        "failure_rows": len(failure_keys),
-        "defense_rows": len(defense_keys),
+        "access_rows": access_rows,
+        "notification_rows": notification_rows,
+        "failure_rows": failure_rows,
+        "defense_rows": defense_rows,
         "merge_seconds": round(time.perf_counter() - started, 6),
     }
     return merged, diagnostics
-
 
 # ----------------------------------------------------------------------
 # execution
@@ -650,6 +715,62 @@ def run_sharded(
 # ----------------------------------------------------------------------
 # equivalence oracle
 # ----------------------------------------------------------------------
+def _translation(left, right) -> np.ndarray:
+    """``right``'s string ids as ``left``'s ids for the same strings
+    (ids past ``left``'s table for strings it lacks)."""
+    index = {value: ident for ident, value in enumerate(left.to_list())}
+    return np.asarray(
+        [
+            index.get(value, len(index) + ident)
+            for ident, value in enumerate(right.to_list())
+        ],
+        dtype=np.int64,
+    )
+
+
+def _first_divergence(a, b, translation) -> int | None:
+    """The first row at which two same-length stores decode differently.
+
+    Column-at-a-time: ``b``'s interned ids compare after translation
+    into ``a``'s table, an ``opt_f64`` value only where present, ``obj``
+    payloads as Python values (and only up to the earliest divergence
+    found so far).
+    """
+    first = len(a)
+    for field in a.schema:
+        left, right = a.column(field.name), b.column(field.name)
+        if field.kind == "obj":
+            for i, (x, y) in enumerate(zip(left.values(), right.values())):
+                if i >= first:
+                    break
+                if x != y:
+                    first = i
+                    break
+            continue
+        if field.kind == "intern":
+            to_left = translation(a.strings, b.strings)
+            differ = (
+                _whole_column(left.ids, np.int64)[:first]
+                != to_left[_whole_column(right.ids, np.int64)[:first]]
+            )
+        else:
+            dtype = np.int64 if field.kind == "i64" else np.float64
+            differ = (
+                _whole_column(left.data, dtype)[:first]
+                != _whole_column(right.data, dtype)[:first]
+            )
+            if field.kind == "opt_f64":
+                present = _whole_column(left.mask, np.int8)[:first] != 0
+                differ &= present
+                differ |= present != (
+                    _whole_column(right.mask, np.int8)[:first] != 0
+                )
+        hits = np.flatnonzero(differ)
+        if len(hits):
+            first = int(hits[0])
+    return first if first < len(a) else None
+
+
 def dataset_mismatches(
     expected: ObservedDataset, actual: ObservedDataset
 ) -> list[str]:
@@ -657,10 +778,19 @@ def dataset_mismatches(
 
     Compares decoded *rows* (append order included), never raw column
     ids: two stores that interned strings in different orders but hold
-    the same rows are equal.  This is the sharded-vs-serial oracle —
-    tests and the shard benchmark gate both call it.
+    the same rows are equal.  Columns compare whole, and the first
+    divergent row is reported decoded.  This is the sharded-vs-serial
+    oracle — tests and the shard benchmark gate both call it.
     """
     mismatches: list[str] = []
+    translations: dict[tuple[int, int], np.ndarray] = {}
+
+    def translation(left, right) -> np.ndarray:
+        # The stores of a dataset share one table: translate it once.
+        key = (id(left), id(right))
+        if key not in translations:
+            translations[key] = _translation(left, right)
+        return translations[key]
 
     def compare_rows(name: str, a, b) -> None:
         if len(a) != len(b):
@@ -668,13 +798,12 @@ def dataset_mismatches(
                 f"{name}: {len(a)} rows vs {len(b)} rows"
             )
             return
-        for i in range(len(a)):
-            if a.row(i) != b.row(i):
-                mismatches.append(
-                    f"{name}: first divergence at row {i}: "
-                    f"{a.row(i)!r} != {b.row(i)!r}"
-                )
-                return
+        i = _first_divergence(a, b, translation)
+        if i is not None:
+            mismatches.append(
+                f"{name}: first divergence at row {i}: "
+                f"{a.row(i)!r} != {b.row(i)!r}"
+            )
 
     compare_rows(
         "accesses", expected.access_store, actual.access_store

@@ -181,6 +181,17 @@ class ChunkFile:
         index = bisect_right(self._starts, row) - 1
         return self.chunk(index)[row - self._starts[index]].item()
 
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """Values at global indices ``rows`` (all on disk), mapping only
+        the chunks they fall in."""
+        out = np.empty(len(rows), dtype=self.dtype)
+        starts = np.asarray(self._starts, dtype=np.int64)
+        chunk_of = np.searchsorted(starts, rows, side="right") - 1
+        for index in np.unique(chunk_of).tolist():
+            hit = chunk_of == index
+            out[hit] = self.chunk(index)[rows[hit] - starts[index]]
+        return out
+
     def iter_chunks(self) -> Iterator[np.memmap]:
         for index in range(len(self._counts)):
             yield self.chunk(index)
@@ -237,6 +248,19 @@ class SpilledArray:
         for chunk in self.disk.iter_chunks():
             yield from chunk.tolist()
         yield from self.tail
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """Values at global indices ``rows`` (``ndarray.take`` over the
+        whole column), mapping only the disk chunks they touch."""
+        rows = np.asarray(rows, dtype=np.int64)
+        on_disk = rows < self.disk.rows
+        if on_disk.all():
+            return self.disk.take(rows)
+        out = np.empty(len(rows), dtype=self.disk.dtype)
+        out[on_disk] = self.disk.take(rows[on_disk])
+        tail = np.frombuffer(self.tail, dtype=self.disk.dtype)
+        out[~on_disk] = tail[rows[~on_disk] - self.disk.rows]
+        return out
 
     def chunks(self) -> Iterator[np.ndarray]:
         """Aligned numpy windows: disk chunks, then a copy of the tail.

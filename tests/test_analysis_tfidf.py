@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,17 +30,17 @@ words = st.lists(
 
 class TestTermFrequencies:
     def test_relative(self):
-        tf = term_frequencies(["apple", "apple", "pear", "plum"])
+        tf = term_frequencies(Counter(["apple", "apple", "pear", "plum"]))
         assert tf["apple"] == pytest.approx(0.5)
         assert tf["pear"] == pytest.approx(0.25)
 
     def test_empty(self):
-        assert term_frequencies([]) == {}
+        assert term_frequencies(Counter()) == {}
 
     @settings(max_examples=100)
     @given(words)
     def test_sums_to_one(self, terms):
-        total = sum(term_frequencies(terms).values())
+        total = sum(term_frequencies(Counter(terms)).values())
         assert total == pytest.approx(1.0)
 
 
@@ -61,7 +62,7 @@ class TestTfidfTable:
         # difference ranking, exactly the Table 2 mechanism.
         read = ["bitcoin"] * 5 + ["energy"] * 5
         everything = ["energy"] * 50 + ["company"] * 40 + ["please"] * 10
-        table = compute_tfidf_table(read, everything)
+        table = compute_tfidf_table(Counter(read), Counter(everything))
         top = table.top_by_difference(3)
         assert top[0].term == "bitcoin"
         assert table.row("bitcoin").tfidf_a == 0.0
@@ -69,25 +70,25 @@ class TestTfidfTable:
     def test_corpus_word_ranks_by_weight(self):
         read = ["bitcoin"]
         everything = ["energy"] * 50 + ["company"] * 30 + ["please"] * 20
-        table = compute_tfidf_table(read, everything)
+        table = compute_tfidf_table(Counter(read), Counter(everything))
         ranking = [row.term for row in table.top_by_corpus_weight(3)]
         assert ranking == ["energy", "company", "please"]
 
     def test_common_words_near_zero_difference(self):
         shared = ["energy"] * 50
-        table = compute_tfidf_table(shared, shared)
+        table = compute_tfidf_table(Counter(shared), Counter(shared))
         assert table.row("energy").difference == pytest.approx(0.0)
 
     def test_weights_in_unit_interval(self):
         read = ["alpha", "bravo", "bravo"]
         everything = ["alpha"] * 4 + ["candy"] * 4
-        table = compute_tfidf_table(read, everything)
+        table = compute_tfidf_table(Counter(read), Counter(everything))
         for row in table.rows.values():
             assert 0.0 <= row.tfidf_r <= 1.0
             assert 0.0 <= row.tfidf_a <= 1.0
 
     def test_missing_term_raises(self):
-        table = compute_tfidf_table(["alpha"], ["alpha"])
+        table = compute_tfidf_table(Counter(["alpha"]), Counter(["alpha"]))
         with pytest.raises(AnalysisError):
             table.row("zulu")
         assert "alpha" in table
@@ -95,12 +96,12 @@ class TestTfidfTable:
 
     def test_empty_all_document_rejected(self):
         with pytest.raises(AnalysisError):
-            compute_tfidf_table(["alpha"], [])
+            compute_tfidf_table(Counter(["alpha"]), Counter())
 
     @settings(max_examples=100)
     @given(words, words)
     def test_l2_norms_bounded(self, read, everything):
-        table = compute_tfidf_table(read, everything)
+        table = compute_tfidf_table(Counter(read), Counter(everything))
         norm_r = math.sqrt(
             sum(r.tfidf_r**2 for r in table.rows.values())
         )
@@ -128,10 +129,11 @@ class TestTieOrder:
 
     def test_weights_do_not_depend_on_the_hash_seed(self):
         code = (
+            "from collections import Counter\n"
             "from repro.analysis.tfidf import compute_tfidf_table\n"
             "read = [f'w{i % 37}' for i in range(300)]\n"
             "every = [f'w{i % 911}' for i in range(7 * 911 + 5)]\n"
-            "table = compute_tfidf_table(read, every)\n"
+            "table = compute_tfidf_table(Counter(read), Counter(every))\n"
             "print(sorted((r.term, r.tfidf_r.hex(), r.tfidf_a.hex())"
             " for r in table.rows.values()))\n"
             "print([r.term for r in table.top_by_difference(20)])\n"
