@@ -6,7 +6,8 @@ back.  The workload is the ``fast`` scenario over two seeds, run three
 ways per round:
 
 * **bare** — ``BatchRunner(jobs=1)`` plus the cross-seed aggregate:
-  the pre-sweeps code path and the overhead baseline;
+  a storeless ``SweepManager`` (no lookups, no puts, no journal file)
+  and the overhead baseline;
 * **cold** — the same cells through ``SweepManager`` into a fresh
   :class:`ResultsStore` (in-process backend), plus the aggregate;
 * **warm** — a second ``SweepManager.run(resume=True)`` against the

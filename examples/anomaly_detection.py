@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 import random
 
-from repro import run_paper_experiment
+from repro import run_scenario, scenarios
 from repro.analysis.detector import AccountAnomalyDetector
 from repro.core.notifications import NotificationKind
 
 
 def main() -> None:
-    result = run_paper_experiment(seed=2016)
-    dataset = result.dataset
+    dataset = run_scenario(scenarios.get("fast"), seed=2016).dataset
 
     # Train one detector per honey account on its own seeded content
     # (the owner's "benign" mailbox) plus synthetic benign durations.

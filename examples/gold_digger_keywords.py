@@ -11,14 +11,13 @@ Run:  python examples/gold_digger_keywords.py
 
 from __future__ import annotations
 
-from repro import run_paper_experiment
+from repro import run_scenario, scenarios
 from repro.analysis.keywords import infer_searched_words
 from repro.core.notifications import NotificationKind
 
 
 def main() -> None:
-    result = run_paper_experiment(seed=2016)
-    dataset = result.dataset
+    dataset = run_scenario(scenarios.get("fast"), seed=2016).dataset
 
     reads = [
         n

@@ -12,16 +12,13 @@ Run:  python examples/location_evasion.py
 
 from __future__ import annotations
 
-from repro import analyze, run_paper_experiment, significance_tests
+from repro import run_scenario, scenarios, significance_tests
 from repro.analysis.ecdf import Ecdf
 from repro.analysis.figures import ascii_cdf
 
 
 def main() -> None:
-    result = run_paper_experiment(seed=2016)
-    analysis = analyze(
-        result.dataset, scan_period=result.config.scan_period
-    )
+    analysis = run_scenario(scenarios.get("fast"), seed=2016).analysis
 
     print("== median circles (km from the advertised midpoint) ==")
     paper = {

@@ -23,7 +23,7 @@ import sys
 import time
 
 from repro import scenarios
-from repro.sweeps import ResultsStore, SweepManager, backend_from_name
+from repro.sweeps import ResultsStore, SweepManager, backend_for
 
 
 def main() -> None:
@@ -50,8 +50,7 @@ def main() -> None:
                   f"seed={record['seed']}")
 
     manager = SweepManager(scenario, seeds, store, progress=progress)
-    backend = backend_from_name("pool" if jobs > 1 else "inprocess",
-                                jobs=jobs)
+    backend = backend_for(jobs)
     print(f"sweeping {scenario.name} over seeds {seeds} "
           f"(backend={backend.name}, store={store.root}, "
           f"resume={resume})...")

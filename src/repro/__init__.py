@@ -41,9 +41,7 @@ pool, with cross-seed aggregates and pooled significance tests::
 
 The CLI mirrors the API: ``python -m repro run --scenario paste_only``,
 ``python -m repro sweep --seeds 2016..2023 --jobs 4``, ``python -m
-repro scenarios``, ``python -m repro compare``.  ``run_paper_experiment``
-remains as a thin shim over the ``fast``/``paper_default`` scenarios for
-existing scripts.
+repro scenarios``, ``python -m repro compare``.
 
 See docs/API.md for the scenario/batch API, DESIGN.md for the system
 inventory and EXPERIMENTS.md for paper-vs-measured numbers on every
@@ -83,7 +81,6 @@ from repro.core.experiment import (
     Experiment,
     ExperimentConfig,
     ExperimentResult,
-    run_paper_experiment,
 )
 from repro.core.groups import LeakPlan, OutletKind, paper_leak_plan
 from repro.perf import PhaseTimer, capture_profile, peak_rss_kb
@@ -137,7 +134,6 @@ __all__ = [
     "peak_rss_kb",
     "personas",
     "register_persona",
-    "run_paper_experiment",
     "run_scenario",
     "scenarios",
     "significance_tests",

@@ -1,12 +1,12 @@
 """Multi-seed, multi-scenario batch execution.
 
 :class:`BatchRunner` executes the cross product of scenarios and seeds
-on the sweep dispatch backends (:mod:`repro.sweeps.backends`): serially
-in this process, or in supervised forked workers, one child per cell.
-Both paths run the same cell function on the *serialized* scenario, so
-a pooled batch is bit-identical to a serial one: every worker rebuilds
-its world from JSON exactly like the parent would, and determinism
-rests solely on the master seed.
+as a storeless :class:`~repro.sweeps.manager.SweepManager` sweep with
+no retries: serially in this process, or in supervised forked workers,
+one child per cell.  Both paths run the same cell function on the
+*serialized* scenario, so a pooled batch is bit-identical to a serial
+one: every worker rebuilds its world from JSON exactly like the parent
+would, and determinism rests solely on the master seed.
 
 Cross-seed aggregation produces mean/stdev/min/max summaries of the
 overview statistics plus *pooled* Cramér-von Mises p-values — the
@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from repro.api.envelope import RunResult, cvm_panel_p_values
 from repro.api.scenario import Scenario
-from repro.errors import ConfigurationError, SweepError
+from repro.errors import ConfigurationError
 
 #: Overview fields aggregated across seeds.
 AGGREGATED_METRICS: tuple[str, ...] = (
@@ -271,13 +271,10 @@ class BatchRunner:
         raises :class:`~repro.errors.SweepError` naming the first
         failed cell once the batch has finished.
         """
-        # The sweeps package imports this module; import its backends
-        # here to keep the cycle out of module load.
-        from repro.sweeps.backends import (
-            CellTask,
-            InProcessBackend,
-            LocalPoolBackend,
-        )
+        # The sweeps package imports this module; import it here to
+        # keep the cycle out of module load.
+        from repro.sweeps.backends import backend_for
+        from repro.sweeps.manager import SweepManager
 
         seed_list = list(seeds)
         if not scenario_list:
@@ -293,40 +290,8 @@ class BatchRunner:
         workers = self.jobs if jobs is None else jobs
         if workers < 1:
             raise ConfigurationError("jobs must be >= 1")
-        cells = [
-            (scenario, seed)
-            for scenario in scenario_list
-            for seed in seed_list
-        ]
-        tasks = [
-            CellTask(index=index, scenario_json=scenario.to_json(), seed=seed)
-            for index, (scenario, seed) in enumerate(cells)
-        ]
-        backend = (
-            InProcessBackend()
-            if workers == 1 or len(tasks) == 1
-            else LocalPoolBackend(workers)
+        backend = backend_for(
+            min(workers, len(scenario_list) * len(seed_list))
         )
-        outcomes = sorted(backend.run_cells(tasks), key=lambda o: o.index)
-        runs: list[RunResult] = []
-        failures: list[FailedRun] = []
-        for outcome in outcomes:
-            if outcome.ok:
-                runs.append(outcome.run)
-                continue
-            scenario, seed = cells[outcome.index]
-            failures.append(
-                FailedRun(
-                    scenario_name=scenario.name,
-                    seed=seed,
-                    error=outcome.error,
-                    traceback=outcome.traceback or "",
-                )
-            )
-        if strict and failures:
-            first = failures[0]
-            raise SweepError(
-                f"{len(failures)} cell(s) failed; first: "
-                f"{first.scenario_name} seed={first.seed}: {first.error}"
-            )
-        return BatchResult(runs=runs, failures=failures)
+        manager = SweepManager(scenario_list, seed_list, store=None, retries=0)
+        return manager.run(backend, strict=strict).batch()

@@ -20,7 +20,7 @@ Usage::
     python -m repro run --defenses 'c3,reset_policy' --seed 7
     python -m repro sweep --seeds 2016..2018 --jobs 2
     python -m repro sweep --store results-store --seeds 2016..2023
-    python -m repro sweep --store results-store --resume --backend pool
+    python -m repro sweep --store results-store --resume --jobs 2
     python -m repro store ls --store results-store
     python -m repro compare --scenarios fast,no_case_studies --seeds 1..2
 
@@ -33,12 +33,19 @@ with its default parameters), inline JSON (a list of defense specs),
 or a path to a JSON file of specs; it replaces the scenario's defense
 list.  ``--defenses ''`` strips all defenses from a defended scenario.
 
+Every ``sweep`` runs through one :class:`~repro.sweeps.SweepManager`
+on the backend :func:`~repro.sweeps.backend_for` derives from
+``--jobs`` and ``--cell-timeout``, and honours ``--retries``.
 ``sweep --store DIR`` turns a one-shot sweep into a persistent,
 memoized campaign (:mod:`repro.sweeps`): completed (scenario, seed,
 code-version) cells are stored content-addressed under ``DIR`` and
 skipped on re-launch (``--resume``), with every state transition
 journaled to ``DIR/journal.jsonl``.  ``store ls``/``verify``/``gc``
 inspect and maintain the store.
+
+``--fault-plan``, ``--scenario-file`` and the file forms of
+``--persona-mix``/``--defenses`` are read by one loader: an unreadable
+file or malformed JSON exits 2 with an ``error:`` line.
 
 ``python -m repro.cli ...`` keeps working for older scripts.
 """
@@ -182,14 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scenario-file", default=None, metavar="FILE",
         dest="scenario_file",
         help="run the scenario serialized in FILE (Scenario JSON) "
-        "instead of a registry entry — how the sweep subprocess "
-        "backend dispatches cells",
-    )
-    run_parser.add_argument(
-        "--result-out", default=None, metavar="FILE", dest="result_out",
-        help="pickle the RunResult envelope to FILE after the run "
-        "(readable with pickle.load; used by the sweep subprocess "
-        "backend to ship results back)",
+        "instead of a registry entry",
     )
     run_parser.add_argument(
         "--fingerprint", action="store_true",
@@ -347,27 +347,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--retries", type=int, default=1, metavar="N",
         help="extra attempts per failed cell before it is reported "
-        "failed (default: 1; store mode only)",
-    )
-    sweep_parser.add_argument(
-        "--backend", default=None,
-        choices=["inprocess", "pool", "subprocess"],
-        help="dispatch backend for store-mode sweeps (default: pool "
-        "when --jobs > 1, else inprocess)",
+        "failed (default: 1)",
     )
     sweep_parser.add_argument(
         "--max-cells", type=int, default=None, metavar="N",
         dest="max_cells",
         help="execute at most N uncached cells this invocation, "
-        "deferring the rest (store mode only; resume later with "
+        "deferring the rest (needs --store; resume later with "
         "--resume)",
     )
     sweep_parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
         dest="cell_timeout",
-        help="wall-clock limit per cell attempt on the pool/subprocess "
-        "backends; a cell past it is killed, reported failed, and "
-        "requeued under --retries (store mode only; default: no "
+        help="wall-clock limit per cell attempt; each cell then runs "
+        "in a forked worker, and a cell past the limit is killed, "
+        "reported failed, and requeued under --retries (default: no "
         "limit)",
     )
 
@@ -433,6 +427,22 @@ def _apply_duration(scenario: Scenario, duration_days: float | None) -> Scenario
     )
 
 
+def _load_json_spec(text: str, what: str, *, inline: bool = False):
+    """Parse the JSON file named by ``text`` (or ``text`` itself when
+    ``inline``), raising :class:`~repro.errors.ConfigurationError` for
+    an unreadable file or malformed JSON.  ``what`` names the spec in
+    the error message."""
+    try:
+        return json.loads(text if inline else Path(text).read_text())
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read {what} file {text!r}: {exc}"
+        ) from exc
+    except json.JSONDecodeError as exc:
+        where = "" if inline else f" in {text!r}"
+        raise ConfigurationError(f"bad {what} JSON{where}: {exc}") from exc
+
+
 def parse_persona_mix_spec(spec: str, scenario: Scenario) -> PersonaMix:
     """Parse a ``--persona-mix`` value.
 
@@ -444,24 +454,11 @@ def parse_persona_mix_spec(spec: str, scenario: Scenario) -> PersonaMix:
     """
     text = spec.strip()
     if text.startswith("{"):
-        try:
-            return PersonaMix.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"bad persona mix JSON: {exc}"
-            ) from exc
+        return PersonaMix.from_dict(
+            _load_json_spec(text, "persona mix", inline=True)
+        )
     if text.endswith(".json") or Path(text).is_file():
-        try:
-            payload = json.loads(Path(text).read_text())
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read persona mix file {text!r}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"bad persona mix JSON in {text!r}: {exc}"
-            ) from exc
-        return PersonaMix.from_dict(payload)
+        return PersonaMix.from_dict(_load_json_spec(text, "persona mix"))
     rows = []
     for part in text.split(","):
         part = part.strip()
@@ -504,23 +501,11 @@ def parse_defenses_spec(spec: str) -> tuple[Defense, ...]:
     if not text:
         return ()
     if text.startswith("["):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"bad defenses JSON: {exc}") from exc
-        return defenses_from_specs(payload)
+        return defenses_from_specs(
+            _load_json_spec(text, "defenses", inline=True)
+        )
     if text.endswith(".json") or Path(text).is_file():
-        try:
-            payload = json.loads(Path(text).read_text())
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read defenses file {text!r}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"bad defenses JSON in {text!r}: {exc}"
-            ) from exc
-        return defenses_from_specs(payload)
+        return defenses_from_specs(_load_json_spec(text, "defenses"))
     names = [name.strip() for name in text.split(",") if name.strip()]
     return defenses_from_specs(names)
 
@@ -534,13 +519,7 @@ def _resolve_scenario(args) -> Scenario:
                 "--scenario-file cannot be combined with --scenario "
                 "or --paper-cadence (the file already is the scenario)"
             )
-        try:
-            payload = Path(scenario_file).read_text()
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read scenario file {scenario_file!r}: {exc}"
-            ) from exc
-        base = Scenario.from_json(payload)
+        base = Scenario.from_dict(_load_json_spec(scenario_file, "scenario"))
     else:
         name = args.scenario
         if name is None:
@@ -568,7 +547,9 @@ def _command_run(args) -> int:
     if getattr(args, "fault_plan", None):
         from repro.faults import FaultPlan
 
-        FaultPlan.from_json(Path(args.fault_plan).read_text()).activate()
+        FaultPlan.from_dict(
+            _load_json_spec(args.fault_plan, "fault plan")
+        ).activate()
     if args.resume_from is not None:
         return _run_resumed(args)
     if args.checkpoint_every is not None:
@@ -733,14 +714,6 @@ def _report_run(run, args, *, spilled: list | None = None) -> int:
         written = run.export_telemetry(args.telemetry_out)
         print(f"exported telemetry ({len(written)} files) "
               f"to {args.telemetry_out}")
-    if args.result_out:
-        import pickle
-
-        result_path = Path(args.result_out)
-        result_path.parent.mkdir(parents=True, exist_ok=True)
-        with result_path.open("wb") as handle:
-            pickle.dump(run, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        print(f"wrote result envelope: {result_path}")
     return 0
 
 
@@ -888,7 +861,23 @@ def _print_batch(batch, args) -> None:
         print(f"wrote {path}")
 
 
+def _print_progress(record: dict) -> None:
+    if record.get("event") != "cell":
+        return
+    status = record["status"]
+    if status in ("done", "cached", "failed", "requeued"):
+        detail = ""
+        if status == "done":
+            detail = f" ({record.get('elapsed_seconds', 0):.1f}s)"
+        elif status in ("failed", "requeued"):
+            detail = f" ({record.get('error')})"
+        print(f"  [{status}] {record['scenario']} "
+              f"seed={record['seed']}{detail}")
+
+
 def _command_sweep(args) -> int:
+    from repro.sweeps import ResultsStore, SweepManager, backend_for
+
     seeds = parse_seed_spec(args.seeds)
     names = [n.strip() for n in args.scenario.split(",") if n.strip()]
     if not names:
@@ -897,63 +886,14 @@ def _command_sweep(args) -> int:
         _apply_duration(scenarios.get(name), args.duration_days)
         for name in names
     ]
-    if args.store is None:
-        if (
-            args.resume
-            or args.max_cells is not None
-            or args.backend
-            or args.cell_timeout is not None
-        ):
-            raise ConfigurationError(
-                "--resume/--max-cells/--backend/--cell-timeout need a "
-                "persistent store; add --store DIR"
-            )
-        started = time.time()
-        batch = BatchRunner(jobs=args.jobs).run_matrix(
-            scenario_list, seeds
-        )
-        elapsed = time.time() - started
-        print(f"swept {', '.join(names)} over {len(seeds)} seeds "
-              f"in {elapsed:.1f}s (jobs={args.jobs})")
-        _print_batch(batch, args)
-        return 1 if batch.failures else 0
-    return _sweep_with_store(args, scenario_list, seeds)
-
-
-def _sweep_with_store(args, scenario_list, seeds) -> int:
-    from repro.sweeps import (
-        ResultsStore,
-        SweepManager,
-        backend_from_name,
-    )
-
-    backend_name = args.backend or (
-        "pool" if args.jobs > 1 else "inprocess"
-    )
-    backend = backend_from_name(
-        backend_name, jobs=args.jobs, cell_timeout=args.cell_timeout
-    )
-    store = ResultsStore(args.store)
-
-    def progress(record: dict) -> None:
-        if record.get("event") != "cell":
-            return
-        status = record["status"]
-        if status in ("done", "cached", "failed", "requeued"):
-            detail = ""
-            if status == "done":
-                detail = f" ({record.get('elapsed_seconds', 0):.1f}s)"
-            elif status in ("failed", "requeued"):
-                detail = f" ({record.get('error')})"
-            print(f"  [{status}] {record['scenario']} "
-                  f"seed={record['seed']}{detail}")
-
+    backend = backend_for(args.jobs, cell_timeout=args.cell_timeout)
+    store = ResultsStore(args.store) if args.store is not None else None
     manager = SweepManager(
         scenario_list,
         seeds,
         store,
         retries=args.retries,
-        progress=progress,
+        progress=_print_progress,
     )
     result = manager.run(
         backend,
@@ -966,11 +906,10 @@ def _sweep_with_store(args, scenario_list, seeds) -> int:
           f"{counts['done']} executed, {counts['cached']} cached, "
           f"{counts['failed']} failed, "
           f"{counts['deferred'] + counts['pending']} deferred")
-    print(f"store: {store.root} ({len(store)} cells), journal: "
-          f"{manager.journal_path}")
-    batch = result.batch()
-    if batch.runs:
-        _print_batch(batch, args)
+    if store is not None:
+        print(f"store: {store.root} ({len(store)} cells), journal: "
+              f"{manager.journal_path}")
+    _print_batch(result.batch(), args)
     if not result.complete and not result.failed:
         print("sweep incomplete: re-invoke with --resume to continue")
     return 1 if result.failed else 0

@@ -207,6 +207,9 @@ class Experiment:
         #: the ordinary serial run.
         self.shard = shard
         self.honey_accounts: list[HoneyAccount] = []
+        #: The accounts this process observes, in provision order:
+        #: every honey account in a serial run, the shard's own ones in
+        #: a sharded run.
         self.owned_accounts: list[HoneyAccount] = []
         self._owned_set: set[str] = set()
         self.blackmail: BlackmailCampaign | None = None
@@ -616,12 +619,7 @@ class Experiment:
             population=self.population,
             horizon=days(self.config.duration_days),
         )
-        owned = (
-            self.honey_accounts
-            if self._shard_is_serial
-            else self.owned_accounts
-        )
-        for honey in owned:
+        for honey in self.owned_accounts:
             leak_time = self.ledger.first_leak_time(honey.address)
             engine.schedule_account(
                 honey.address,
@@ -664,26 +662,8 @@ class Experiment:
         # the timed call above was an idempotent no-op; report the real
         # construction cost recorded by build() itself.
         perf["build"] = round(already_built_seconds, 6)
-        return ExperimentResult(
-            dataset=dataset,
-            honey_accounts=self.honey_accounts,
-            ledger=self.ledger,
-            config=self.config,
-            events_executed=executed,
-            blacklisted_ips={
-                str(entry.address) for entry in self.blacklist
-            },
-            perf=perf,
-            rss_kb=timer.rss_kb,
-            all_addresses=tuple(h.address for h in self.honey_accounts),
-            owned_addresses=tuple(
-                h.address
-                for h in (
-                    self.honey_accounts
-                    if self._shard_is_serial
-                    else self.owned_accounts
-                )
-            ),
+        return self._result(
+            dataset, executed, perf=perf, rss_kb=timer.rss_kb
         )
 
     # ------------------------------------------------------------------
@@ -728,49 +708,26 @@ class Experiment:
         self.monitor.stop()
         self._measuring = False
         dataset = self._assemble_dataset()
+        return self._result(dataset, self._events_executed)
+
+    def _result(
+        self, dataset: ObservedDataset, events_executed: int, **timings
+    ) -> ExperimentResult:
+        """The result both :meth:`run` and :meth:`finish_measurement`
+        return; ``timings`` carries :meth:`run`'s ``perf``/``rss_kb``."""
         return ExperimentResult(
             dataset=dataset,
             honey_accounts=self.honey_accounts,
             ledger=self.ledger,
             config=self.config,
-            events_executed=self._events_executed,
+            events_executed=events_executed,
             blacklisted_ips={
                 str(entry.address) for entry in self.blacklist
             },
             all_addresses=tuple(h.address for h in self.honey_accounts),
-            owned_addresses=tuple(
-                h.address
-                for h in (
-                    self.honey_accounts
-                    if self._shard_is_serial
-                    else self.owned_accounts
-                )
-            ),
+            owned_addresses=tuple(h.address for h in self.owned_accounts),
+            **timings,
         )
-
-    def run_sharded(self, shards: int, *, jobs: int | None = None):
-        """Run this experiment's configuration partitioned across
-        ``shards`` worker processes (see :mod:`repro.shard`).
-
-        Returns the merged :class:`repro.api.RunResult` — bit-identical
-        ``analyze()`` output to :meth:`run`, obtained from fresh worker
-        worlds (this instance's world, if already built, is not used).
-        """
-        from repro.api.scenario import Scenario
-        from repro.shard import run_sharded
-
-        kwargs = {}
-        if self.persona_mix is not None:
-            kwargs["persona_mix"] = self.persona_mix
-        scenario = Scenario(
-            name="adhoc",
-            config=self.config,
-            leak_plan=self.leak_plan,
-            shards=shards,
-            description="ad-hoc sharded experiment",
-            **kwargs,
-        )
-        return run_sharded(scenario, jobs=jobs)
 
     def _assemble_dataset(self) -> ObservedDataset:
         # Zero-copy handoff: the monitor's columnar telemetry stores
@@ -783,12 +740,7 @@ class Experiment:
         )
         dataset.monitor_ips = set(self.monitor.monitor_ip_strings)
         dataset.monitor_city = self.monitor.monitor_city.name
-        observed = (
-            self.honey_accounts
-            if self._shard_is_serial
-            else self.owned_accounts
-        )
-        for honey in observed:
+        for honey in self.owned_accounts:
             leak_time = self.ledger.first_leak_time(honey.address)
             dataset.provenance[honey.address] = AccountProvenance(
                 address=honey.address,
@@ -800,7 +752,7 @@ class Experiment:
                 for m in honey.account.mailbox.all_messages()
                 if m.received_at < 0  # seeded history only
             ]
-        for honey in observed:
+        for honey in self.owned_accounts:
             if honey.account.is_blocked:
                 dataset.blocked_accounts.append(
                     (honey.address, honey.account.blocked_at or 0.0)
@@ -837,18 +789,3 @@ class Experiment:
                 truth[(address, str(cookie))] = labels
         return truth
 
-
-def run_paper_experiment(
-    seed: int = 2016, *, fast: bool = True
-) -> ExperimentResult:
-    """One-call entry point used by examples and benchmarks.
-
-    Kept as a thin shim over the scenario registry
-    (:mod:`repro.api.registry`); new code should prefer
-    ``scenarios.get("fast").run(seed=...)`` which returns the richer
-    :class:`repro.api.RunResult` envelope.
-    """
-    from repro.api.registry import scenarios
-
-    scenario = scenarios.get("fast" if fast else "paper_default")
-    return Experiment.from_scenario(scenario, seed=seed).run()

@@ -1,7 +1,9 @@
 """Distributed sweep orchestration with a memoized results store.
 
-One-shot :class:`~repro.api.runner.BatchRunner` sweeps become
-persistent, resumable **campaigns**:
+:class:`SweepManager` is the one engine that plans, dispatches, retries
+and reports a scenario × seed matrix.  Without a store it runs a
+one-shot batch (:class:`~repro.api.runner.BatchRunner` is a thin facade
+over it); with one, sweeps become persistent, resumable **campaigns**:
 
 * :class:`JobSpec` (:mod:`repro.sweeps.jobspec`) — a deterministic
   content address for each (scenario, seed, code-version) cell,
@@ -14,10 +16,10 @@ persistent, resumable **campaigns**:
   transition to JSONL, survives kill-and-restart (``resume=True``),
   and requeues failures with a bounded retry budget;
 * dispatch backends (:mod:`repro.sweeps.backends`) —
-  :class:`InProcessBackend`, :class:`LocalPoolBackend`, and
-  :class:`SubprocessBackend` behind one :class:`DispatchBackend`
-  protocol, so the same sweep scales from "this process" to "one OS
-  process per cell" (the shape SSH/SLURM dispatch slots into).
+  :class:`InProcessBackend` and :class:`LocalPoolBackend` (supervised
+  forked workers, one per cell) behind one :class:`DispatchBackend`
+  protocol; :func:`backend_for` derives which one a sweep of ``jobs``
+  workers and an optional cell timeout runs on.
 
 Quickstart::
 
@@ -34,20 +36,18 @@ Quickstart::
     result = manager.run(resume=True)  # instant: all 8 load from disk
     assert result.cached == 8
 
-The CLI mirrors this: ``python -m repro sweep --store DIR [--resume]
-[--backend inprocess|pool|subprocess] [--retries N] [--max-cells N]``
-plus ``python -m repro store ls|verify|gc``.
+The CLI mirrors this: ``python -m repro sweep [--store DIR [--resume]
+[--max-cells N]] [--jobs N] [--retries N] [--cell-timeout SEC]`` plus
+``python -m repro store ls|verify|gc``.
 """
 
 from repro.sweeps.backends import (
-    BACKEND_NAMES,
     CellOutcome,
     CellTask,
     DispatchBackend,
     InProcessBackend,
     LocalPoolBackend,
-    SubprocessBackend,
-    backend_from_name,
+    backend_for,
 )
 from repro.sweeps.jobspec import (
     CODE_VERSION_ENV,
@@ -65,7 +65,6 @@ from repro.sweeps.manager import (
 from repro.sweeps.store import ResultsStore, StoreEntry, open_store
 
 __all__ = [
-    "BACKEND_NAMES",
     "CODE_VERSION_ENV",
     "CellOutcome",
     "CellStatus",
@@ -76,11 +75,10 @@ __all__ = [
     "LocalPoolBackend",
     "ResultsStore",
     "StoreEntry",
-    "SubprocessBackend",
     "SweepCell",
     "SweepManager",
     "SweepResult",
-    "backend_from_name",
+    "backend_for",
     "canonical_scenario_json",
     "default_code_version",
     "open_store",

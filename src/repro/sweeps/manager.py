@@ -19,6 +19,13 @@ in strict mode.  ``max_cells`` caps how many uncached cells one
 invocation executes, which is both a cost-control knob and the hook
 the resume smoke test uses to simulate a killed sweep.
 
+Without a store (``store=None``) the same engine runs a one-shot
+batch: nothing is looked up, stored or journaled to disk, but cells
+are still dispatched, retried and reported the same way, and the
+``progress`` callback still sees every journal record.  This is how
+:class:`~repro.api.runner.BatchRunner` and a storeless
+``python -m repro sweep`` run.
+
 Journal records are JSON objects, one per line, ``event``-tagged:
 
 ``launch``
@@ -133,8 +140,8 @@ class SweepResult:
 
         Cached and freshly-executed cells are indistinguishable here —
         both contribute their :class:`RunResult`; failed cells become
-        :class:`FailedRun` records, exactly as ``BatchRunner`` reports
-        them.
+        :class:`FailedRun` records.  This is the one place a
+        :class:`BatchResult` is built (``BatchRunner`` returns it too).
         """
         runs = [
             cell.run
@@ -162,7 +169,8 @@ class SweepManager:
         seeds: master seeds; the matrix is the full cross product in
             scenario-major, seed-minor order (the ``BatchRunner``
             ordering).
-        store: the memoizing results store.
+        store: the memoizing results store, or ``None`` for a one-shot
+            sweep that caches nothing and writes no journal file.
         code_version: the code-version token folded into every cell
             address (default: :func:`default_code_version`).
         retries: extra attempts per failed cell before it is declared
@@ -176,7 +184,7 @@ class SweepManager:
             capping *total* requeues across the whole sweep; once spent,
             further failing cells fail immediately.
         journal_path: where to journal (default:
-            ``<store root>/journal.jsonl``).
+            ``<store root>/journal.jsonl``; needs a store).
         progress: optional callback receiving every journal record as
             a dict, for live progress displays.
     """
@@ -185,7 +193,7 @@ class SweepManager:
         self,
         scenario_list: "Scenario | Sequence[Scenario]",
         seeds: Iterable[int],
-        store: ResultsStore,
+        store: ResultsStore | None,
         *,
         code_version: str | None = None,
         retries: int = 1,
@@ -210,13 +218,17 @@ class SweepManager:
             )
         if retries < 0:
             raise ConfigurationError("retries must be >= 0")
+        if store is None and journal_path is not None:
+            raise ConfigurationError("a sweep journal needs a store")
         self.store = store
         self.code_version = code_version or default_code_version()
         self.retries = retries
         self.retry_policy = retry_policy or RetryPolicy()
         self.retry_budget = retry_budget
         self.journal_path = (
-            Path(journal_path) if journal_path else store.journal_path
+            Path(journal_path)
+            if journal_path
+            else store.journal_path if store is not None else None
         )
         self.progress = progress
 
@@ -233,7 +245,7 @@ class SweepManager:
                 )
                 status = (
                     CellStatus.CACHED
-                    if spec in self.store
+                    if self.store is not None and spec in self.store
                     else CellStatus.PENDING
                 )
                 cells.append(
@@ -269,11 +281,20 @@ class SweepManager:
         invocation dispatches (retries of a dispatched cell do not
         count); the rest are journaled as deferred.  ``strict=True``
         raises :class:`~repro.errors.SweepError` if any cell exhausts
-        its retry budget.
+        its retry budget.  ``resume`` and ``max_cells`` need a store.
         """
         if max_cells is not None and max_cells < 0:
             raise ConfigurationError("max_cells must be >= 0")
-        if self.journal_path.exists() and not resume:
+        if self.store is None and (resume or max_cells is not None):
+            raise ConfigurationError(
+                "resume (--resume) and max_cells (--max-cells) need a "
+                "persistent results store (--store DIR)"
+            )
+        if (
+            self.journal_path is not None
+            and self.journal_path.exists()
+            and not resume
+        ):
             raise ConfigurationError(
                 f"journal {self.journal_path} records a previous sweep; "
                 "pass resume=True (--resume) to continue it, or point "
@@ -337,7 +358,8 @@ class SweepManager:
                     cell.error = None
                     cell.traceback = None
                     cell.status = CellStatus.DONE
-                    self._store_with_retry(cell, outcome.run)
+                    if self.store is not None:
+                        self._store_with_retry(cell, outcome.run)
                     self._journal_cell(
                         cell,
                         "done",
@@ -446,9 +468,10 @@ class SweepManager:
     # ------------------------------------------------------------------
     def _journal(self, record: dict) -> None:
         record = {"ts": round(time.time(), 3), **record}
-        self.journal_path.parent.mkdir(parents=True, exist_ok=True)
-        with self.journal_path.open("a") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        if self.journal_path is not None:
+            self.journal_path.parent.mkdir(parents=True, exist_ok=True)
+            with self.journal_path.open("a") as handle:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
         if self.progress is not None:
             self.progress(record)
 

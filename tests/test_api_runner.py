@@ -268,17 +268,3 @@ class TestAggregates:
         with pytest.raises(ConfigurationError, match="zero runs"):
             aggregate_runs([])
 
-
-class TestLegacyShim:
-    def test_run_paper_experiment_unchanged(self):
-        from repro import run_paper_experiment
-        from repro.core.experiment import ExperimentResult
-
-        result = run_paper_experiment(seed=2016)
-        assert isinstance(result, ExperimentResult)
-        assert result.account_count == 100
-        assert result.config.master_seed == 2016
-        # shim must keep producing the legacy fast() configuration
-        from repro.core.experiment import ExperimentConfig
-
-        assert result.config == ExperimentConfig.fast(master_seed=2016)

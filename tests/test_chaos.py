@@ -40,7 +40,6 @@ from repro.shard import dataset_mismatches, run_sharded
 from repro.sweeps import (
     LocalPoolBackend,
     ResultsStore,
-    SubprocessBackend,
     SweepManager,
     read_journal,
 )
@@ -195,52 +194,26 @@ class TestSweepChaos:
         ]
         assert ("requeued", 2016) in statuses
 
-    def test_quick_subprocess_cell_crash_recovers_via_env_channel(
-        self, tmp_path
-    ):
-        # The plan travels to the `python -m repro run` child purely
-        # through REPRO_FAULTS; the child exits 7 mid-run, the manager
-        # requeues, and the state-dir budget keeps the retry clean.
+    def test_quick_pool_cell_hang_is_killed_and_requeued(self, tmp_path):
+        # The state-dir budget hangs only the first attempt; the cell
+        # timeout kills that worker and the requeued attempt runs
+        # clean, well inside the same timeout.
         scenario = _short()
         expected = self._expected_fingerprints(scenario, [SEED])
-        plan = _crash_once(
-            "run.scenario", tmp_path / "budget", exit_code=7
+        plan = FaultPlan(
+            rules=(FaultRule(site="sweep.cell", kind="hang"),),
+            state_dir=str(tmp_path / "budget"),
         )
         store = ResultsStore(tmp_path / "store")
         manager = SweepManager(scenario, [SEED], store, retries=1)
         with plan.scoped():
-            result = manager.run(SubprocessBackend(jobs=1))
+            result = manager.run(LocalPoolBackend(jobs=1, cell_timeout=4.0))
         assert result.complete
         assert result.cells[0].attempts == 2
         assert [
             analysis_fingerprint(cell.run.analysis)
             for cell in result.cells
         ] == expected
-        requeues = [
-            r
-            for r in read_journal(store.journal_path)
-            if r.get("status") == "requeued"
-        ]
-        assert len(requeues) == 1
-        assert "exit status 7" in requeues[0]["error"]
-
-    def test_subprocess_cell_timeout_kills_the_worker(self, tmp_path):
-        scenario = _short()
-        plan = FaultPlan(
-            rules=(
-                FaultRule(
-                    site="run.scenario", kind="hang", seconds=600.0
-                ),
-            ),
-            state_dir=str(tmp_path / "budget"),
-        )
-        store = ResultsStore(tmp_path / "store")
-        manager = SweepManager(scenario, [SEED], store, retries=1)
-        with plan.scoped():
-            result = manager.run(
-                SubprocessBackend(jobs=1, cell_timeout=15.0)
-            )
-        assert result.complete
         requeues = [
             r
             for r in read_journal(store.journal_path)

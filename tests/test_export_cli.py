@@ -213,6 +213,19 @@ class TestCli:
         assert "unknown persona" in message
         assert "gold_digger" in message
 
+    def test_unreadable_fault_plan_is_reported(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["run", "--fault-plan", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read fault plan file")
+
+    def test_malformed_fault_plan_is_reported(self, tmp_path, capsys):
+        malformed = tmp_path / "bad.json"
+        malformed.write_text("{not json")
+        assert main(["run", "--fault-plan", str(malformed)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad fault plan JSON")
+
     def test_sweep_command(self, tmp_path, capsys):
         exit_code = main(
             [

@@ -214,21 +214,6 @@ class TestShardEdgeCases:
         assert restored.shard_perf == sharded.shard_perf
         assert restored.perf["merge"] == sharded.perf["merge"]
 
-    def test_experiment_run_sharded_helper(self):
-        from repro.core.experiment import Experiment, ExperimentConfig
-
-        config = ExperimentConfig.fast(master_seed=5)
-        config = ExperimentConfig(
-            master_seed=5,
-            duration_days=10.0,
-            scan_period=config.scan_period,
-            scrape_period=config.scrape_period,
-            emails_per_account=(20, 30),
-        )
-        serial = Experiment(config).run()
-        sharded = Experiment(config).run_sharded(2, jobs=1)
-        assert not dataset_mismatches(serial.dataset, sharded.dataset)
-
 
 def _toy_shard_run(
     spec: ShardSpec,

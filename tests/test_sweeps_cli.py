@@ -1,7 +1,5 @@
 """CLI coverage for memoized sweeps: sweep --store, store, run --scenario-file."""
 
-import pickle
-
 import pytest
 
 from repro.api import scenarios
@@ -69,14 +67,17 @@ class TestSweepStoreFlow:
         err = capsys.readouterr().err
         assert "--store" in err
 
-    def test_cell_timeout_requires_store(self, capsys):
+    def test_storeless_cell_timeout_kills_the_cell(self, capsys):
         # Regression: storeless sweeps used to ignore --cell-timeout
-        # and run to completion.
+        # and run to completion.  The timed-out cell is requeued once
+        # (the default --retries 1), killed again, and reported.
         argv = ["sweep", "--seeds", "1", "--duration-days", "2",
                 "--cell-timeout", "0.001"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "--cell-timeout" in err and "--store" in err
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "[requeued] fast seed=1 (worker timed out" in captured.out
+        assert "1 failed" in captured.out
+        assert "FAILED (worker timed out" in captured.err
 
     def test_multi_scenario_sweep(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -144,23 +145,17 @@ class TestStoreCommand:
 
 
 class TestRunScenarioFile:
-    def test_run_from_file_with_result_out(self, tmp_path, capsys):
+    def test_run_from_scenario_file(self, tmp_path, capsys):
         scenario_path = tmp_path / "tiny.json"
         scenario_path.write_text(TINY.to_json())
-        result_path = tmp_path / "out" / "tiny.pkl"
         argv = [
             "run",
             "--scenario-file", str(scenario_path),
             "--seed", "7",
-            "--result-out", str(result_path),
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "scenario=tiny" in out
-        assert "wrote result envelope" in out
-        run = pickle.loads(result_path.read_bytes())
-        assert run.seed == 7
-        assert run.scenario.name == "tiny"
+        assert "scenario=tiny, seed=7" in out
 
     def test_scenario_file_conflicts_with_scenario(self, tmp_path, capsys):
         scenario_path = tmp_path / "tiny.json"

@@ -14,7 +14,7 @@ from repro.sweeps import (
     LocalPoolBackend,
     ResultsStore,
     SweepManager,
-    backend_from_name,
+    backend_for,
     read_journal,
 )
 
@@ -321,13 +321,45 @@ class TestBackends:
             strip(r) for r in pooled.batch().runs
         ]
 
-    def test_backend_from_name(self):
-        assert backend_from_name("inprocess").name == "inprocess"
-        pool = backend_from_name("pool", jobs=3)
-        assert pool.name == "pool" and pool.jobs == 3
-        sub = backend_from_name("subprocess", jobs=2)
-        assert sub.name == "subprocess" and sub.jobs == 2
-        with pytest.raises(ConfigurationError, match="unknown dispatch"):
-            backend_from_name("slurm")
+    def test_backend_for_derives_the_backend(self):
+        assert isinstance(backend_for(1), InProcessBackend)
+        pool = backend_for(3)
+        assert isinstance(pool, LocalPoolBackend)
+        assert pool.jobs == 3 and pool.cell_timeout is None
+        # A cell timeout needs a worker to kill, even with one job.
+        timed = backend_for(1, cell_timeout=2.5)
+        assert isinstance(timed, LocalPoolBackend)
+        assert timed.jobs == 1 and timed.cell_timeout == 2.5
+        with pytest.raises(ConfigurationError, match="jobs"):
+            backend_for(0)
         with pytest.raises(ConfigurationError, match="jobs"):
             LocalPoolBackend(jobs=0)
+
+
+class TestStoreless:
+    def test_runs_retries_and_reports_without_writing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        seen = []
+        manager = make_manager(None, seeds=(2016,), progress=seen.append)
+        result = manager.run(FlakyBackend(failures_per_cell=1))
+        assert result.complete and result.executed == 1
+        assert [r.seed for r in result.batch().runs] == [2016]
+        assert manager.journal_path is None
+        assert list(tmp_path.iterdir()) == []
+        assert [r["event"] for r in seen] == [
+            "launch", "cell", "cell", "cell", "cell", "finish",
+        ]
+        assert [r["status"] for r in seen if r["event"] == "cell"] == [
+            "running", "requeued", "running", "done",
+        ]
+
+    def test_resume_max_cells_and_journal_need_a_store(self, tmp_path):
+        manager = make_manager(None)
+        with pytest.raises(ConfigurationError, match="--store"):
+            manager.run(resume=True)
+        with pytest.raises(ConfigurationError, match="--store"):
+            manager.run(max_cells=1)
+        with pytest.raises(ConfigurationError, match="journal"):
+            make_manager(None, journal_path=tmp_path / "journal.jsonl")
