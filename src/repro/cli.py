@@ -234,9 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--wal", default=None, metavar="FILE",
-        help="write-ahead log: every accepted event is journaled to "
-        "FILE before it mutates state; an existing FILE is replayed "
-        "on startup and appended to",
+        help="write-ahead log: every accepted request is journaled to "
+        "FILE as one line before it mutates state; an existing FILE is "
+        "replayed on startup and appended to",
     )
     serve_parser.add_argument(
         "--checkpoint", default=None, metavar="FILE",

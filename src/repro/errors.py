@@ -78,7 +78,14 @@ class ServiceError(ReproError):
 
 
 class ValidationError(ServiceError):
-    """Raised when an ingested event does not match the wire schema."""
+    """Raised when an ingested event does not match the wire schema.
+
+    ``accepted`` counts the events of the same request that came before
+    the invalid one; ``ServiceState.apply`` journals and applies those
+    before it raises.
+    """
+
+    accepted = 0
 
 
 class DegradedError(ServiceError):

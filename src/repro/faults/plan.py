@@ -36,7 +36,7 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -329,19 +329,15 @@ class _FaultInjector:
         force it to disk, and die — the crash-mid-write failure the
         torn-tail recovery paths must survive.
 
-        The site supplies ``path`` plus either ``data`` (bytes) or
-        ``record`` (a dict serialized exactly as the WAL would).
+        The site supplies ``path`` and ``data``, the exact bytes it was
+        about to write.
         """
         path = context.get("path")
         data = context.get("data")
-        if data is None and "record" in context:
-            data = (
-                json.dumps(context["record"], sort_keys=True) + "\n"
-            ).encode()
         if path is None or data is None:
             raise FaultInjectedError(
-                f"torn_write at {site} needs 'path' and 'data' or "
-                "'record' in the site context"
+                f"torn_write at {site} needs 'path' and 'data' in the "
+                "site context"
             )
         cut = max(1, int(len(data) * rule.cut))
         fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND)

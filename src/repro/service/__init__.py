@@ -4,12 +4,13 @@ The batch pipeline (:mod:`repro.analysis`) answers "what happened"
 after a run completes; this package answers it *while it happens*.  A
 :class:`LiveFeed` streams a running simulation's telemetry (or a replay
 of a finished run) as wire-format JSON events into a
-:class:`ServiceState`, which journals every event to a
-:class:`WriteAheadLog`, folds it into the :class:`OnlineClassifier`'s
-rolling per-(account, cookie) state, and keeps the ``/stats`` dashboard
-aggregators current.  :class:`ReproService` exposes all of that over a
-stdlib-only asyncio HTTP API, and :mod:`repro.service.checkpoint`
-makes both the service and a mid-horizon simulation restartable.
+:class:`ServiceState`, which journals each request's events to a
+:class:`WriteAheadLog` as one line, folds them into the
+:class:`OnlineClassifier`'s rolling per-(account, cookie) state, and
+keeps the ``/stats`` dashboard aggregators current.
+:class:`ReproService` exposes all of that over a stdlib-only asyncio
+HTTP API, and :mod:`repro.service.checkpoint` makes both the service
+and a mid-horizon simulation restartable.
 
 The contract that makes online mode trustworthy: after any event
 prefix, :meth:`OnlineClassifier.classified` equals batch

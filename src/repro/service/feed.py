@@ -6,9 +6,10 @@ wire-format event the moment the simulation collects it — the
 simulator plays the role of a real honey-account deployment feeding
 the live classifier.  Delivery is pluggable:
 
-* :meth:`LiveFeed.to_callable` hands batches to any ``callable`` (the
-  in-process path benchmarks and tests use —
-  e.g. ``ServiceState.apply`` per record);
+* ``LiveFeed(deliver)`` hands each batch to any ``callable`` — e.g.
+  ``ServiceState.apply``, which journals a batch as one WAL line (the
+  in-process path); :meth:`LiveFeed.to_callable` hands it on one
+  event at a time;
 * :meth:`LiveFeed.over_http` POSTs JSON arrays to a running
   :class:`~repro.service.server.ReproService` with stdlib
   ``http.client`` (the CI smoke path).
@@ -106,11 +107,11 @@ class LiveFeed:
 
         Each batch retries under ``retry_policy`` (default: the shared
         IO policy) on connection failures, timeouts, and 503s from a
-        degraded service.  The service accepts whole batches or rejects
-        the remainder starting at a position, and events carry no
-        server-side dedup key — so a batch is resent from the first
-        *unaccepted* event, keeping delivery exactly-once as long as
-        the failure happened before the 200 landed.
+        degraded service.  A 503 means the service journaled and
+        applied none of the batch, and events carry no server-side
+        dedup key — so the whole batch is resent, keeping delivery
+        exactly-once as long as the failure happened before the 200
+        landed.
         """
         import http.client
 
@@ -127,10 +128,6 @@ class LiveFeed:
         class _RetryableServiceError(ServiceError):
             """A response worth resending: 503 from a degraded peer."""
 
-            def __init__(self, message: str, accepted: int) -> None:
-                super().__init__(message)
-                self.accepted = accepted
-
         def post_once(batch: list[dict]) -> None:
             fault_site("feed.post", events=len(batch))
             connection = http.client.HTTPConnection(
@@ -146,14 +143,8 @@ class LiveFeed:
                 response = connection.getresponse()
                 payload = response.read()
                 if response.status == 503:
-                    try:
-                        accepted = json.loads(payload).get("accepted", 0)
-                    except json.JSONDecodeError:
-                        accepted = 0
                     raise _RetryableServiceError(
-                        f"feed POST {path}: service degraded (503, "
-                        f"{accepted} of {len(batch)} accepted)",
-                        accepted,
+                        f"feed POST {path}: service degraded (503)"
                     )
                 if response.status != 200:
                     raise ServiceError(
@@ -164,20 +155,8 @@ class LiveFeed:
                 connection.close()
 
         def deliver(batch: list[dict]) -> None:
-            remaining = batch
-
-            def attempt() -> None:
-                nonlocal remaining
-                try:
-                    post_once(remaining)
-                except _RetryableServiceError as exc:
-                    # 503 names how much of the batch landed; resend
-                    # only the unaccepted tail.
-                    remaining = remaining[exc.accepted :]
-                    raise
-
             policy.call(
-                attempt,
+                lambda: post_once(batch),
                 retry_on=(
                     ConnectionError,
                     TimeoutError,

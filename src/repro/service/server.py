@@ -8,11 +8,12 @@ order exactly.
 
 Endpoints:
 
-* ``POST /events`` — one JSON event object, or an array of them.
-  Each accepted event is journaled to the WAL (when configured) before
-  it mutates state; a schema-invalid event stops the batch with a 400
-  naming the problem (events before it in the array are already
-  accepted — per-event atomicity, like the WAL itself).
+* ``POST /events`` — one JSON event object, or an array of them, as
+  UTF-8.  The request is journaled to the WAL (when configured) as one
+  line before any of its events mutates state.  A schema-invalid event
+  stops the batch with a 400 naming the problem; the events before it
+  are journaled and applied, and ``accepted`` counts them.  A WAL that
+  cannot be written applies nothing: 503 with ``accepted: 0``.
 * ``GET /stats`` — the live dashboard document
   (:meth:`repro.service.state.ServiceState.stats`).
 * ``GET /healthz`` — liveness probe.
@@ -230,7 +231,19 @@ class ReproService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        try:
+            length = int(headers.get("content-length", 0) or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Without a length the body's end is unknown: answer and
+            # drop the connection rather than misread the next request.
+            await self._respond(
+                writer,
+                400,
+                {"error": "malformed Content-Length", "accepted": 0},
+            )
+            return False
         if length > MAX_BODY_BYTES:
             await self._respond(
                 writer,
@@ -280,28 +293,24 @@ class ReproService:
 
     def _ingest_body(self, body: bytes) -> tuple[int, dict]:
         try:
-            parsed = json.loads(body) if body else None
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return 400, {"error": f"body is not UTF-8: {exc}", "accepted": 0}
+        try:
+            parsed = json.loads(text) if text else None
         except json.JSONDecodeError as exc:
             return 400, {"error": f"bad JSON: {exc}", "accepted": 0}
         if parsed is None:
             return 400, {"error": "empty body", "accepted": 0}
         records = parsed if isinstance(parsed, list) else [parsed]
-        accepted = 0
-        for record in records:
-            try:
-                self.state.apply(record)
-            except DegradedError as exc:
-                # The offending event was not applied; everything
-                # before it in the batch was.  503 tells the feed to
-                # back off and resend from here.
-                return 503, {
-                    "error": str(exc),
-                    "accepted": accepted,
-                    "degraded": True,
-                }
-            except ValidationError as exc:
-                return 400, {"error": str(exc), "accepted": accepted}
-            accepted += 1
+        try:
+            accepted = self.state.apply(records, body)
+        except DegradedError as exc:
+            # Nothing from the request was applied; 503 tells the feed
+            # to back off and resend the whole batch.
+            return 503, {"error": str(exc), "accepted": 0, "degraded": True}
+        except ValidationError as exc:
+            return 400, {"error": str(exc), "accepted": exc.accepted}
         return 200, {
             "accepted": accepted,
             "total_events": self.state.classifier.events_ingested,

@@ -1,13 +1,13 @@
 """The live service's in-memory state: classifier + dashboard + WAL.
 
 :class:`ServiceState` is the single-writer core the HTTP layer drives:
-``apply()`` journals an event to the write-ahead log and folds it into
-the online classifier and the dashboard aggregators.  The dashboard is
-built from the PR 2 streaming aggregators — :class:`CountByKey` per
-event type / notification kind / access country, :class:`OnlineStats`
-over access timestamps, and a :class:`StreamingECDF` of access times in
-days — so ``/stats`` answers from O(1)-per-event state, never by
-rescanning the stream.
+``apply()`` journals one request's events to the write-ahead log as one
+line and folds them into the online classifier and the dashboard
+aggregators.  The dashboard is built from the telemetry streaming
+aggregators — :class:`CountByKey` per event type / notification kind /
+access country, :class:`OnlineStats` over access timestamps, and a
+:class:`StreamingECDF` of access times in days — so ``/stats`` answers
+from O(1)-per-event state, never by rescanning the stream.
 
 Everything here snapshots to JSON (:meth:`dashboard_snapshot` /
 :meth:`restore_dashboard` plus ``OnlineClassifier.to_dict``), which is
@@ -16,7 +16,7 @@ what :mod:`repro.service.checkpoint` persists.
 
 from __future__ import annotations
 
-from repro.errors import DegradedError
+from repro.errors import DegradedError, ValidationError
 from repro.service.classifier import OnlineClassifier
 from repro.service.events import validate_event
 from repro.service.wal import WriteAheadLog
@@ -59,7 +59,8 @@ class ServiceState:
     Args:
         classifier: the online classifier to feed.
         wal: optional write-ahead log; when present every accepted
-            event is journaled before it mutates any state.
+            request is journaled before any of its events mutates
+            state.
     """
 
     def __init__(
@@ -84,21 +85,39 @@ class ServiceState:
     # ------------------------------------------------------------------
     # ingest
     # ------------------------------------------------------------------
-    def apply(self, record: dict) -> None:
-        """Validate, journal, and ingest one event (the live path).
+    def apply(self, records: list[dict], raw: bytes | None = None) -> int:
+        """Validate, journal and ingest one request's events (the live
+        path); returns how many were accepted.
 
-        Durability before state: if the WAL cannot journal the event
-        even through its retry policy, the event is **not** applied and
-        :class:`~repro.errors.DegradedError` surfaces — the service
-        answers 503 and flags itself degraded rather than acknowledging
-        an event a restart would lose.  The next successful append
-        clears the flag (degradation is a property of the disk, not a
-        latch).
+        The events are validated first, up to the first invalid one.
+        The valid prefix is then journaled as one WAL line — the body
+        ``raw`` itself when every event is valid, so the live state and
+        a replay parse the same bytes — and only then ingested.  An
+        invalid event at index ``k`` raises
+        :class:`~repro.errors.ValidationError` with ``accepted = k``
+        after the first ``k`` events were journaled and applied.
+
+        Durability before state: if the WAL cannot journal the line
+        even through its retry policy, **no** event of the request is
+        applied and :class:`~repro.errors.DegradedError` surfaces — the
+        service answers 503 and flags itself degraded rather than
+        acknowledging events a restart would lose.  The next successful
+        append clears the flag (degradation is a property of the disk,
+        not a latch).
         """
-        validate_event(record)
-        if self.wal is not None:
+        invalid = None
+        for index, record in enumerate(records):
             try:
-                self.wal.append(record)
+                validate_event(record)
+            except ValidationError as exc:
+                exc.accepted = index
+                invalid = exc
+                records = records[:index]
+                raw = None
+                break
+        if self.wal is not None and records:
+            try:
+                self.wal.append(records, raw)
             except OSError as exc:
                 self.degraded = True
                 self.wal_failures += 1
@@ -107,7 +126,11 @@ class ServiceState:
                     f"{exc}"
                 ) from exc
             self.degraded = False
-        self.ingest(record)
+        for record in records:
+            self.ingest(record)
+        if invalid is not None:
+            raise invalid
+        return len(records)
 
     def ingest(self, record: dict) -> None:
         """Fold one already-journaled event in (the replay path)."""

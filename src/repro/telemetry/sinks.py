@@ -27,10 +27,10 @@ class JsonlSink:
     when the producing run finishes.
 
     Durability discipline (mirrors the results-store sidecar commits):
-    the file is opened line-buffered and each record is written as one
-    whole line, so a writer killed mid-run leaves only complete JSONL
-    lines behind; :meth:`close` flushes and fsyncs before releasing the
-    handle, so a clean close survives power loss too.
+    each line is written whole and flushed before the write returns, so
+    a writer killed mid-run leaves only complete JSONL lines behind;
+    :meth:`close` flushes and fsyncs before releasing the handle, so a
+    clean close survives power loss too.
 
     Args:
         path: destination file.
@@ -47,18 +47,11 @@ class JsonlSink:
         self.lines_written = 0
         if append and self.path.exists():
             self.lines_written = _truncate_partial_tail(self.path)
-            self._handle = self.path.open(
-                "a", encoding="utf-8", buffering=1
-            )
+            self._handle = self.path.open("ab")
         else:
-            self._handle = self.path.open(
-                "w", encoding="utf-8", buffering=1
-            )
+            self._handle = self.path.open("wb")
         self.rows_written = 0
-        # Byte offset of the last fully committed line.  json.dumps
-        # defaults to ensure_ascii, so every line is pure ASCII and
-        # len(line) == its byte length — committed-offset accounting
-        # costs one addition per write.
+        # Byte offset of the last fully committed line.
         self._bytes_committed = self.path.stat().st_size
 
     def write(self, index: int, row: tuple, log: EventLog) -> None:
@@ -66,21 +59,25 @@ class JsonlSink:
         self.write_record(record)
 
     def write_record(self, record: dict) -> None:
-        """Append one free-form record as a JSONL line (WAL entries).
+        """Append one free-form record as a JSONL line."""
+        self.write_line((json.dumps(record, sort_keys=True) + "\n").encode())
+        self.rows_written += 1
 
-        All-or-nothing per record: if the write raises (disk full, IO
+    def write_line(self, line: bytes) -> None:
+        """Append one complete line (``line`` ends in ``b"\\n"``).
+
+        All-or-nothing per line: if the write raises (disk full, IO
         error), the file is rolled back to the last committed line
         before the error propagates, so a failed append can never
-        leave a partial line that corrupts the records after it once
+        leave a partial line that corrupts the lines after it once
         the caller retries.
         """
-        line = json.dumps(record, sort_keys=True) + "\n"
         try:
             self._handle.write(line)
+            self._handle.flush()
         except OSError:
             self._rollback()
             raise
-        self.rows_written += 1
         self.lines_written += 1
         self._bytes_committed += len(line)
 
@@ -92,7 +89,7 @@ class JsonlSink:
             pass
         with self.path.open("r+b") as handle:
             handle.truncate(self._bytes_committed)
-        self._handle = self.path.open("a", encoding="utf-8", buffering=1)
+        self._handle = self.path.open("ab")
 
     def flush(self) -> None:
         if not self._handle.closed:
@@ -115,7 +112,7 @@ def _truncate_partial_tail(path: Path) -> int:
     """Drop a trailing partial line from ``path``; returns the number of
     complete lines that remain.
 
-    A line-buffered writer killed mid-process can leave at most one
+    A writer killed mid-``write`` can leave at most one
     incomplete final line; everything before the last newline is intact.
     """
     data = path.read_bytes()

@@ -288,8 +288,17 @@ def _wal_writer_child(path: str) -> None:
     """Forked child: appends events until the injected fault kills it."""
     wal = WriteAheadLog(path)
     for record in _events(3):
-        wal.append(record)
+        wal.append([record])
     wal.close()
+
+
+def _group_writer_child(path: str, batches: list[list[dict]]) -> None:
+    """Forked child: journals one request per batch until the injected
+    fault kills it."""
+    state = ServiceState(OnlineClassifier(), wal=WriteAheadLog(path))
+    for batch in batches:
+        state.apply(batch, json.dumps(batch).encode())
+    state.close()
 
 
 class TestServiceChaos:
@@ -303,7 +312,7 @@ class TestServiceChaos:
                 OnlineClassifier(), wal=WriteAheadLog(wal_path)
             )
             for record in _events():
-                state.apply(record)
+                state.apply([record])
             state.close()
         assert not state.degraded
         assert list(replay_wal(wal_path)) == _events()
@@ -325,14 +334,14 @@ class TestServiceChaos:
         events = _events()
         with plan.scoped():
             with pytest.raises(DegradedError, match="WAL unwritable"):
-                state.apply(events[0])
+                state.apply([events[0]])
         assert state.degraded
         stats = state.stats()
         assert stats["degraded"] is True
         assert stats["wal_failures"] == 1
         # The failed event was NOT applied — the WAL stays the source
         # of truth — and the next successful append clears the flag.
-        state.apply(events[0])
+        state.apply([events[0]])
         assert not state.degraded
         assert state.stats()["degraded"] is False
         state.close()
@@ -349,17 +358,22 @@ class TestServiceChaos:
                 ),
             )
         )
-        state = ServiceState(
-            OnlineClassifier(),
-            wal=WriteAheadLog(tmp_path / "events.wal"),
-        )
+        wal_path = tmp_path / "events.wal"
+        state = ServiceState(OnlineClassifier(), wal=WriteAheadLog(wal_path))
         service = ReproService(state)
-        body = json.dumps(_events(3)).encode()
         with plan.scoped():
-            status, payload = service._ingest_body(body)
+            status, _ = service._ingest_body(json.dumps(_events(2)).encode())
+            assert status == 200
+            status, payload = service._ingest_body(
+                json.dumps(_events(3)).encode()
+            )
         assert status == 503
         assert payload["degraded"] is True
-        assert payload["accepted"] == 1  # everything before the fault
+        # The failed request's line was never written, so none of its
+        # events was applied; the WAL holds only the earlier request.
+        assert payload["accepted"] == 0
+        assert state.classifier.events_ingested == 2
+        assert list(replay_wal(wal_path)) == _events(2)
         status, payload = service._dispatch("GET", "/healthz", b"")
         assert (status, payload["status"]) == (503, "degraded")
         # --degraded-ok keeps liveness green so orchestrators don't
@@ -393,9 +407,49 @@ class TestServiceChaos:
         assert list(replay_wal(wal_path)) == _events(1)
         resumed = WriteAheadLog(wal_path, resume=True)
         assert resumed.position == 1
-        resumed.append(_events(2)[1])
+        resumed.append([_events(2)[1]])
         resumed.close()
         assert list(replay_wal(wal_path)) == _events(2)
+
+    def test_quick_torn_group_write_is_dropped_whole(self, tmp_path):
+        wal_path = tmp_path / "events.wal"
+        events = _events(7)
+        batches = [events[:3], events[3:]]
+        plan = FaultPlan(
+            rules=(
+                FaultRule(
+                    site="wal.append",
+                    kind="torn_write",
+                    at_hit=2,
+                    cut=0.6,
+                ),
+            )
+        )
+        ctx = multiprocessing.get_context("fork")
+        with plan.scoped():
+            child = ctx.Process(
+                target=_group_writer_child, args=(str(wal_path), batches)
+            )
+            child.start()
+            child.join(timeout=30)
+        assert child.exitcode == -9  # SIGKILL mid-write, as planned
+        # The second request's line is torn: none of its events
+        # replays, not even the ones wholly inside the cut.
+        assert list(replay_wal(wal_path)) == batches[0]
+        # The feed never saw a 200, so it resends the whole batch;
+        # every event is then counted exactly once.
+        state = restore_service_state(wal_path, None)
+        service = ReproService(state)
+        status, payload = service._ingest_body(
+            json.dumps(batches[1]).encode()
+        )
+        assert (status, payload["accepted"]) == (200, len(batches[1]))
+        status, stats = service._dispatch("GET", "/stats", b"")
+        assert status == 200
+        assert stats["events"]["total"] == len(events)
+        assert stats["wal_position"] == 2
+        state.close()
+        assert list(replay_wal(wal_path)) == events
 
     def test_quick_checkpoint_write_io_error_is_retried(self, tmp_path):
         plan = FaultPlan(
@@ -410,7 +464,7 @@ class TestServiceChaos:
                 )
                 assert status == 200
         checkpoint = json.loads(server.checkpoint_path.read_text())
-        assert checkpoint["wal_position"] == len(_events())
+        assert checkpoint["wal_position"] == 1  # one line per request
 
     def test_quick_feed_http_transient_error_is_retried(self, tmp_path):
         plan = FaultPlan(
@@ -431,6 +485,30 @@ class TestServiceChaos:
         assert stats["events"]["total"] == len(events)
         assert feed.events_sent == len(events)
 
+    def test_quick_feed_resends_a_degraded_batch_whole(self, tmp_path):
+        # Every WAL try of the second request fails, so the service
+        # answers 503 having applied none of it; the feed resends it.
+        plan = FaultPlan(
+            rules=(
+                FaultRule(
+                    site="wal.append", kind="io_error", at_hit=2, times=3
+                ),
+            )
+        )
+        events = _events(6)
+        with LiveServer(tmp_path) as server:
+            with plan.scoped():
+                feed = LiveFeed.over_http(server.url, batch_size=3)
+                for record in events:
+                    feed.send(record)
+                feed.close()
+            status, stats = server.request("GET", "/stats")
+        assert status == 200
+        assert stats["events"]["total"] == len(events)
+        assert stats["wal_failures"] == 1
+        assert stats["wal_position"] == 2
+        assert list(replay_wal(tmp_path / "events.wal")) == events
+
     def test_replay_fingerprint_identical_under_io_faults(
         self, tmp_path, experiment_result
     ):
@@ -445,7 +523,7 @@ class TestServiceChaos:
         )
         clean = ServiceState(OnlineClassifier())
         for record in events:
-            clean.apply(record)
+            clean.apply([record])
         expected = clean.classifier.fingerprint()
 
         wal_path = tmp_path / "events.wal"
@@ -468,7 +546,7 @@ class TestServiceChaos:
                 OnlineClassifier(), wal=WriteAheadLog(wal_path)
             )
             for record in events:
-                state.apply(record)
+                state.apply([record])
             DEFAULT_IO_RETRY.call(
                 lambda: write_service_checkpoint(ckpt_path, state),
                 retry_on=(OSError,),

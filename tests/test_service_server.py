@@ -144,6 +144,42 @@ def test_malformed_json_is_a_400(server):
         connection.close()
 
 
+def _raw_post(server, body, content_length):
+    """POST ``body`` under a hand-set Content-Length header."""
+    host, port = server.url.split("//", 1)[1].split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        connection.putrequest("POST", "/events")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def test_non_numeric_content_length_is_a_400(server):
+    status, body = _raw_post(server, b"[]", "two")
+    assert (status, body["accepted"]) == (400, 0)
+    assert "Content-Length" in body["error"]
+    assert server.request("GET", "/healthz")[0] == 200
+
+
+def test_negative_content_length_is_a_400(server):
+    status, body = _raw_post(server, b"", "-5")
+    assert (status, body["accepted"]) == (400, 0)
+    assert "Content-Length" in body["error"]
+    assert server.request("GET", "/healthz")[0] == 200
+
+
+def test_non_utf8_body_is_a_400(server):
+    status, body = _raw_post(server, b'["\xff"]', "5")
+    assert (status, body["accepted"]) == (400, 0)
+    assert "UTF-8" in body["error"]
+    assert server.state.classifier.events_ingested == 0
+    assert server.state.wal.position == 0
+
+
 def test_stats_reflects_ingested_events(server):
     server.request(
         "POST",
@@ -173,7 +209,8 @@ def test_stats_reflects_ingested_events(server):
     assert stats["lockouts"] == 1
     assert stats["labels"]["gold_digger"] == 1
     assert stats["labels"]["hijacker"] == 1
-    assert stats["wal_position"] == 6
+    # One WAL line per POST, however many events it carried.
+    assert stats["wal_position"] == 1
     assert stats["access_time"]["first_day"] == pytest.approx(1.0)
     assert stats["access_time"]["last_day"] == pytest.approx(2.0)
 
@@ -296,7 +333,8 @@ def test_sigterm_drains_flushes_and_resumes_identically(tmp_path):
     reference = OnlineClassifier()
     ingest_all(reference, events)
     assert restored.classifier.fingerprint() == reference.fingerprint()
-    assert restored.wal.position == len(events)
+    # Two acknowledged requests, two WAL lines.
+    assert restored.wal.position == 2
     restored.close()
 
 
@@ -315,7 +353,7 @@ def test_serve_restart_replays_the_wal_tail(tmp_path):
     )
     service = ReproService(restored)
     for record in events[6:]:
-        restored.apply(record)
+        restored.apply([record])
     reference = OnlineClassifier()
     ingest_all(reference, events)
     assert restored.classifier.fingerprint() == reference.fingerprint()

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import DegradedError, ServiceError, ValidationError
+from repro.faults import FaultPlan, FaultRule
 from repro.service import (
     OnlineClassifier,
     ServiceState,
@@ -32,7 +33,7 @@ def test_wal_appends_and_replays_in_order(tmp_path):
     path = tmp_path / "events.wal"
     wal = WriteAheadLog(path)
     records = [access_event(timestamp=float(i)) for i in range(5)]
-    positions = [wal.append(r) for r in records]
+    positions = [wal.append([r]) for r in records]
     assert positions == [1, 2, 3, 4, 5]
     wal.close()
     assert list(replay_wal(path)) == records
@@ -42,10 +43,10 @@ def test_wal_appends_and_replays_in_order(tmp_path):
 def test_wal_resume_continues_the_journal(tmp_path):
     path = tmp_path / "events.wal"
     with WriteAheadLog(path) as wal:
-        wal.append(access_event(timestamp=1.0))
+        wal.append([access_event(timestamp=1.0)])
     resumed = WriteAheadLog(path, resume=True)
     assert resumed.position == 1
-    resumed.append(access_event(timestamp=2.0))
+    resumed.append([access_event(timestamp=2.0)])
     resumed.close()
     assert len(list(replay_wal(path))) == 2
 
@@ -53,8 +54,8 @@ def test_wal_resume_continues_the_journal(tmp_path):
 def test_wal_replay_ignores_a_torn_tail(tmp_path):
     path = tmp_path / "events.wal"
     with WriteAheadLog(path) as wal:
-        wal.append(access_event(timestamp=1.0))
-        wal.append(access_event(timestamp=2.0))
+        wal.append([access_event(timestamp=1.0)])
+        wal.append([access_event(timestamp=2.0)])
     with path.open("a") as handle:
         handle.write('{"type": "access", "trunc')
     assert len(list(replay_wal(path))) == 2
@@ -63,12 +64,12 @@ def test_wal_replay_ignores_a_torn_tail(tmp_path):
 def test_wal_resume_truncates_the_torn_tail(tmp_path):
     path = tmp_path / "events.wal"
     with WriteAheadLog(path) as wal:
-        wal.append(access_event(timestamp=1.0))
+        wal.append([access_event(timestamp=1.0)])
     with path.open("a") as handle:
         handle.write('{"partial')
     resumed = WriteAheadLog(path, resume=True)
     assert resumed.position == 1
-    resumed.append(access_event(timestamp=2.0))
+    resumed.append([access_event(timestamp=2.0)])
     resumed.close()
     replayed = list(replay_wal(path))
     assert [r["timestamp"] for r in replayed] == [1.0, 2.0]
@@ -81,7 +82,7 @@ def test_wal_replay_survives_a_tail_torn_mid_multibyte_utf8(tmp_path):
     # UnicodeDecodeError before it could see the missing newline).
     path = tmp_path / "events.wal"
     with WriteAheadLog(path) as wal:
-        wal.append(access_event(timestamp=1.0))
+        wal.append([access_event(timestamp=1.0)])
     torn = '{"type": "access", "city": "café"}'.encode("utf-8")
     with path.open("ab") as handle:
         handle.write(torn[:-3])  # cut inside the é's two bytes
@@ -89,7 +90,7 @@ def test_wal_replay_survives_a_tail_torn_mid_multibyte_utf8(tmp_path):
     assert [r["timestamp"] for r in replayed] == [1.0]
     resumed = WriteAheadLog(path, resume=True)
     assert resumed.position == 1
-    resumed.append(access_event(timestamp=2.0))
+    resumed.append([access_event(timestamp=2.0)])
     resumed.close()
     assert len(list(replay_wal(path))) == 2
 
@@ -97,7 +98,7 @@ def test_wal_replay_survives_a_tail_torn_mid_multibyte_utf8(tmp_path):
 def test_wal_replay_survives_a_tail_torn_mid_json_escape(tmp_path):
     path = tmp_path / "events.wal"
     with WriteAheadLog(path) as wal:
-        wal.append(access_event(timestamp=1.0))
+        wal.append([access_event(timestamp=1.0)])
     with path.open("a") as handle:
         handle.write('{"type": "access", "ua": "quote \\')
     assert len(list(replay_wal(path))) == 1
@@ -107,6 +108,133 @@ def test_wal_replay_survives_a_tail_torn_mid_json_escape(tmp_path):
     assert not path.read_text().rstrip("\n").splitlines()[-1].endswith(
         "\\"
     )
+
+
+# ----------------------------------------------------------------------
+# one WAL line per request
+# ----------------------------------------------------------------------
+
+
+def _group(first=1000.0):
+    return [
+        access_event(cookie="g1", timestamp=first),
+        notification_event("read", timestamp=first + 100.0),
+        access_event(cookie="g2", timestamp=first + 200.0),
+    ]
+
+
+def _wal_state(path):
+    return ServiceState(OnlineClassifier(), wal=WriteAheadLog(path))
+
+
+def test_pretty_printed_body_is_one_line_that_replays_equal(tmp_path):
+    path = tmp_path / "events.wal"
+    records = _group()
+    raw = json.dumps(records, indent=2).replace("\n", "\r\n").encode()
+    state = _wal_state(path)
+    assert state.apply(records, raw) == len(records)
+    state.close()
+    assert path.read_bytes() == raw.replace(b"\r", b" ").replace(
+        b"\n", b" "
+    ) + b"\n"
+    assert list(replay_wal(path)) == records
+
+
+def test_non_ascii_body_gets_the_canonical_line(tmp_path):
+    path = tmp_path / "events.wal"
+    records = [access_event(city="Montréal", timestamp=1000.0)]
+    raw = json.dumps(records, ensure_ascii=False).encode("utf-8")
+    state = _wal_state(path)
+    state.apply(records, raw)
+    state.close()
+    assert path.read_bytes() == (
+        json.dumps(records, sort_keys=True) + "\n"
+    ).encode()
+    assert list(replay_wal(path)) == records
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_validation_error_journals_and_applies_exactly_the_prefix(
+    tmp_path, k
+):
+    path = tmp_path / "events.wal"
+    records = _group()
+    body = records[:k] + [{"type": "bogus"}] + records[k:]
+    state = _wal_state(path)
+    with pytest.raises(ValidationError, match="bogus") as caught:
+        state.apply(body, json.dumps(body).encode())
+    assert caught.value.accepted == k
+    assert state.classifier.events_ingested == k
+    state.close()
+    # An empty prefix writes no line at all.
+    prefix = records[:k]
+    assert path.read_bytes() == (
+        (json.dumps(prefix, sort_keys=True) + "\n").encode() if k else b""
+    )
+    assert list(replay_wal(path)) == prefix
+
+
+def test_degraded_group_leaves_the_wal_byte_for_byte_unchanged(tmp_path):
+    path = tmp_path / "events.wal"
+    state = _wal_state(path)
+    first = _group()
+    state.apply(first, json.dumps(first).encode())
+    state.flush()
+    before = path.read_bytes()
+    second = _group(5000.0)
+    plan = FaultPlan(
+        rules=(FaultRule(site="wal.append", kind="io_error", times=100),)
+    )
+    with plan.scoped():
+        with pytest.raises(DegradedError):
+            state.apply(second, json.dumps(second).encode())
+    assert state.degraded
+    assert state.classifier.events_ingested == len(first)
+    assert path.read_bytes() == before
+    state.close()
+    assert list(replay_wal(path)) == first
+
+
+def test_old_one_event_lines_then_group_lines_replay_in_order(tmp_path):
+    path = tmp_path / "events.wal"
+    old = [
+        access_event(cookie=f"old{i}", timestamp=10.0 * i) for i in range(3)
+    ]
+    path.write_bytes(
+        b"".join(
+            (json.dumps(record, sort_keys=True) + "\n").encode()
+            for record in old
+        )
+    )
+    group = _group()
+    resumed = WriteAheadLog(path, resume=True)
+    assert resumed.position == len(old)
+    assert resumed.append(group, json.dumps(group).encode()) == len(old) + 1
+    resumed.close()
+    assert list(replay_wal(path)) == old + group
+    assert list(replay_wal(path, start=len(old))) == group
+    restored = restore_service_state(path, None)
+    assert restored.classifier.events_ingested == len(old) + len(group)
+    restored.close()
+
+
+def test_checkpoint_between_groups_restores_the_live_state(tmp_path):
+    wal_path = tmp_path / "events.wal"
+    ckpt_path = tmp_path / "service.ckpt"
+    state = _wal_state(wal_path)
+    first, second = _group(), _group(9000.0)
+    state.apply(first, json.dumps(first).encode())
+    write_service_checkpoint(ckpt_path, state)
+    state.apply(second, json.dumps(second).encode())
+    fingerprint = state.classifier.fingerprint()
+    stats = state.stats()
+    state.close()
+
+    assert load_service_checkpoint(ckpt_path)["wal_position"] == 1
+    restored = restore_service_state(wal_path, ckpt_path)
+    assert restored.classifier.fingerprint() == fingerprint
+    assert restored.stats() == stats
+    restored.close()
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +284,7 @@ def test_restore_without_checkpoint_replays_the_whole_wal(tmp_path):
     wal_path = tmp_path / "events.wal"
     state = ServiceState(OnlineClassifier(), wal=WriteAheadLog(wal_path))
     for record in _sample_events():
-        state.apply(record)
+        state.apply([record])
     fingerprint = state.classifier.fingerprint()
     state.close()
 
@@ -171,10 +299,10 @@ def test_restore_replays_only_the_tail_past_the_checkpoint(tmp_path):
     ckpt_path = tmp_path / "service.ckpt"
     events = _sample_events()
     state = ServiceState(OnlineClassifier(), wal=WriteAheadLog(wal_path))
-    state.apply(events[0])
+    state.apply([events[0]])
     write_service_checkpoint(ckpt_path, state)
     for record in events[1:]:
-        state.apply(record)
+        state.apply([record])
     fingerprint = state.classifier.fingerprint()
     dashboard = state.dashboard_snapshot()
     state.close()
@@ -194,7 +322,7 @@ def test_restore_with_final_record_exactly_at_the_boundary(tmp_path):
     events = _sample_events()
     state = ServiceState(OnlineClassifier(), wal=WriteAheadLog(wal_path))
     for record in events:
-        state.apply(record)
+        state.apply([record])
     write_service_checkpoint(ckpt_path, state)
     fingerprint = state.classifier.fingerprint()
     state.close()
@@ -206,7 +334,7 @@ def test_restore_with_final_record_exactly_at_the_boundary(tmp_path):
     assert restored.classifier.fingerprint() == fingerprint
     assert restored.wal.position == len(events)
     # And the reopened WAL continues from the boundary.
-    restored.apply(access_event(cookie="after", timestamp=9500.0))
+    restored.apply([access_event(cookie="after", timestamp=9500.0)])
     assert restored.wal.position == len(events) + 1
     restored.close()
 
@@ -216,7 +344,7 @@ def test_restore_refuses_a_wal_shorter_than_the_checkpoint(tmp_path):
     ckpt_path = tmp_path / "service.ckpt"
     state = ServiceState(OnlineClassifier(), wal=WriteAheadLog(wal_path))
     for record in _sample_events():
-        state.apply(record)
+        state.apply([record])
     write_service_checkpoint(ckpt_path, state)
     state.close()
     wal_path.write_text(wal_path.read_text().splitlines()[0] + "\n")
