@@ -36,16 +36,12 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import multiprocessing
 import sys
-import time
-from pathlib import Path
+
+import harness
 
 from repro.analysis.defense import defense_report
 from repro.analysis.fingerprint import fingerprint_digest
-from repro.api.registry import scenarios
 from repro.api.scenario import Scenario
 from repro.defenses import C3Service, ResetPolicy
 from repro.perf import peak_rss_kb
@@ -74,21 +70,10 @@ DEFENSE_STACK = (
 IDLE_STACK = (C3Service(coverage=0.0),)
 
 
-def _workload() -> Scenario:
-    return (
-        scenarios.get("fast")
-        .to_builder()
-        .with_duration_days(GATE_DAYS)
-        .build()
-    )
-
-
 def _run_child(scenario_json: str, seed: int):
     """One run in a fresh child: (run, cpu_seconds, rss_kb)."""
     scenario = Scenario.from_json(scenario_json)
-    started = time.process_time()
-    run = scenario.run(seed=seed)
-    elapsed = time.process_time() - started
+    run, _, elapsed = harness.timed(lambda: scenario.run(seed=seed))
     return run, elapsed, peak_rss_kb()
 
 
@@ -103,32 +88,18 @@ def _overhead_child(off_json: str, idle_json: str, seed: int):
     """
     off = Scenario.from_json(off_json)
     idle = Scenario.from_json(idle_json)
-    off_best = idle_best = None
-    off_run = idle_run = None
+    off_times, idle_times = [], []
     for _ in range(TIMING_REPEATS):
-        started = time.process_time()
-        off_run = off.run(seed=seed)
-        elapsed = time.process_time() - started
-        if off_best is None or elapsed < off_best:
-            off_best = elapsed
-        started = time.process_time()
-        idle_run = idle.run(seed=seed)
-        elapsed = time.process_time() - started
-        if idle_best is None or elapsed < idle_best:
-            idle_best = elapsed
-    return off_run, off_best, idle_run, idle_best, peak_rss_kb()
-
-
-def _in_child(function, *args):
-    """Run ``function`` in a fresh forked child (honest ru_maxrss)."""
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-        return pool.apply(function, args)
+        off_run, _, elapsed = harness.timed(lambda: off.run(seed=seed))
+        off_times.append(elapsed)
+        idle_run, _, elapsed = harness.timed(lambda: idle.run(seed=seed))
+        idle_times.append(elapsed)
+    return off_run, min(off_times), idle_run, min(idle_times), peak_rss_kb()
 
 
 def bench_seed(seed: int) -> dict:
-    base = _workload()
-    off_run, off_seconds, idle_run, idle_seconds, arm_rss = _in_child(
+    base = harness.scenario("fast", GATE_DAYS)
+    off_run, off_seconds, idle_run, idle_seconds, arm_rss = harness.in_child(
         _overhead_child,
         base.with_defenses().to_json(),
         base.with_defenses(*IDLE_STACK).to_json(),
@@ -139,7 +110,7 @@ def bench_seed(seed: int) -> dict:
     idle_fingerprint = fingerprint_digest(idle_run.analysis)
 
     defended = base.with_defenses(*DEFENSE_STACK).with_seed(seed)
-    defended_run, defended_seconds, defended_rss = _in_child(
+    defended_run, defended_seconds, defended_rss = harness.in_child(
         _run_child, defended.to_json(), seed
     )
     report = defense_report(
@@ -193,21 +164,11 @@ def bench_seed(seed: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="run one seed instead of two (every gate still runs)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_defenses.json", metavar="FILE",
-        help="machine-readable results file "
-        "(default: BENCH_defenses.json)",
-    )
-    args = parser.parse_args(argv)
+    args = harness.cli(__doc__, "BENCH_defenses.json", argv)
 
     seeds = SEEDS[:1] if args.quick else SEEDS
     results = []
-    failed = False
+    failures = []
     for seed in seeds:
         record = bench_seed(seed)
         mismatches = record.pop("_mismatches")
@@ -225,41 +186,28 @@ def main(argv: list[str] | None = None) -> int:
             f"sharded identical={record['sharded_identical']}"
         )
         if record["overhead_ratio"] > OVERHEAD_LIMIT:
-            print(
-                f"FAIL: seed {seed} idle-engine overhead "
-                f"{record['overhead_ratio']:.3f}x exceeds "
-                f"{OVERHEAD_LIMIT}x",
-                file=sys.stderr,
+            failures.append(
+                f"seed {seed} idle-engine overhead "
+                f"{record['overhead_ratio']:.3f}x exceeds {OVERHEAD_LIMIT}x"
             )
-            failed = True
         if not record["off_matches_idle"]:
-            print(
-                f"FAIL: seed {seed} idle-engine fingerprint diverged "
-                "from the engine-free run",
-                file=sys.stderr,
+            failures.append(
+                f"seed {seed} idle-engine fingerprint diverged from the "
+                "engine-free run"
             )
-            failed = True
         if defended["prevented_accesses"] <= 0:
-            print(
-                f"FAIL: seed {seed} defended run prevented no "
-                "attacker logins",
-                file=sys.stderr,
+            failures.append(
+                f"seed {seed} defended run prevented no attacker logins"
             )
-            failed = True
         if defended["taxonomy_shift_rows"] <= 0:
-            print(
-                f"FAIL: seed {seed} defended taxonomy matches the "
-                "undefended baseline",
-                file=sys.stderr,
+            failures.append(
+                f"seed {seed} defended taxonomy matches the undefended "
+                "baseline"
             )
-            failed = True
         if not record["sharded_identical"]:
-            print(
-                f"FAIL: seed {seed} sharded defended run diverged: "
-                f"{mismatches}",
-                file=sys.stderr,
+            failures.append(
+                f"seed {seed} sharded defended run diverged: {mismatches}"
             )
-            failed = True
 
     payload = {
         "quick": args.quick,
@@ -274,15 +222,11 @@ def main(argv: list[str] | None = None) -> int:
             "overhead_limit": OVERHEAD_LIMIT,
             "timing_repeats": TIMING_REPEATS,
             "shards": GATE_SHARDS,
-            "passed": not failed,
+            "passed": not failures,
         },
         "seeds": results,
     }
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"wrote {out}")
-    return 1 if failed else 0
-
+    return harness.finish(args.out, payload, failures)
 
 if __name__ == "__main__":
     sys.exit(main())

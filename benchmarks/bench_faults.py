@@ -36,18 +36,16 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
+
+import harness
 
 from repro import shard
 from repro.analysis.fingerprint import fingerprint_digest
-from repro.api.registry import scenarios
 from repro.faults import FaultPlan, FaultRule
 from repro.shard import dataset_mismatches, merge_shard_runs, run_sharded
 
@@ -66,41 +64,28 @@ FULL_DAYS = 120.0
 QUICK_DAYS = 20.0
 
 
-def _workload(days: float):
-    return (
-        scenarios.get("fast")
-        .to_builder()
-        .with_duration_days(days)
-        .build()
-        .with_seed(SEED)
-    )
-
-
-def _time_supervised(scenario):
-    started = time.perf_counter()
-    run = run_sharded(scenario, shards=SHARDS, jobs=SHARDS)
-    return run, time.perf_counter() - started
-
-
-def _time_baseline(scenario):
+def _baseline(scenario):
     """Bare-pool dispatch of the shard worker plus the same merge."""
-    started = time.perf_counter()
     scenario = scenario.with_shards(SHARDS)
     serialized = scenario.to_json()
     tasks = [(serialized, index, SHARDS, None) for index in range(SHARDS)]
     with ProcessPoolExecutor(SHARDS) as pool:
         shard_runs = list(pool.map(shard._execute_shard, tasks))
     dataset, _ = merge_shard_runs(scenario, shard_runs)
-    return dataset, time.perf_counter() - started
+    return dataset
 
 
 def bench_overhead(scenario) -> dict:
     """Alternate supervised/baseline repeats; compare the minima."""
     supervised_walls, baseline_walls = [], []
     for _ in range(REPEATS):
-        baseline_dataset, wall = _time_baseline(scenario)
+        baseline_dataset, wall, _ = harness.timed(
+            lambda: _baseline(scenario)
+        )
         baseline_walls.append(round(wall, 6))
-        supervised_run, wall = _time_supervised(scenario)
+        supervised_run, wall, _ = harness.timed(
+            lambda: run_sharded(scenario, shards=SHARDS, jobs=SHARDS)
+        )
         supervised_walls.append(round(wall, 6))
     mismatches = dataset_mismatches(
         baseline_dataset, supervised_run.dataset
@@ -147,21 +132,11 @@ def bench_recovery(scenario, fingerprint: str) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"shorter horizon, {QUICK_OVERHEAD_LIMIT}x gate "
-             f"(full: {OVERHEAD_LIMIT}x)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_faults.json", metavar="FILE",
-        help="machine-readable results file (default: BENCH_faults.json)",
-    )
-    args = parser.parse_args(argv)
+    args = harness.cli(__doc__, "BENCH_faults.json", argv)
 
     days = QUICK_DAYS if args.quick else FULL_DAYS
     limit = QUICK_OVERHEAD_LIMIT if args.quick else OVERHEAD_LIMIT
-    scenario = _workload(days)
+    scenario = harness.scenario("fast", days).with_seed(SEED)
 
     overhead = bench_overhead(scenario)
     mismatches = overhead.pop("_mismatches")
@@ -202,34 +177,22 @@ def main(argv: list[str] | None = None) -> int:
             "recovery_identical": recovery["fingerprint_identical"],
         },
     }
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"wrote {out}")
-
-    failed = False
+    failures = []
     if overhead["overhead_ratio"] > limit:
-        print(
-            f"FAIL: supervision costs {overhead['overhead_ratio']:.3f}x "
-            f"on the fault-free path (limit {limit}x)",
-            file=sys.stderr,
+        failures.append(
+            f"supervision costs {overhead['overhead_ratio']:.3f}x "
+            f"on the fault-free path (limit {limit}x)"
         )
-        failed = True
     if not overhead["dataset_identical"]:
-        print(
-            f"FAIL: supervised dataset diverged from the baseline: "
-            f"{mismatches}",
-            file=sys.stderr,
+        failures.append(
+            f"supervised dataset diverged from the baseline: {mismatches}"
         )
-        failed = True
     if not recovery["fingerprint_identical"]:
-        print(
-            "FAIL: recovery after an injected crash changed the "
-            "analysis fingerprint",
-            file=sys.stderr,
+        failures.append(
+            "recovery after an injected crash changed the analysis "
+            "fingerprint"
         )
-        failed = True
-    return 1 if failed else 0
-
+    return harness.finish(args.out, payload, failures)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -37,19 +37,16 @@ ratio limit because the Python baseline dominates small heaps).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import multiprocessing
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+import harness
 
 from repro.analysis.dataset import analyze
 from repro.analysis.fingerprint import fingerprint_digest
 from repro.api.envelope import run_scenario
-from repro.api.registry import scenarios
 from repro.core.records import ObservedDataset
 from repro.perf import peak_rss_kb
 from repro.telemetry import TelemetryBudget
@@ -162,12 +159,10 @@ def bench_ingest(accounts: int, spill_dir: str | None) -> dict:
         dataset.configure_spill(
             Path(budget.resolve_spill_dir()), chunk_rows=budget.chunk_rows
         )
-    started = time.perf_counter()
-    rows = _fill_synthetic(dataset, accounts)
-    ingest_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    digest = _scan_digest(dataset)
-    scan_seconds = time.perf_counter() - started
+    rows, ingest_seconds, _ = harness.timed(
+        lambda: _fill_synthetic(dataset, accounts)
+    )
+    digest, scan_seconds, _ = harness.timed(lambda: _scan_digest(dataset))
     peak = peak_rss_kb()
     return {
         "mode": "spilled" if budget_mode else "resident",
@@ -189,23 +184,11 @@ def bench_ingest(accounts: int, spill_dir: str | None) -> dict:
     }
 
 
-def _isolated(func, *args):
-    """Run ``func`` in a fresh forked child (per-run ``ru_maxrss``).
-
-    ``ru_maxrss`` is a process-lifetime high-water mark; measuring both
-    modes in one process would report the second at the first one's
-    peak.  Same pattern as ``bench_run.py``.
-    """
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-        return pool.apply(func, args)
-
-
 def bench_memory_gate(accounts: int, ratio_limit: float, cap_kb: int | None) -> dict:
     """Resident vs budgeted ingest of the same synthetic stream."""
-    resident = _isolated(bench_ingest, accounts, None)
+    resident = harness.in_child(bench_ingest, accounts, None)
     with tempfile.TemporaryDirectory(prefix="bench-oocore-") as spill_dir:
-        spilled = _isolated(bench_ingest, accounts, spill_dir)
+        spilled = harness.in_child(bench_ingest, accounts, spill_dir)
     ratio = resident["peak_rss_kb"] / max(spilled["peak_rss_kb"], 1)
     failures = []
     if spilled["digest"] != resident["digest"]:
@@ -246,9 +229,9 @@ def bench_fidelity_case(
     )
     with tempfile.TemporaryDirectory(prefix="bench-oocore-fid-") as spill_dir:
         copy = run.dataset.spilled_copy(spill_dir, chunk_rows=chunk_rows)
-        started = time.perf_counter()
-        chunked = analyze(copy, scan_period=run.config.scan_period)
-        analyze_seconds = time.perf_counter() - started
+        chunked, analyze_seconds, _ = harness.timed(
+            lambda: analyze(copy, scan_period=run.config.scan_period)
+        )
         chunked_digest = fingerprint_digest(chunked)
     return {
         "scenario": name,
@@ -268,17 +251,13 @@ def bench_fidelity_case(
 def bench_fidelity_gate(duration_days: float | None, chunk_rows: int) -> dict:
     """paper_default + scaled(200), three seeds, both analysis paths."""
     cases = []
-    for name, factory in (
-        ("paper_default", lambda: scenarios.get("paper_default")),
-        ("scaled_200", lambda: scenarios.get("scaled", n_accounts=200)),
+    for name, scenario in (
+        ("paper_default", harness.scenario("paper_default", duration_days)),
+        (
+            "scaled_200",
+            harness.scenario("scaled", duration_days, n_accounts=200),
+        ),
     ):
-        scenario = factory()
-        if duration_days is not None:
-            scenario = (
-                scenario.to_builder()
-                .with_duration_days(duration_days)
-                .build()
-            )
         for seed in FIDELITY_SEEDS:
             case = bench_fidelity_case(name, scenario, seed, chunk_rows)
             cases.append(case)
@@ -308,16 +287,7 @@ def bench_fidelity_gate(duration_days: float | None, chunk_rows: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small workloads for CI smoke runs",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_oocore.json", metavar="FILE",
-        help="machine-readable results file (default: BENCH_oocore.json)",
-    )
-    args = parser.parse_args(argv)
+    args = harness.cli(__doc__, "BENCH_oocore.json", argv)
 
     if args.quick:
         accounts, ratio_limit, cap_kb = 2_000, RSS_RATIO_LIMIT_QUICK, None
@@ -347,14 +317,9 @@ def main(argv: list[str] | None = None) -> int:
         "memory_gate": memory,
         "fidelity_gate": fidelity,
     }
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"wrote {out}")
-
-    failures = memory["failures"] + fidelity["failures"]
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return harness.finish(
+        args.out, payload, memory["failures"] + fidelity["failures"]
+    )
 
 
 if __name__ == "__main__":

@@ -36,29 +36,18 @@ mode.
 
 from __future__ import annotations
 
-import argparse
-import json
-import multiprocessing
 import sys
 import time
 from pathlib import Path
+
+import harness
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "golden"))
 
 import run_rows  # noqa: E402
 
 from repro.api.envelope import run_scenario  # noqa: E402
-from repro.api.registry import scenarios  # noqa: E402
 from repro.perf import peak_rss_kb  # noqa: E402
-
-
-def _scenario(name: str, duration_days: float | None, **kwargs):
-    scenario = scenarios.get(name, **kwargs)
-    if duration_days is not None:
-        scenario = (
-            scenario.to_builder().with_duration_days(duration_days).build()
-        )
-    return scenario
 
 
 def bench_one(label: str, scenario, seed: int = 2016) -> dict:
@@ -83,20 +72,6 @@ def bench_one(label: str, scenario, seed: int = 2016) -> dict:
     }
 
 
-def bench_one_isolated(label: str, scenario, seed: int = 2016) -> dict:
-    """Run :func:`bench_one` in a fresh forked child.
-
-    ``ru_maxrss`` is a process-lifetime high-water mark, so measuring
-    workloads in one process would report every workload after the
-    biggest one at the biggest one's peak.  A child per workload keeps
-    ``peak_rss_kb`` per-run (tracemalloc would isolate it too, but its
-    tracing overhead would distort the timing numbers).
-    """
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-        return pool.apply(bench_one, (label, scenario, seed))
-
-
 def bench_golden_gate() -> dict:
     """Every row-golden case, each in a fresh interpreter, against the
     committed golden; returns per-case results and the mismatches."""
@@ -117,32 +92,21 @@ def bench_golden_gate() -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small workloads for CI smoke runs",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_run.json", metavar="FILE",
-        help="machine-readable results file (default: BENCH_run.json)",
-    )
-    args = parser.parse_args(argv)
+    args = harness.cli(__doc__, "BENCH_run.json", argv)
 
-    if args.quick:
-        workloads = [
-            ("fast", _scenario("fast", 30.0)),
-            ("scaled_60", _scenario("scaled", 30.0, n_accounts=60)),
-            ("credential_stuffing", _scenario("credential_stuffing", 30.0)),
-        ]
-    else:
-        workloads = [
-            ("fast", _scenario("fast", None)),
-            ("scaled_200", _scenario("scaled", None, n_accounts=200)),
-            ("credential_stuffing", _scenario("credential_stuffing", None)),
-        ]
+    days = 30.0 if args.quick else None
+    accounts = 60 if args.quick else 200
+    workloads = [
+        ("fast", harness.scenario("fast", days)),
+        (
+            f"scaled_{accounts}",
+            harness.scenario("scaled", days, n_accounts=accounts),
+        ),
+        ("credential_stuffing", harness.scenario("credential_stuffing", days)),
+    ]
     runs = {}
-    for label, scenario in workloads:
-        record = bench_one_isolated(label, scenario)
+    for label, workload in workloads:
+        record = harness.in_child(bench_one, label, workload)
         runs[label] = record
         print(
             f"{label}: {record['run_seconds']:.2f}s end-to-end, "
@@ -166,18 +130,13 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
         "golden_gate": gate,
     }
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"wrote {out}")
-
+    failures = []
     if gate["mismatched"]:
-        print(
-            "FAIL: runs diverged from the row-level golden: "
-            + ", ".join(gate["mismatched"]),
-            file=sys.stderr,
+        failures.append(
+            "runs diverged from the row-level golden: "
+            + ", ".join(gate["mismatched"])
         )
-        return 1
-    return 0
+    return harness.finish(args.out, payload, failures)
 
 
 if __name__ == "__main__":

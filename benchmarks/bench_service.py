@@ -51,17 +51,17 @@ fixed per-refresh overheads dominate short streams).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import harness
+
 from repro.analysis.accesses import extract_unique_accesses
 from repro.analysis.taxonomy import classify_accesses
 from repro.api.envelope import run_scenario
-from repro.api.registry import scenarios
 from repro.service import (
     OnlineClassifier,
     ServiceState,
@@ -97,15 +97,6 @@ FEED_BATCH = 256
 #: WAL-on ingest must run at no less than half the speed of bare
 #: ingest: journaling a request is one line write, not per-event work.
 WAL_OVERHEAD_CEILING = 2.0
-
-
-def _scenario(name: str, params: dict, duration_days: float | None):
-    scenario = scenarios.get(name, **params)
-    if duration_days is not None:
-        scenario = (
-            scenario.to_builder().with_duration_days(duration_days).build()
-        )
-    return scenario
 
 
 def _event_stream(scenario, seed: int) -> tuple[list[dict], object, float]:
@@ -276,11 +267,13 @@ def bench_parity_case(name: str, scenario, seed: int) -> dict:
 def bench_parity_gate(duration_days: float | None) -> dict:
     """paper_default + scaled(200), three seeds, both classifiers."""
     cases = []
-    for name, registry_name, params in (
-        ("paper_default", "paper_default", {}),
-        ("scaled_200", "scaled", {"n_accounts": 200}),
+    for name, scenario in (
+        ("paper_default", harness.scenario("paper_default", duration_days)),
+        (
+            "scaled_200",
+            harness.scenario("scaled", duration_days, n_accounts=200),
+        ),
     ):
-        scenario = _scenario(registry_name, params, duration_days)
         for seed in FIDELITY_SEEDS:
             case = bench_parity_case(name, scenario, seed)
             cases.append(case)
@@ -308,16 +301,7 @@ def bench_parity_gate(duration_days: float | None) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="short run durations for CI smoke runs",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_service.json", metavar="FILE",
-        help="machine-readable results file (default: BENCH_service.json)",
-    )
-    args = parser.parse_args(argv)
+    args = harness.cli(__doc__, "BENCH_service.json", argv)
 
     if args.quick:
         stream_days, parity_days = 20.0, 20.0
@@ -326,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         stream_days, parity_days = 120.0, None
         floor = INCREMENTAL_RATIO_FLOOR
 
-    stream_scenario = _scenario("scaled", {"n_accounts": 200}, stream_days)
+    stream_scenario = harness.scenario("scaled", stream_days, n_accounts=200)
     events, _, _ = _event_stream(stream_scenario, FIDELITY_SEEDS[0])
     print(
         f"event stream: scaled(200) over {stream_days} days, "
@@ -362,18 +346,13 @@ def main(argv: list[str] | None = None) -> int:
         "incremental_gate": incremental,
         "parity_gate": parity,
     }
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"wrote {out}")
-
-    failures = (
+    return harness.finish(
+        args.out,
+        payload,
         throughput["failures"]
         + incremental["failures"]
-        + parity["failures"]
+        + parity["failures"],
     )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -34,17 +34,13 @@ mode.
 
 from __future__ import annotations
 
-import argparse
-import json
-import multiprocessing
 import os
 import sys
-import time
-from pathlib import Path
+
+import harness
 
 from repro.analysis.fingerprint import fingerprint_digest
 from repro.api.envelope import run_scenario
-from repro.api.registry import scenarios
 from repro.perf import peak_rss_kb
 from repro.shard import (
     _execute_shard,
@@ -63,20 +59,12 @@ GATE_ACCOUNTS = 200
 SEED = 2016
 
 
-def _workload():
-    return scenarios.get("scaled", n_accounts=GATE_ACCOUNTS).with_seed(
-        SEED
-    )
-
-
 def _run_serial_child(scenario_json):
     """One serial run in a fresh child: (run, wall_seconds, rss_kb)."""
     from repro.api.scenario import Scenario
 
     scenario = Scenario.from_json(scenario_json)
-    started = time.perf_counter()
-    run = run_scenario(scenario)
-    elapsed = time.perf_counter() - started
+    run, elapsed, _ = harness.timed(lambda: run_scenario(scenario))
     return run, elapsed, peak_rss_kb()
 
 
@@ -86,18 +74,6 @@ def _run_shard_child(task):
     return shard_run, peak_rss_kb()
 
 
-def _in_child(function, *args):
-    """Run ``function`` in a fresh forked child and return its result.
-
-    Fresh children keep ``ru_maxrss`` (a process-lifetime high-water
-    mark) an honest per-measurement number, exactly as
-    ``bench_run.py`` does for its workloads.
-    """
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=1, maxtasksperchild=1) as pool:
-        return pool.apply(function, args)
-
-
 def bench_shard_count(scenario, shards: int, serial_run) -> dict:
     """Measure one K-way partition: per-shard walls, merge, pool wall."""
     serialized = scenario.with_shards(shards).to_json()
@@ -105,22 +81,20 @@ def bench_shard_count(scenario, shards: int, serial_run) -> dict:
     shard_seconds = []
     shard_rss = []
     for index in range(shards):
-        shard_run, rss_kb = _in_child(
+        shard_run, rss_kb = harness.in_child(
             _run_shard_child, (serialized, index, shards)
         )
         shard_runs.append(shard_run)
         shard_seconds.append(round(shard_run.elapsed_seconds, 6))
         shard_rss.append(rss_kb)
-    merge_started = time.perf_counter()
-    merged, diagnostics = merge_shard_runs(
-        scenario.with_shards(shards), shard_runs
+    (merged, diagnostics), merge_seconds, _ = harness.timed(
+        lambda: merge_shard_runs(scenario.with_shards(shards), shard_runs)
     )
-    merge_seconds = time.perf_counter() - merge_started
     critical_path = max(shard_seconds) + merge_seconds
 
-    pool_started = time.perf_counter()
-    pooled = run_sharded(scenario, shards=shards)
-    pool_wall = time.perf_counter() - pool_started
+    pooled, pool_wall, _ = harness.timed(
+        lambda: run_sharded(scenario, shards=shards)
+    )
 
     mismatches = dataset_mismatches(serial_run.dataset, merged)
     pooled_mismatches = dataset_mismatches(
@@ -150,19 +124,12 @@ def bench_shard_count(scenario, shards: int, serial_run) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="skip the K=2 sweep point (the K=4 gate always runs)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_shard.json", metavar="FILE",
-        help="machine-readable results file (default: BENCH_shard.json)",
-    )
-    args = parser.parse_args(argv)
+    args = harness.cli(__doc__, "BENCH_shard.json", argv)
 
-    scenario = _workload()
-    serial_run, serial_seconds, serial_rss = _in_child(
+    scenario = harness.scenario(
+        "scaled", n_accounts=GATE_ACCOUNTS
+    ).with_seed(SEED)
+    serial_run, serial_seconds, serial_rss = harness.in_child(
         _run_serial_child, scenario.to_json()
     )
     serial_fingerprint = fingerprint_digest(serial_run.analysis)
@@ -224,11 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         "shard_counts": results,
         "gate": gate,
     }
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"wrote {out}")
-
-    failed = False
+    failures = []
     # Any measured shard count diverging fails the run, not just the
     # gated K: a merge bug that only manifests at one partition size
     # must not hide in the JSON.
@@ -237,23 +200,17 @@ def main(argv: list[str] | None = None) -> int:
             record["dataset_identical"]
             and record["pooled_dataset_identical"]
         ):
-            print(
-                f"FAIL: K={shards} sharded dataset diverged from the "
-                "serial run"
-                + (f": {gate['mismatches']}" if int(shards) == GATE_SHARDS else ""),
-                file=sys.stderr,
+            failures.append(
+                f"K={shards} sharded dataset diverged from the serial run"
+                + (f": {gate['mismatches']}" if int(shards) == GATE_SHARDS else "")
             )
-            failed = True
     if gate["speedup"] < SHARD_SPEEDUP_LIMIT:
-        print(
-            f"FAIL: K={GATE_SHARDS} critical path is only "
+        failures.append(
+            f"K={GATE_SHARDS} critical path is only "
             f"{gate['speedup']:.2f}x the serial run "
-            f"(limit {SHARD_SPEEDUP_LIMIT}x)",
-            file=sys.stderr,
+            f"(limit {SHARD_SPEEDUP_LIMIT}x)"
         )
-        failed = True
-    return 1 if failed else 0
-
+    return harness.finish(args.out, payload, failures)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -50,16 +50,14 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import shutil
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from repro.api.registry import scenarios
+import harness
+
 from repro.api.runner import BatchRunner
 from repro.sweeps import InProcessBackend, ResultsStore, SweepManager
 
@@ -73,27 +71,6 @@ STORE_OVERHEAD_LIMIT = 0.05
 
 SEEDS = [2016, 2017]
 CODE_VERSION = "bench-sweep-v1"
-
-
-def _workload(quick: bool):
-    scenario = scenarios.get("fast")
-    if quick:
-        scenario = (
-            scenario.to_builder().with_duration_days(30.0).build()
-        )
-    return scenario
-
-
-def _timed(thunk):
-    """(result, wall_seconds, cpu_seconds) for one code path."""
-    wall_started = time.perf_counter()
-    cpu_started = time.process_time()
-    result = thunk()
-    return (
-        result,
-        time.perf_counter() - wall_started,
-        time.process_time() - cpu_started,
-    )
 
 
 def _aggregate_dict(batch) -> dict:
@@ -114,7 +91,7 @@ def bench_round(scenario, workdir: Path, index: int) -> dict:
         batch = BatchRunner(jobs=1).run(scenario, SEEDS)
         return batch, _aggregate_dict(batch)
 
-    (bare_batch, bare_aggregate), bare_wall, bare_cpu = _timed(bare_path)
+    (bare_batch, bare_aggregate), bare_wall, bare_cpu = harness.timed(bare_path)
 
     # Store mechanics in isolation, on the bare runs (their analyses
     # were just cached by the aggregate, exactly as a sweep's put
@@ -137,13 +114,13 @@ def bench_round(scenario, workdir: Path, index: int) -> dict:
             total += len(payload)
         return total
 
-    store_bytes, mech_wall, mech_cpu = _timed(mechanics)
+    store_bytes, mech_wall, mech_cpu = harness.timed(mechanics)
 
     def writes():
         for cell, run in zip(mech_manager.plan(), bare_batch.runs):
             mech_store.put(cell.spec, run)
 
-    _, write_wall, write_cpu = _timed(writes)
+    _, write_wall, write_cpu = harness.timed(writes)
     shutil.rmtree(mech_root)
     del bare_batch
     gc.collect()
@@ -161,7 +138,7 @@ def bench_round(scenario, workdir: Path, index: int) -> dict:
         )
         return _aggregate_dict(result.batch())
 
-    cold_aggregate, cold_wall, cold_cpu = _timed(cold_path)
+    cold_aggregate, cold_wall, cold_cpu = harness.timed(cold_path)
     gc.collect()
 
     def warm_path():
@@ -169,7 +146,7 @@ def bench_round(scenario, workdir: Path, index: int) -> dict:
         assert result.cached == len(SEEDS), "warm round missed the store"
         return _aggregate_dict(result.batch())
 
-    warm_aggregate, warm_wall, warm_cpu = _timed(warm_path)
+    warm_aggregate, warm_wall, warm_cpu = harness.timed(warm_path)
     shutil.rmtree(store_root)
     gc.collect()
 
@@ -192,19 +169,9 @@ def bench_round(scenario, workdir: Path, index: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="30-day measurement window instead of the full 236 days "
-        "(both gates still run)",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_sweep.json", metavar="FILE",
-        help="machine-readable results file (default: BENCH_sweep.json)",
-    )
-    args = parser.parse_args(argv)
+    args = harness.cli(__doc__, "BENCH_sweep.json", argv)
 
-    scenario = _workload(args.quick)
+    scenario = harness.scenario("fast", 30.0 if args.quick else None)
     rounds = 3
     workdir = Path(tempfile.mkdtemp(prefix="bench-sweep-"))
     try:
@@ -257,40 +224,29 @@ def main(argv: list[str] | None = None) -> int:
         "rounds": records,
         "gate": gate,
     }
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(
         f"best-of-{rounds} (cpu): bare {bare:.2f}s, cold {cold:.2f}s, "
         f"warm {warm:.3f}s ({warm_speedup:.0f}x), store mechanics "
         f"{mechanics:.3f}s ({overhead_ratio * 100:.1f}% of bare)"
     )
-    print(f"wrote {out}")
 
-    failed = False
+    failures = []
     if not identical:
-        print(
-            "FAIL: memoized aggregates diverged from the bare "
-            "BatchRunner's",
-            file=sys.stderr,
+        failures.append(
+            "memoized aggregates diverged from the bare BatchRunner's"
         )
-        failed = True
     if warm_speedup < WARM_SPEEDUP_LIMIT:
-        print(
-            f"FAIL: warm sweep is only {warm_speedup:.2f}x the cold "
-            f"sweep (limit {WARM_SPEEDUP_LIMIT}x)",
-            file=sys.stderr,
+        failures.append(
+            f"warm sweep is only {warm_speedup:.2f}x the cold "
+            f"sweep (limit {WARM_SPEEDUP_LIMIT}x)"
         )
-        failed = True
     if overhead_ratio > STORE_OVERHEAD_LIMIT:
-        print(
-            f"FAIL: store mechanics cost {overhead_ratio * 100:.1f}% "
+        failures.append(
+            f"store mechanics cost {overhead_ratio * 100:.1f}% "
             f"of the bare batch "
-            f"(limit {STORE_OVERHEAD_LIMIT * 100:.0f}%)",
-            file=sys.stderr,
+            f"(limit {STORE_OVERHEAD_LIMIT * 100:.0f}%)"
         )
-        failed = True
-    return 1 if failed else 0
-
+    return harness.finish(args.out, payload, failures)
 
 if __name__ == "__main__":
     sys.exit(main())

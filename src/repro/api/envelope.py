@@ -347,8 +347,8 @@ def run_scenario(
     """Execute one scenario run and wrap it in a :class:`RunResult`.
 
     ``on_built`` runs after the simulated world exists but before
-    anything is scheduled — the hook for attaching telemetry spill
-    sinks, extra probes, or other instrumentation to the experiment.
+    anything is scheduled — the hook for attaching a live feed, extra
+    probes, or other instrumentation to the experiment.
 
     ``profile_path`` dumps a :mod:`cProfile` capture of the simulation
     loop to the given path (``pstats`` format; the CLI exposes it as

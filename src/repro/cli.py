@@ -99,11 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="registry scenario to run (default: fast)",
         )
         sub.add_argument(
-            "--paper-cadence", action="store_true",
-            help="use the paper's 10-minute script scans (slower); "
-            "shorthand for --scenario paper_default",
-        )
-        sub.add_argument(
             "--duration-days", type=float, default=None, metavar="DAYS",
             help="override the measurement window length",
         )
@@ -128,11 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--telemetry-out", default=None, metavar="DIR",
         help="export raw telemetry (accesses.jsonl, notifications.jsonl, "
         "dataset.json) into DIR after the run",
-    )
-    run_parser.add_argument(
-        "--spill-telemetry", default=None, metavar="DIR",
-        help="stream accesses/notifications to JSONL in DIR *during* the "
-        "run (for measurements too large to keep resident)",
     )
     run_parser.add_argument(
         "--telemetry-budget", type=float, default=None, metavar="MB",
@@ -510,26 +500,56 @@ def parse_defenses_spec(spec: str) -> tuple[Defense, ...]:
     return defenses_from_specs(names)
 
 
+#: ``run`` modes that exclude other ``run`` flags: mode flag ->
+#: (why, the flags it cannot be combined with).  :func:`_check_conflicts`
+#: enforces every entry before anything runs.
+RUN_CONFLICTS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "--resume-from": (
+        "continues the checkpointed run as it was configured",
+        (
+            "--scenario", "--scenario-file", "--persona-mix",
+            "--duration-days", "--checkpoint-every", "--shards", "--jobs",
+            "--telemetry-budget", "--spill-dir", "--profile",
+            "--shard-timeout",
+        ),
+    ),
+    "--checkpoint-every": (
+        "snapshots one in-process world",
+        (
+            "--shards", "--jobs", "--telemetry-budget", "--spill-dir",
+            "--profile", "--shard-timeout",
+        ),
+    ),
+    "--scenario-file": (
+        "names the whole scenario to run",
+        ("--scenario",),
+    ),
+}
+
+
+def _check_conflicts(args) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` when a
+    :data:`RUN_CONFLICTS` mode is combined with a flag it excludes."""
+
+    def given(flag: str) -> bool:
+        return getattr(args, flag[2:].replace("-", "_")) is not None
+
+    for mode, (reason, excluded) in RUN_CONFLICTS.items():
+        clashes = [flag for flag in excluded if given(flag)]
+        if given(mode) and clashes:
+            raise ConfigurationError(
+                f"{mode} {reason}; it cannot be combined with "
+                f"{', '.join(clashes)}"
+            )
+
+
 def _resolve_scenario(args) -> Scenario:
     """The scenario a run/tables invocation asks for, seed applied."""
     scenario_file = getattr(args, "scenario_file", None)
     if scenario_file is not None:
-        if args.scenario is not None or args.paper_cadence:
-            raise ConfigurationError(
-                "--scenario-file cannot be combined with --scenario "
-                "or --paper-cadence (the file already is the scenario)"
-            )
         base = Scenario.from_dict(_load_json_spec(scenario_file, "scenario"))
     else:
-        name = args.scenario
-        if name is None:
-            name = "paper_default" if args.paper_cadence else "fast"
-        elif args.paper_cadence:
-            raise ConfigurationError(
-                "--paper-cadence cannot be combined with --scenario "
-                "(the scenario already fixes the cadence)"
-            )
-        base = scenarios.get(name)
+        base = scenarios.get("fast" if args.scenario is None else args.scenario)
     scenario = _apply_duration(
         base.with_seed(args.seed), args.duration_days
     )
@@ -544,38 +564,35 @@ def _resolve_scenario(args) -> Scenario:
 
 
 def _command_run(args) -> int:
-    if getattr(args, "fault_plan", None):
+    _check_conflicts(args)
+    if args.fault_plan:
         from repro.faults import FaultPlan
 
         FaultPlan.from_dict(
             _load_json_spec(args.fault_plan, "fault plan")
         ).activate()
     if args.resume_from is not None:
-        return _run_resumed(args)
-    if args.checkpoint_every is not None:
-        return _run_checkpointed(args)
+        from repro.service import resume_run
+
+        run = resume_run(args.resume_from)
+        print(f"resumed from checkpoint: {args.resume_from}")
+        return _report_run(run, args)
     scenario = _resolve_scenario(args)
-    if args.shards is not None:
-        if args.shards > 1 and (args.spill_telemetry or args.profile):
-            raise ConfigurationError(
-                "--shards cannot be combined with --spill-telemetry or "
-                "--profile (both instrument one in-process world)"
-            )
-        scenario = scenario.with_shards(args.shards)
-    spilled: list = []
-    monitors: list = []
+    if args.checkpoint_every is not None:
+        from repro.service import run_with_checkpoints
 
-    def _attach_spill(experiment) -> None:
-        monitors.append(experiment.monitor)
-        spilled.extend(
-            experiment.monitor.spill_telemetry(args.spill_telemetry)
+        run, paths = run_with_checkpoints(
+            scenario,
+            every_days=args.checkpoint_every,
+            directory=args.checkpoint_dir,
         )
-
+        for path in paths:
+            print(f"wrote checkpoint: {path}")
+        return _report_run(run, args)
+    if args.shards is not None:
+        scenario = scenario.with_shards(args.shards)
     budget = None
-    if (
-        getattr(args, "telemetry_budget", None) is not None
-        or getattr(args, "spill_dir", None)
-    ):
+    if args.telemetry_budget is not None or args.spill_dir:
         from repro.telemetry import TelemetryBudget
 
         if args.telemetry_budget is None:
@@ -587,87 +604,16 @@ def _command_run(args) -> int:
             )
     run = run_scenario(
         scenario,
-        on_built=_attach_spill if args.spill_telemetry else None,
         profile_path=args.profile,
         jobs=args.jobs,
         telemetry_budget=budget,
         shard_timeout=args.shard_timeout,
         shard_retries=args.shard_retries,
     )
-    for monitor in monitors:
-        monitor.close_spill()
-    return _report_run(run, args, spilled=spilled)
-
-
-def _run_checkpointed(args) -> int:
-    """``run --checkpoint-every DAYS``: snapshot the simulation as it
-    advances; every snapshot resumes with ``--resume-from``."""
-    from repro.service import run_with_checkpoints
-
-    incompatible = [
-        flag
-        for flag, value in (
-            ("--shards", args.shards),
-            ("--jobs", args.jobs),
-            ("--spill-telemetry", args.spill_telemetry),
-            ("--telemetry-budget", args.telemetry_budget),
-            ("--spill-dir", args.spill_dir),
-            ("--profile", args.profile),
-            ("--shard-timeout", args.shard_timeout),
-        )
-        if value is not None
-    ]
-    if incompatible:
-        raise ConfigurationError(
-            "--checkpoint-every snapshots one in-process world; it "
-            f"cannot be combined with {', '.join(incompatible)}"
-        )
-    scenario = _resolve_scenario(args)
-    run, paths = run_with_checkpoints(
-        scenario,
-        every_days=args.checkpoint_every,
-        directory=args.checkpoint_dir,
-    )
-    for path in paths:
-        print(f"wrote checkpoint: {path}")
     return _report_run(run, args)
 
 
-def _run_resumed(args) -> int:
-    """``run --resume-from FILE``: finish a checkpointed run."""
-    from repro.service import resume_run
-
-    incompatible = [
-        flag
-        for flag, value in (
-            ("--scenario", args.scenario),
-            ("--scenario-file", args.scenario_file),
-            ("--paper-cadence", args.paper_cadence or None),
-            ("--persona-mix", args.persona_mix),
-            ("--duration-days", args.duration_days),
-            ("--checkpoint-every", args.checkpoint_every),
-            ("--shards", args.shards),
-            ("--jobs", args.jobs),
-            ("--spill-telemetry", args.spill_telemetry),
-            ("--telemetry-budget", args.telemetry_budget),
-            ("--spill-dir", args.spill_dir),
-            ("--profile", args.profile),
-            ("--shard-timeout", args.shard_timeout),
-        )
-        if value is not None
-    ]
-    if incompatible:
-        raise ConfigurationError(
-            "--resume-from continues the checkpointed run as it was "
-            f"configured; it cannot be combined with "
-            f"{', '.join(incompatible)}"
-        )
-    run = resume_run(args.resume_from)
-    print(f"resumed from checkpoint: {args.resume_from}")
-    return _report_run(run, args)
-
-
-def _report_run(run, args, *, spilled: list | None = None) -> int:
+def _report_run(run, args) -> int:
     stats = run.overview()
     print(f"measurement complete in {run.elapsed_seconds:.1f}s "
           f"(scenario={run.scenario.name}, seed={run.seed}, "
@@ -707,9 +653,6 @@ def _report_run(run, args, *, spilled: list | None = None) -> int:
             run.analysis, args.out, blacklisted_ips=run.blacklisted_ips
         )
         print(f"exported {len(written)} files to {args.out}")
-    if spilled:
-        for path in spilled:
-            print(f"spilled telemetry stream: {path}")
     if args.telemetry_out:
         written = run.export_telemetry(args.telemetry_out)
         print(f"exported telemetry ({len(written)} files) "

@@ -92,7 +92,6 @@ from repro.sim.process import PeriodicProcess
 from repro.telemetry import (
     AccessStore,
     DefenseActionStore,
-    JsonlSink,
     NotificationStore,
     RowView,
     ScrapeFailureLog,
@@ -322,7 +321,6 @@ class MonitorInfrastructure:
         self.defense_store = DefenseActionStore(
             strings=self.telemetry_strings
         )
-        self._spill_sinks: list[tuple[object, JsonlSink]] = []
         self._process: PeriodicProcess | None = None
         # Wake-on-change state.  ``_dirty`` holds addresses whose next
         # visit must be a full one; the provider's change hooks add to
@@ -444,8 +442,6 @@ class MonitorInfrastructure:
         if self._process is not None:
             self._process.stop()
             self._process = None
-        for _, sink in self._spill_sinks:
-            sink.flush()
 
     # ------------------------------------------------------------------
     # disk spill
@@ -473,35 +469,6 @@ class MonitorInfrastructure:
         ):
             if plan.get(name):
                 store.configure_spill(directory / name, chunk_rows=chunk_rows)
-
-    def spill_telemetry(self, directory: str | Path) -> list[Path]:
-        """Stream accesses and notifications to JSONL files in
-        ``directory`` as they are collected (rows already gathered are
-        replayed first), for runs too large to keep resident."""
-        directory = Path(directory)
-        paths: list[Path] = []
-        for name, store in (
-            ("accesses", self.access_store),
-            ("notifications", self.notification_store),
-        ):
-            sink = JsonlSink(directory / f"{name}.jsonl")
-            store.attach_sink(sink, replay=True)
-            self._spill_sinks.append((store, sink))
-            paths.append(sink.path)
-        return paths
-
-    def close_spill(self) -> None:
-        """Detach, flush and close any attached spill sinks.
-
-        Detaching matters: the stores live on inside the run's
-        :class:`~repro.core.records.ObservedDataset` (zero-copy
-        handoff), and a closed sink left attached would raise on any
-        later append.
-        """
-        for store, sink in self._spill_sinks:
-            store.detach_sink(sink)
-            sink.close()
-        self._spill_sinks.clear()
 
     def _next_slot(self, watched: _WatchedAccount) -> int:
         """The index into the login contexts (one per infrastructure

@@ -60,18 +60,7 @@ def save_experiment_checkpoint(
     scenario: Scenario | None = None,
     completed_day: float | None = None,
 ) -> Path:
-    """Pickle a mid-horizon experiment (plus its scenario) to ``path``.
-
-    Raises :class:`~repro.errors.ServiceError` when the experiment has
-    live spill sinks attached — open file handles cannot travel, so
-    out-of-core runs must checkpoint at the service layer instead.
-    """
-    monitor = experiment.monitor
-    if monitor is not None and monitor._spill_sinks:
-        raise ServiceError(
-            "cannot checkpoint an experiment with live telemetry spill "
-            "sinks; close them first or checkpoint at the service layer"
-        )
+    """Pickle a mid-horizon experiment (plus its scenario) to ``path``."""
     payload = pickle.dumps(
         {
             "kind": "experiment_checkpoint",

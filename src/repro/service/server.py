@@ -29,6 +29,7 @@ checkpoint paths resumes to the identical classifier state.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import signal
 from pathlib import Path
@@ -47,9 +48,23 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class _LineTooLong(Exception):
+    """A request or header line outran the ``StreamReader`` limit."""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        # readline() reports a line past the reader's limit (64 KiB by
+        # default) as ValueError, leaving the stream mid-line.
+        raise _LineTooLong from exc
 
 
 class ReproService:
@@ -180,6 +195,13 @@ class ReproService:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
+        except _LineTooLong:
+            # The rest of the request cannot be framed: answer, then
+            # drop the connection.
+            with contextlib.suppress(ConnectionError):
+                await self._respond(
+                    writer, 431, {"error": "request line or header too long"}
+                )
         finally:
             writer.close()
             try:
@@ -194,7 +216,7 @@ class ReproService:
         race — an *idle* keep-alive connection closes on shutdown, but
         a request already on the wire is served to completion (a short
         grace window lets bytes sent just before the signal land)."""
-        line_task = asyncio.ensure_future(reader.readline())
+        line_task = asyncio.ensure_future(_read_line(reader))
         shutdown_task = asyncio.ensure_future(self._shutdown.wait())
         done, _ = await asyncio.wait(
             {line_task, shutdown_task},
@@ -226,7 +248,7 @@ class ReproService:
             return False
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")

@@ -6,7 +6,23 @@ import json
 import pytest
 
 from repro.analysis.export import export_results, results_to_dict
-from repro.cli import main
+from repro.cli import RUN_CONFLICTS, main
+
+#: A value for every flag :data:`RUN_CONFLICTS` names.
+FLAG_VALUES = {
+    "--resume-from": "missing.pkl",
+    "--checkpoint-every": "3",
+    "--scenario-file": "missing.json",
+    "--scenario": "fast",
+    "--persona-mix": "curious=1",
+    "--duration-days": "5",
+    "--shards": "2",
+    "--jobs": "2",
+    "--telemetry-budget": "1",
+    "--spill-dir": "spill",
+    "--profile": "run.prof",
+    "--shard-timeout": "5",
+}
 
 
 class TestResultsToDict:
@@ -163,12 +179,22 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["name"] == "forum_only"
 
-    def test_paper_cadence_conflicts_with_scenario(self, capsys):
-        exit_code = main(
-            ["run", "--scenario", "fast", "--paper-cadence"]
-        )
-        assert exit_code == 2
-        assert "cannot be combined" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [
+            (mode, flag)
+            for mode, (_, excluded) in RUN_CONFLICTS.items()
+            for flag in excluded
+        ],
+    )
+    def test_run_conflicts_exit_2_naming_the_flag(self, mode, flag, capsys):
+        # Refused before any file is read or any run starts, so the
+        # named files need not exist.
+        argv = ["run", mode, FLAG_VALUES[mode], flag, FLAG_VALUES[flag]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {mode} ")
+        assert err.endswith(f"cannot be combined with {flag}")
 
     def test_unknown_scenario_is_reported(self, capsys):
         assert main(["scenarios", "warpdrive"]) == 2

@@ -7,7 +7,6 @@ activation channel, backoff schedules, and the supervision loop — with
 toy workers.
 """
 
-import json
 import os
 import signal
 import time

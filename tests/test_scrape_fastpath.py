@@ -52,6 +52,7 @@ from repro.netsim.ipaddr import IPAddress
 from repro.sim.clock import hours
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_rng
+from repro.telemetry import JsonlSink
 from repro.telemetry.spill import spill_manifest
 from repro.webmail.account import Credentials
 from repro.webmail.service import LoginContext, WebmailService
@@ -207,9 +208,15 @@ def _run_world(world: dict, monitor_cls, scratch: Path) -> dict:
             {"accesses": True, "notifications": True, "scrape_log": True},
             chunk_rows=CHUNK_ROWS,
         )
-    sink_paths = (
-        monitor.spill_telemetry(scratch) if telemetry == "sink" else []
-    )
+    sinks = []
+    if telemetry == "sink":
+        for name, store in (
+            ("accesses", monitor.access_store),
+            ("notifications", monitor.notification_store),
+        ):
+            sink = JsonlSink(scratch / f"{name}.jsonl")
+            store.attach_sink(sink, replay=True)
+            sinks.append(sink)
     for address in addresses:
         monitor.watch(address, PASSWORD)
 
@@ -282,7 +289,8 @@ def _run_world(world: dict, monitor_cls, scratch: Path) -> dict:
     monitor.start()
     sim.run_until(world["ticks"] * PERIOD)
     monitor.stop()
-    monitor.close_spill()
+    for sink in sinks:
+        sink.close()
 
     strings = monitor.telemetry_strings
     seen = {
@@ -296,7 +304,7 @@ def _run_world(world: dict, monitor_cls, scratch: Path) -> dict:
             for key, cookies in service.sessions.all_minted_cookies().items()
         ],
         "monitor_ips": [ip.dotted for ip in monitor.monitor_ips],
-        "sink_lines": [path.read_text() for path in sink_paths],
+        "sink_lines": [sink.path.read_text() for sink in sinks],
     }
     if telemetry == "spilled":
         seen["chunks"] = [

@@ -180,6 +180,27 @@ def test_non_utf8_body_is_a_400(server):
     assert server.state.wal.position == 0
 
 
+@pytest.mark.parametrize("where", ["request line", "header"])
+def test_overlong_lines_are_a_431(server, where):
+    # 70,000 bytes outruns the 64 KiB asyncio StreamReader line limit.
+    padding = "a" * 70_000
+    host, port = server.url.split("//", 1)[1].split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        if where == "request line":
+            connection.putrequest("GET", f"/healthz?{padding}")
+        else:
+            connection.putrequest("GET", "/healthz")
+            connection.putheader("X-Padding", padding)
+        connection.endheaders()
+        response = connection.getresponse()
+        assert response.status == 431
+        assert "too long" in json.loads(response.read())["error"]
+    finally:
+        connection.close()
+    assert server.request("GET", "/healthz")[0] == 200
+
+
 def test_stats_reflects_ingested_events(server):
     server.request(
         "POST",

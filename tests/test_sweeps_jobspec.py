@@ -5,8 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.api import scenarios
 from repro.api.scenario import Scenario
 from repro.sweeps import (

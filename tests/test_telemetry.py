@@ -454,12 +454,22 @@ class TestMonitorTelemetry:
                 "target@gmail.example", self.PASSWORD, context, sim.now
             )
 
-        paths = monitor.spill_telemetry(tmp_path)
+        streams = [
+            (store, JsonlSink(tmp_path / f"{name}.jsonl"))
+            for name, store in (
+                ("accesses", monitor.access_store),
+                ("notifications", monitor.notification_store),
+            )
+        ]
+        for store, sink in streams:
+            store.attach_sink(sink, replay=True)
         sim.schedule_at(hours(1), attacker_login)
         sim.run_until(hours(13))
         monitor.stop()
-        monitor.close_spill()
-        lines = paths[0].read_text().strip().splitlines()
+        for store, sink in streams:
+            store.detach_sink(sink)
+            sink.close()
+        lines = streams[0][1].path.read_text().strip().splitlines()
         assert len(lines) == len(monitor.access_store)
         cities = [json.loads(line)["city"] for line in lines]
         assert "Paris" in cities
