@@ -68,7 +68,7 @@ def _baseline(scenario):
     """Bare-pool dispatch of the shard worker plus the same merge."""
     scenario = scenario.with_shards(SHARDS)
     serialized = scenario.to_json()
-    tasks = [(serialized, index, SHARDS, None) for index in range(SHARDS)]
+    tasks = [(serialized, index, SHARDS) for index in range(SHARDS)]
     with ProcessPoolExecutor(SHARDS) as pool:
         shard_runs = list(pool.map(shard._execute_shard, tasks))
     dataset, _ = merge_shard_runs(scenario, shard_runs)

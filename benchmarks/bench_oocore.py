@@ -6,12 +6,13 @@ Two machine-independent gates guard the spillable columnar stores
 * **Memory gate** — a ``scaled(10_000)``-shaped telemetry stream
   (10,000 accounts, ~11M access rows, ~1.8M notification rows) is
   ingested twice in fresh forked children: once fully resident, once
-  under ``TelemetryBudget.spill_all``.  The budgeted ingest must peak
-  at least ``RSS_RATIO_LIMIT``x lower than the resident one and stay
-  under a fixed 1 GB cap, while a full chunk-streamed row scan hashes
-  bit-identical rows in both modes.  The ratio compares two code paths
-  on the same machine, so the gate is hardware-independent; the 1 GB
-  cap is the "completes under a fixed memory budget" half of the claim.
+  spilled under a directory (``ObservedDataset.configure_spill``).
+  The spilled ingest must peak at least ``RSS_RATIO_LIMIT``x lower
+  than the resident one and stay under a fixed 1 GB cap, while a full
+  chunk-streamed row scan hashes bit-identical rows in both modes.
+  The ratio compares two code paths on the same machine, so the gate
+  is hardware-independent; the 1 GB cap is the "completes under a
+  fixed memory budget" half of the claim.
 
 * **Fidelity gate** — real measurement runs (``paper_default`` and
   ``scaled(200)``, three seeds each) are analysed twice: once from the
@@ -40,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import sys
 import tempfile
-from pathlib import Path
 
 import harness
 
@@ -49,9 +49,8 @@ from repro.analysis.fingerprint import fingerprint_digest
 from repro.api.envelope import run_scenario
 from repro.core.records import ObservedDataset
 from repro.perf import peak_rss_kb
-from repro.telemetry import TelemetryBudget
 
-#: Full-size memory gate: the budgeted ingest must peak at least this
+#: Full-size memory gate: the spilled ingest must peak at least this
 #: many times lower than the resident one.
 RSS_RATIO_LIMIT = 4.0
 
@@ -153,25 +152,22 @@ def _scan_digest(dataset: ObservedDataset) -> str:
 def bench_ingest(accounts: int, spill_dir: str | None) -> dict:
     """One ingest + full-scan measurement (runs in a fresh child)."""
     dataset = ObservedDataset()
-    budget_mode = spill_dir is not None
-    if budget_mode:
-        budget = TelemetryBudget.spill_all(spill_dir)
-        dataset.configure_spill(
-            Path(budget.resolve_spill_dir()), chunk_rows=budget.chunk_rows
-        )
+    spilled = spill_dir is not None
+    if spilled:
+        dataset.configure_spill(spill_dir)
     rows, ingest_seconds, _ = harness.timed(
         lambda: _fill_synthetic(dataset, accounts)
     )
     digest, scan_seconds, _ = harness.timed(lambda: _scan_digest(dataset))
     peak = peak_rss_kb()
     return {
-        "mode": "spilled" if budget_mode else "resident",
+        "mode": "spilled" if spilled else "resident",
         "accounts": accounts,
         "rows": rows,
         "spilled_rows": (
             dataset.access_store.spilled_rows
             + dataset.notification_store.spilled_rows
-            if budget_mode
+            if spilled
             else 0
         ),
         "ingest_seconds": ingest_seconds,
@@ -185,7 +181,7 @@ def bench_ingest(accounts: int, spill_dir: str | None) -> dict:
 
 
 def bench_memory_gate(accounts: int, ratio_limit: float, cap_kb: int | None) -> dict:
-    """Resident vs budgeted ingest of the same synthetic stream."""
+    """Resident vs spilled ingest of the same synthetic stream."""
     resident = harness.in_child(bench_ingest, accounts, None)
     with tempfile.TemporaryDirectory(prefix="bench-oocore-") as spill_dir:
         spilled = harness.in_child(bench_ingest, accounts, spill_dir)
@@ -196,15 +192,15 @@ def bench_memory_gate(accounts: int, ratio_limit: float, cap_kb: int | None) -> 
             "spilled ingest stored different rows than the resident one"
         )
     if spilled["spilled_rows"] == 0:
-        failures.append("budgeted ingest never spilled a chunk")
+        failures.append("spilled ingest never spilled a chunk")
     if ratio < ratio_limit:
         failures.append(
-            f"budgeted peak RSS is only {ratio:.2f}x below resident "
+            f"spilled peak RSS is only {ratio:.2f}x below resident "
             f"(limit {ratio_limit}x)"
         )
     if cap_kb is not None and spilled["peak_rss_kb"] > cap_kb:
         failures.append(
-            f"budgeted ingest peaked at {spilled['peak_rss_kb']} kB, over "
+            f"spilled ingest peaked at {spilled['peak_rss_kb']} kB, over "
             f"the fixed {cap_kb} kB budget"
         )
     return {

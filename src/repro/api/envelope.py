@@ -340,7 +340,8 @@ def run_scenario(
     on_built: Callable[[Experiment], None] | None = None,
     profile_path: str | None = None,
     jobs: int | None = None,
-    telemetry_budget=None,
+    spill_dir: str | Path | None = None,
+    chunk_rows: int | None = None,
     shard_timeout: float | None = None,
     shard_retries: int = 1,
 ) -> RunResult:
@@ -354,17 +355,17 @@ def run_scenario(
     loop to the given path (``pstats`` format; the CLI exposes it as
     ``run --profile``).
 
-    ``telemetry_budget`` (a :class:`repro.telemetry.TelemetryBudget`)
-    caps the run's resident telemetry: stores the budget plans as
-    spilled write chunked columns to disk during the measurement and
-    the analysis streams them back chunk by chunk.  The dataset and
-    analysis are bit-identical to an unbudgeted run.
+    ``spill_dir`` makes the run out-of-core: the access, notification
+    and scrape-log stores write chunked columns (``chunk_rows`` rows
+    each) under that directory during the measurement and the analysis
+    streams them back chunk by chunk.  The dataset and analysis are
+    bit-identical to a resident run.
 
     Scenarios with ``shards > 1`` run on the sharded executor
     (:mod:`repro.shard`) with ``jobs`` worker processes; the result is
     bit-identical to the serial path.  ``on_built`` and
     ``profile_path`` apply to in-process worlds only and are rejected
-    for sharded runs (``telemetry_budget`` applies to both paths).
+    for sharded runs (``spill_dir`` applies to both paths).
     ``shard_timeout``/``shard_retries`` configure the sharded
     executor's supervision (see :func:`repro.shard.run_sharded`) and
     are ignored on the serial path.
@@ -386,13 +387,14 @@ def run_scenario(
         return run_sharded(
             scenario,
             jobs=jobs,
-            telemetry_budget=telemetry_budget,
+            spill_dir=spill_dir,
+            chunk_rows=chunk_rows,
             shard_timeout=shard_timeout,
             shard_retries=shard_retries,
         )
     started = time.perf_counter()
     experiment = Experiment.from_scenario(
-        scenario, telemetry_budget=telemetry_budget
+        scenario, spill_dir=spill_dir, chunk_rows=chunk_rows
     ).build()
     if on_built is not None:
         on_built(experiment)

@@ -125,18 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "dataset.json) into DIR after the run",
     )
     run_parser.add_argument(
-        "--telemetry-budget", type=float, default=None, metavar="MB",
-        dest="telemetry_budget",
-        help="cap resident telemetry at MB megabytes: stores that "
-        "would exceed it write chunked columns to disk during the run "
-        "and the analysis streams them back (bit-identical results; "
-        "0 spills everything)",
-    )
-    run_parser.add_argument(
         "--spill-dir", default=None, metavar="DIR", dest="spill_dir",
-        help="directory for spilled telemetry chunks (default: a "
-        "temporary directory; implies --telemetry-budget 0 when given "
-        "alone)",
+        help="spill telemetry to disk: the access, notification and "
+        "scrape-log stores write chunked columns under DIR during the "
+        "run and the analysis streams them back (bit-identical results)",
     )
     run_parser.add_argument(
         "--profile", default=None, metavar="FILE", dest="profile",
@@ -509,16 +501,19 @@ RUN_CONFLICTS: dict[str, tuple[str, tuple[str, ...]]] = {
         (
             "--scenario", "--scenario-file", "--persona-mix",
             "--duration-days", "--checkpoint-every", "--shards", "--jobs",
-            "--telemetry-budget", "--spill-dir", "--profile",
-            "--shard-timeout",
+            "--spill-dir", "--profile", "--shard-timeout",
         ),
     ),
     "--checkpoint-every": (
         "snapshots one in-process world",
         (
-            "--shards", "--jobs", "--telemetry-budget", "--spill-dir",
-            "--profile", "--shard-timeout",
+            "--shards", "--jobs", "--spill-dir", "--profile",
+            "--shard-timeout",
         ),
+    ),
+    "--profile": (
+        "instruments one in-process world",
+        ("--shards",),
     ),
     "--scenario-file": (
         "names the whole scenario to run",
@@ -591,22 +586,11 @@ def _command_run(args) -> int:
         return _report_run(run, args)
     if args.shards is not None:
         scenario = scenario.with_shards(args.shards)
-    budget = None
-    if args.telemetry_budget is not None or args.spill_dir:
-        from repro.telemetry import TelemetryBudget
-
-        if args.telemetry_budget is None:
-            budget = TelemetryBudget.spill_all(spill_dir=args.spill_dir)
-        else:
-            budget = TelemetryBudget(
-                max_resident_mb=args.telemetry_budget,
-                spill_dir=args.spill_dir,
-            )
     run = run_scenario(
         scenario,
         profile_path=args.profile,
         jobs=args.jobs,
-        telemetry_budget=budget,
+        spill_dir=args.spill_dir,
         shard_timeout=args.shard_timeout,
         shard_retries=args.shard_retries,
     )

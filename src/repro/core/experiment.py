@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.attackers.casestudies import (
@@ -182,7 +183,8 @@ class Experiment:
         leak_plan: LeakPlan | None = None,
         persona_mix: "PersonaMix | None" = None,
         shard: ShardSpec | None = None,
-        telemetry_budget=None,
+        spill_dir: str | Path | None = None,
+        chunk_rows: int | None = None,
         defenses: tuple = (),
     ) -> None:
         self.config = config or ExperimentConfig()
@@ -195,10 +197,11 @@ class Experiment:
         #: stream executes unchanged.
         self.defenses = tuple(defenses)
         self.defense_engine: DefenseEngine | None = None
-        #: Out-of-core policy for the monitor's telemetry stores
-        #: (:class:`repro.telemetry.TelemetryBudget`); ``None`` keeps
-        #: every store resident in RAM.
-        self.telemetry_budget = telemetry_budget
+        #: Where the monitor's telemetry stores spill chunked columns
+        #: (``chunk_rows`` rows per chunk); ``None`` keeps every store
+        #: resident in RAM.
+        self.spill_dir = spill_dir
+        self.chunk_rows = chunk_rows
         #: When set, this process simulates only the accounts the shard
         #: owns: every account is still provisioned (and every attacker
         #: profile drawn) so the RNG streams match the serial run, but
@@ -241,16 +244,17 @@ class Experiment:
         seed: int | None = None,
         *,
         shard: ShardSpec | None = None,
-        telemetry_budget=None,
+        spill_dir: str | Path | None = None,
+        chunk_rows: int | None = None,
     ) -> "Experiment":
         """Instantiate from a :class:`repro.api.Scenario`.
 
         ``seed`` overrides the scenario's master seed when given;
         ``shard`` restricts the run to one shard of the account
-        population (see :mod:`repro.shard`); ``telemetry_budget`` caps
-        the resident telemetry footprint (spilled stores go to disk).
-        The budget deliberately lives outside the scenario itself: it
-        changes where bytes sit, not what is measured, so scenario
+        population (see :mod:`repro.shard`); ``spill_dir`` makes the
+        telemetry stores spill chunked columns under that directory.
+        The directory deliberately lives outside the scenario itself:
+        it changes where bytes sit, not what is measured, so scenario
         hashes — and the sweep result cache keyed on them — are
         unaffected.
         """
@@ -261,7 +265,8 @@ class Experiment:
             leak_plan=scenario.leak_plan,
             persona_mix=getattr(scenario, "persona_mix", None),
             shard=shard,
-            telemetry_budget=telemetry_budget,
+            spill_dir=spill_dir,
+            chunk_rows=chunk_rows,
             defenses=getattr(scenario, "defenses", ()),
         )
 
@@ -294,7 +299,11 @@ class Experiment:
             city_by_name(self.config.monitor_city_name),
             scrape_period=self.config.scrape_period,
         )
-        self._configure_telemetry_budget()
+        if self.spill_dir is not None:
+            # Before provisioning: a store only spills while empty.
+            self.monitor.configure_spill(
+                self.spill_dir, chunk_rows=self.chunk_rows
+            )
         self.runtime = AppsScriptRuntime(
             self.sim, quota_notifier=self._on_quota_trip
         )
@@ -323,30 +332,6 @@ class Experiment:
         # would otherwise time an idempotent no-op as the build phase.
         self._build_seconds = time.perf_counter() - build_started
         return self
-
-    def _configure_telemetry_budget(self) -> None:
-        """Apply the telemetry budget to the freshly built monitor.
-
-        Must run before provisioning: spilling swaps a store's columns,
-        which is only legal while the store is empty.  The plan spills
-        the stores with the largest projected footprint first until the
-        remainder fits under the budget; with no budget this is a no-op
-        and every store stays a plain resident :class:`EventLog`.
-        """
-        budget = self.telemetry_budget
-        if budget is None:
-            return
-        plan = budget.plan(
-            account_count=sum(group.size for group in self.leak_plan.groups),
-            duration_days=self.config.duration_days,
-            scrape_period=self.config.scrape_period,
-            scan_period=self.config.scan_period,
-        )
-        if not any(plan.values()):
-            return
-        self.monitor.configure_spill_plan(
-            budget.resolve_spill_dir(), plan, chunk_rows=budget.chunk_rows
-        )
 
     # ------------------------------------------------------------------
     # hooks

@@ -446,20 +446,15 @@ class MonitorInfrastructure:
     # ------------------------------------------------------------------
     # disk spill
     # ------------------------------------------------------------------
-    def configure_spill_plan(
-        self,
-        directory: str | Path,
-        plan: dict[str, bool],
-        *,
-        chunk_rows: int | None = None,
+    def configure_spill(
+        self, directory: str | Path, *, chunk_rows: int | None = None
     ) -> None:
-        """Make the planned stores out-of-core before any row lands.
+        """Make the access, notification and scrape-log stores spill
+        chunked columns under ``directory`` before any row lands.
 
-        ``plan`` maps :data:`repro.telemetry.budget.PLANNED_STORES`
-        names to spill decisions (a :meth:`TelemetryBudget.plan`
-        result).  Must run before provisioning — a store only becomes
-        spillable while empty.  The lockout log is always resident (a
-        handful of rows per run).
+        Must run before provisioning — a store only becomes spillable
+        while empty.  The lockout log stays resident (a handful of rows
+        per run).
         """
         directory = Path(directory)
         for name, store in (
@@ -467,8 +462,7 @@ class MonitorInfrastructure:
             ("notifications", self.notification_store),
             ("scrape_log", self.scrape_log_store),
         ):
-            if plan.get(name):
-                store.configure_spill(directory / name, chunk_rows=chunk_rows)
+            store.configure_spill(directory / name, chunk_rows=chunk_rows)
 
     def _next_slot(self, watched: _WatchedAccount) -> int:
         """The index into the login contexts (one per infrastructure

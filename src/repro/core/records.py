@@ -284,13 +284,11 @@ class ObservedDataset:
         directory: str | Path,
         *,
         chunk_rows: int | None = None,
-        disk_strings: bool = True,
     ) -> "ObservedDataset":
         """A row-identical copy whose stores live on disk.
 
-        With ``disk_strings`` (the default) the copy is also sealed and
-        reopened, so its interned ids come from a sealed
-        :class:`~repro.telemetry.DiskStringTable` — the fully
+        The copy is sealed and reopened, so its interned ids come from
+        a sealed :class:`~repro.telemetry.DiskStringTable` — the fully
         out-of-core read path the fidelity benchmarks exercise.
         """
         copy = ObservedDataset()
@@ -311,8 +309,7 @@ class ObservedDataset:
         }
         copy.blocked_accounts = list(self.blocked_accounts)
         copy.ground_truth_personas = dict(self.ground_truth_personas)
-        if disk_strings:
-            copy.attach_spilled_stores(copy.detach_spilled_stores())
+        copy.attach_spilled_stores(copy.detach_spilled_stores())
         return copy
 
     # ------------------------------------------------------------------

@@ -91,7 +91,7 @@ class ShardRun:
     all_addresses: tuple[str, ...]
     #: The subset this shard simulated and observed.
     owned_addresses: tuple[str, ...]
-    #: Spill manifest when the worker ran under a telemetry budget and
+    #: Spill manifest when the worker ran with a spill directory and
     #: left its chunked columns on disk (``None`` otherwise).  The
     #: coordinator reattaches the on-disk chunks with
     #: :meth:`~repro.core.records.ObservedDataset.attach_spilled_stores`
@@ -107,30 +107,23 @@ def _execute_shard(task: tuple) -> ShardRun:
     same property :class:`~repro.api.runner.BatchRunner` relies on).
 
     ``task`` is ``(scenario_json, index, count)`` plus an optional
-    trailing :meth:`TelemetryBudget.to_dict` payload with the shard's
-    spill directory already pinned by the coordinator.
+    trailing ``(spill_dir, chunk_rows)``: the shard's own spill
+    directory, already pinned by the coordinator.
     """
-    scenario_json, index, count, *rest = task
+    scenario_json, index, count, *spill = task
+    spill_dir, chunk_rows = spill or (None, None)
     fault_site("shard.worker", shard=index, shards=count)
-    budget = None
-    if rest and rest[0] is not None:
-        from repro.telemetry import TelemetryBudget
-
-        budget = TelemetryBudget.from_dict(rest[0])
     scenario = Scenario.from_json(scenario_json)
     spec = ShardSpec(index=index, count=count)
     started = time.perf_counter()
     experiment = Experiment.from_scenario(
-        scenario, shard=spec, telemetry_budget=budget
+        scenario, shard=spec, spill_dir=spill_dir, chunk_rows=chunk_rows
     )
     result = experiment.run()
     elapsed = time.perf_counter() - started
     dataset = result.dataset
     spill_manifest = None
-    if budget is not None and any(
-        store.spilled
-        for store in (dataset.access_store, dataset.notification_store)
-    ):
+    if spill_dir is not None:
         # Leave the chunks where they are; ship only the manifest.  The
         # detached dataset pickles as empty stores plus metadata.
         spill_manifest = dataset.detach_spilled_stores()
@@ -346,8 +339,8 @@ def merge_shard_runs(
     scenario: Scenario,
     shard_runs: list[ShardRun],
     *,
-    telemetry_budget=None,
-    spill_directory=None,
+    spill_dir: str | Path | None = None,
+    chunk_rows: int | None = None,
 ) -> tuple[ObservedDataset, dict]:
     """Merge per-shard datasets into one, in serial append order.
 
@@ -356,10 +349,9 @@ def merge_shard_runs(
     disagree about the population or overlap in ownership — either
     means the partition itself is broken.
 
-    With a ``telemetry_budget``, the merged stores the budget plans as
-    spilled are created out-of-core up front (chunks land under
-    ``spill_directory``, default ``<budget spill dir>/merged``), so
-    merging spilled shard chunks streams disk-to-disk instead of
+    With a ``spill_dir``, the merged access and notification stores
+    are created out-of-core up front (chunks land under ``spill_dir``),
+    so merging spilled shard chunks streams disk-to-disk instead of
     re-materialising every shard's rows in RAM.
     """
     started = time.perf_counter()
@@ -391,28 +383,8 @@ def merge_shard_runs(
 
     scrape_period = scenario.config.scrape_period
     merged = ObservedDataset()
-    if telemetry_budget is not None:
-        plan = telemetry_budget.plan(
-            account_count=len(reference),
-            duration_days=scenario.config.duration_days,
-            scrape_period=scenario.config.scrape_period,
-            scan_period=scenario.config.scan_period,
-        )
-        spill_stores = tuple(
-            name
-            for name in ("accesses", "notifications")
-            if plan.get(name)
-        )
-        if spill_stores:
-            if spill_directory is None:
-                spill_directory = (
-                    Path(telemetry_budget.resolve_spill_dir()) / "merged"
-                )
-            merged.configure_spill(
-                Path(spill_directory),
-                chunk_rows=telemetry_budget.chunk_rows,
-                stores=spill_stores,
-            )
+    if spill_dir is not None:
+        merged.configure_spill(spill_dir, chunk_rows=chunk_rows)
     strings = merged.access_store.strings
     remaps = _string_remaps(strings, shard_runs)
     # Watch (= provision) order per merged string id; -1 for strings
@@ -552,7 +524,8 @@ def run_sharded(
     shards: int | None = None,
     jobs: int | None = None,
     seed: int | None = None,
-    telemetry_budget=None,
+    spill_dir: str | Path | None = None,
+    chunk_rows: int | None = None,
     shard_timeout: float | None = None,
     shard_retries: int = 1,
     heartbeat_interval: float = 0.2,
@@ -574,12 +547,12 @@ def run_sharded(
             deterministic in (scenario, seed), so reruns are
             bit-identical).
         seed: master-seed override, as in ``Scenario.run``.
-        telemetry_budget: out-of-core telemetry policy applied to every
-            worker *and* the merge.  One spill directory is resolved
-            here and partitioned as ``shard-<i>/`` per worker plus
-            ``merged/`` for the coordinator; workers ship chunk
-            manifests back instead of pickled row data, and the merge
-            streams shard chunks into merged chunks.
+        spill_dir: makes every worker *and* the merge spill telemetry
+            (``chunk_rows`` rows per chunk).  The directory is
+            partitioned as ``shard-<i>/`` per worker plus ``merged/``
+            for the coordinator; workers ship chunk manifests back
+            instead of pickled row data, and the merge streams shard
+            chunks into merged chunks.
         shard_timeout: wall-clock limit per shard attempt, seconds.
         shard_retries: re-executions allowed per shard before the run
             fails with :class:`~repro.errors.SupervisionError`.
@@ -605,7 +578,7 @@ def run_sharded(
         # shards > 1 scenarios back here, so an explicit shards=1
         # override must not leave the field set.
         return run_scenario(
-            scenario.with_shards(1), telemetry_budget=telemetry_budget
+            scenario.with_shards(1), spill_dir=spill_dir, chunk_rows=chunk_rows
         )
     # Workers re-read the shard count from the serialized scenario;
     # keep the two in sync even when ``shards`` came in as an override.
@@ -613,23 +586,14 @@ def run_sharded(
         scenario = scenario.with_shards(shards)
     started = time.perf_counter()
     serialized = scenario.to_json()
-    spill_base: Path | None = None
-    budget_dicts: list[dict | None] = [None] * shards
-    if telemetry_budget is not None:
-        # Resolve the directory once in the coordinator so an
-        # unconfigured budget doesn't hand every worker its own
-        # unrelated tempdir; workers then spill under shard-<i>/.
-        spill_base = Path(telemetry_budget.resolve_spill_dir())
-        budget_dicts = [
-            telemetry_budget.with_spill_dir(
-                spill_base / f"shard-{index}"
-            ).to_dict()
+    if spill_dir is None:
+        tasks = [(serialized, index, shards) for index in range(shards)]
+    else:
+        spill_dir = Path(spill_dir)
+        tasks = [
+            (serialized, index, shards, spill_dir / f"shard-{index}", chunk_rows)
             for index in range(shards)
         ]
-    tasks = [
-        (serialized, index, shards, budget_dicts[index])
-        for index in range(shards)
-    ]
     if jobs is None:
         jobs = min(shards, os.cpu_count() or 1)
     if jobs <= 1:
@@ -669,10 +633,8 @@ def run_sharded(
     dataset, diagnostics = merge_shard_runs(
         scenario,
         shard_runs,
-        telemetry_budget=telemetry_budget,
-        spill_directory=(
-            None if spill_base is None else spill_base / "merged"
-        ),
+        spill_dir=None if spill_dir is None else spill_dir / "merged",
+        chunk_rows=chunk_rows,
     )
     elapsed = time.perf_counter() - started
 

@@ -22,10 +22,10 @@ gives that stream a compact, typed representation:
 
 Stores can also leave RAM entirely: :meth:`EventLog.configure_spill`
 swaps a log's columns for chunked, disk-spillable twins
-(:mod:`repro.telemetry.spill`), :class:`TelemetryBudget` decides
-resident-vs-spilled per store for a run's shape, and
-:class:`DiskStringTable` serves interned ids from a sealed on-disk
-table — all behind the same cursor/row/column APIs.
+(:mod:`repro.telemetry.spill`), and :class:`DiskStringTable` serves
+interned ids from a sealed on-disk table — all behind the same
+cursor/row/column APIs.  A run given a spill directory spills its
+access, notification and scrape-log stores this way.
 
 The package is a leaf: it imports nothing from the rest of ``repro``,
 so every layer (webmail, core, analysis, api, cli) can depend on it.
@@ -34,7 +34,6 @@ The numpy-backed spill machinery is re-exported lazily so importing
 """
 
 from repro.telemetry.aggregates import CountByKey, OnlineStats, StreamingECDF
-from repro.telemetry.budget import TelemetryBudget
 from repro.telemetry.columns import Field, make_column
 from repro.telemetry.eventlog import EventCursor, EventLog, RowView
 from repro.telemetry.interning import (
@@ -95,7 +94,6 @@ __all__ = [
     "ScrapeLogStore",
     "StreamingECDF",
     "StringTable",
-    "TelemetryBudget",
     "make_column",
     "read_jsonl",
     "write_jsonl",

@@ -18,7 +18,6 @@ FLAG_VALUES = {
     "--duration-days": "5",
     "--shards": "2",
     "--jobs": "2",
-    "--telemetry-budget": "1",
     "--spill-dir": "spill",
     "--profile": "run.prof",
     "--shard-timeout": "5",

@@ -1,8 +1,8 @@
-"""End-to-end out-of-core runs: budgeted serial, budgeted sharded, perf.
+"""End-to-end out-of-core runs: spilled serial, spilled sharded, perf.
 
-The out-of-core contract at run level: a telemetry budget changes where
+The out-of-core contract at run level: a spill directory changes where
 bytes sit — never what is measured.  Every test here compares a
-budgeted run against the resident baseline through the analysis
+spilled run against the resident baseline through the analysis
 fingerprint (field-for-field equality oracle) or
 :func:`repro.shard.dataset_mismatches`.
 """
@@ -18,7 +18,7 @@ from repro.api.envelope import run_scenario
 from repro.api.registry import scenarios
 from repro.core.experiment import Experiment
 from repro.shard import dataset_mismatches
-from repro.telemetry import DiskStringTable, TelemetryBudget
+from repro.telemetry import DiskStringTable
 
 
 def _short(days: float = 10.0, **kwargs):
@@ -35,10 +35,9 @@ def resident_run():
 
 class TestBudgetedSerialRun:
     def test_spill_all_is_bit_identical(self, tmp_path, resident_run):
-        budget = TelemetryBudget.spill_all(
-            str(tmp_path / "spill"), chunk_rows=512
+        spilled = run_scenario(
+            _short(), seed=2016, spill_dir=tmp_path / "spill", chunk_rows=512
         )
-        spilled = run_scenario(_short(), seed=2016, telemetry_budget=budget)
         assert spilled.dataset.access_store.spilled
         assert spilled.dataset.notification_store.spilled
         assert dataset_mismatches(
@@ -48,32 +47,34 @@ class TestBudgetedSerialRun:
             resident_run.analysis
         )
 
-    def test_unlimited_budget_stays_resident(self, resident_run):
-        budget = TelemetryBudget(max_resident_mb=None)
-        run = run_scenario(_short(), seed=2016, telemetry_budget=budget)
-        assert not run.dataset.access_store.spilled
-        assert analysis_fingerprint(run.analysis) == analysis_fingerprint(
-            resident_run.analysis
+    def test_unlimited_budget_stays_resident(self):
+        # Without a spill directory every store stays resident.
+        monitor = Experiment.from_scenario(_short(), seed=2016).build().monitor
+        assert not any(
+            store.spilled
+            for store in (
+                monitor.access_store,
+                monitor.notification_store,
+                monitor.scrape_log_store,
+                monitor.failure_log,
+            )
         )
 
     def test_budget_plan_applied_at_build(self, tmp_path):
         experiment = Experiment.from_scenario(
-            _short(),
-            seed=2016,
-            telemetry_budget=TelemetryBudget.spill_all(str(tmp_path)),
+            _short(), seed=2016, spill_dir=tmp_path
         ).build()
         monitor = experiment.monitor
         assert monitor.access_store.spilled
         assert monitor.notification_store.spilled
         assert monitor.scrape_log_store.spilled
-        # The lockout log stays resident regardless of budget.
+        # The lockout log stays resident even with a spill directory.
         assert not monitor.failure_log.spilled
 
     def test_spilled_result_pickles(self, tmp_path):
-        budget = TelemetryBudget.spill_all(
-            str(tmp_path / "spill"), chunk_rows=512
+        run = run_scenario(
+            _short(5.0), seed=7, spill_dir=tmp_path / "spill", chunk_rows=512
         )
-        run = run_scenario(_short(5.0), seed=7, telemetry_budget=budget)
         clone = pickle.loads(pickle.dumps(run))
         # Spilled stores materialise on pickling; rows survive intact.
         assert not clone.dataset.access_store.spilled
@@ -84,11 +85,12 @@ class TestBudgetedShardedRun:
     def test_sharded_spilled_matches_resident_serial(
         self, tmp_path, resident_run
     ):
-        budget = TelemetryBudget.spill_all(
-            str(tmp_path / "spill"), chunk_rows=512
-        )
         merged = run_scenario(
-            _short(shards=2), seed=2016, jobs=1, telemetry_budget=budget
+            _short(shards=2),
+            seed=2016,
+            jobs=1,
+            spill_dir=tmp_path / "spill",
+            chunk_rows=512,
         )
         assert merged.dataset.access_store.spilled
         assert dataset_mismatches(
@@ -98,19 +100,20 @@ class TestBudgetedShardedRun:
             resident_run.analysis
         )
         # Workers spilled under shard-<i>/, the coordinator merged
-        # under merged/ — all within the one pinned directory.
+        # under merged/ — all within the one given directory.
         base = tmp_path / "spill"
-        assert (base / "shard-0").is_dir()
-        assert (base / "shard-1").is_dir()
-        assert (base / "merged").is_dir()
+        assert sorted(path.name for path in base.iterdir()) == [
+            "merged", "shard-0", "shard-1",
+        ]
 
     def test_worker_pool_path_matches_in_process(self, tmp_path):
-        budget = TelemetryBudget.spill_all(
-            str(tmp_path / "pooled"), chunk_rows=512
-        )
         scenario = _short(5.0, shards=2)
         pooled = run_scenario(
-            scenario, seed=11, jobs=2, telemetry_budget=budget
+            scenario,
+            seed=11,
+            jobs=2,
+            spill_dir=tmp_path / "pooled",
+            chunk_rows=512,
         )
         serial = run_scenario(_short(5.0), seed=11)
         assert dataset_mismatches(serial.dataset, pooled.dataset) == []

@@ -70,12 +70,7 @@ class TestRowGolden:
         assert _serial(case) == run_rows.load_golden()[case]
 
     def test_fast_spilled(self, tmp_path):
-        from repro.telemetry import TelemetryBudget
-
-        observed = _serial(
-            "fast-1",
-            telemetry_budget=TelemetryBudget.spill_all(spill_dir=str(tmp_path)),
-        )
+        observed = _serial("fast-1", spill_dir=tmp_path)
         assert observed == run_rows.load_golden()["fast-1"]
 
     def test_fast_checkpoint_resumed(self, tmp_path):

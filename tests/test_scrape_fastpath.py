@@ -203,11 +203,7 @@ def _run_world(world: dict, monitor_cls, scratch: Path) -> dict:
     )
     telemetry = world.get("telemetry", "resident")
     if telemetry == "spilled":
-        monitor.configure_spill_plan(
-            scratch,
-            {"accesses": True, "notifications": True, "scrape_log": True},
-            chunk_rows=CHUNK_ROWS,
-        )
+        monitor.configure_spill(scratch, chunk_rows=CHUNK_ROWS)
     sinks = []
     if telemetry == "sink":
         for name, store in (

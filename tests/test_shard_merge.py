@@ -41,7 +41,6 @@ from repro.api.registry import scenarios
 from repro.core.records import AccountProvenance, ObservedDataset
 from repro.core.sharding import ShardSpec
 from repro.shard import ShardRun, dataset_mismatches, merge_shard_runs
-from repro.telemetry import TelemetryBudget
 
 SCENARIO = scenarios.get("fast").to_builder().with_duration_days(2.0).build()
 PERIOD = SCENARIO.config.scrape_period
@@ -319,22 +318,20 @@ STORES = ("access_store", "notification_store", "failure_log", "defense_store")
 def _merge_both(world: dict, scratch: Path):
     runs = [_shard_run(world, index, scratch) for index in range(world["shards"])]
     expected = ObservedDataset()
-    budget = None
+    spill_dir = None
     if world["spilled_target"]:
         expected.configure_spill(
             scratch / "reference",
             chunk_rows=world["chunk_rows"],
             stores=("accesses", "notifications"),
         )
-        budget = TelemetryBudget.spill_all(
-            str(scratch / "budget"), chunk_rows=world["chunk_rows"]
-        )
+        spill_dir = scratch / "merged"
     reference_merge(runs, PERIOD, expected)
     merged, diagnostics = merge_shard_runs(
         SCENARIO,
         list(reversed(runs)),
-        telemetry_budget=budget,
-        spill_directory=scratch / "merged" if budget else None,
+        spill_dir=spill_dir,
+        chunk_rows=world["chunk_rows"],
     )
     return expected, merged, diagnostics
 

@@ -1,10 +1,9 @@
-"""Out-of-core telemetry: spillable columns, budgets, disk string tables.
+"""Out-of-core telemetry: spillable columns, disk string tables.
 
-The contract under test is the one the tentpole PR makes: a store that
-spills chunked columns to disk behaves *identically* to the resident
-store behind every existing API — ``append_fields``, ``row``,
-``EventCursor``, ``RowView``, pickling — and the budgeted end-to-end
-run produces a bit-identical analysis.
+The contract under test: a store that spills chunked columns to disk
+behaves *identically* to the resident store behind every existing API
+— ``append_fields``, ``row``, ``EventCursor``, ``RowView``, pickling —
+and the spilled end-to-end run produces a bit-identical analysis.
 """
 
 from __future__ import annotations
@@ -31,10 +30,8 @@ from repro.telemetry import (
     NotificationStore,
     ScrapeLogStore,
     StringTable,
-    TelemetryBudget,
     write_string_table,
 )
-from repro.telemetry.budget import PLANNED_STORES
 from repro.telemetry.spill import (
     ChunkFile,
     SpilledArray,
@@ -291,50 +288,6 @@ class TestDiskStringTable:
         clone = pickle.loads(pickle.dumps(disk))
         assert isinstance(clone, StringTable)
         assert clone.to_list() == ram.to_list()
-
-
-class TestTelemetryBudget:
-    SHAPE = dict(
-        account_count=10_000,
-        duration_days=236.0,
-        scrape_period=7200.0,
-        scan_period=7200.0,
-    )
-
-    def test_none_budget_spills_nothing(self):
-        plan = TelemetryBudget().plan(**self.SHAPE)
-        assert plan == {name: False for name in PLANNED_STORES}
-
-    def test_zero_budget_spills_everything(self):
-        plan = TelemetryBudget.spill_all().plan(**self.SHAPE)
-        assert plan == {name: True for name in PLANNED_STORES}
-
-    def test_large_budget_spills_nothing(self):
-        plan = TelemetryBudget(max_resident_mb=1e6).plan(**self.SHAPE)
-        assert not any(plan.values())
-
-    def test_partial_budget_spills_biggest_first(self):
-        budget = TelemetryBudget(max_resident_mb=None)
-        projected = TelemetryBudget(max_resident_mb=0.0).projected_bytes(
-            **self.SHAPE
-        )
-        biggest = max(projected, key=projected.get)
-        # A budget that only just fails to fit everything spills
-        # exactly the biggest store.
-        total_mb = sum(projected.values()) / (1024 * 1024)
-        plan = TelemetryBudget(max_resident_mb=total_mb * 0.9).plan(
-            **self.SHAPE
-        )
-        assert plan[biggest] is True
-        assert sum(plan.values()) == 1
-
-    def test_dict_round_trip_and_spill_dir(self, tmp_path):
-        budget = TelemetryBudget(max_resident_mb=64.0, chunk_rows=1024)
-        clone = TelemetryBudget.from_dict(budget.to_dict())
-        assert clone == budget
-        pinned = budget.with_spill_dir(tmp_path / "sub")
-        assert pinned.resolve_spill_dir() == tmp_path / "sub"
-        assert (tmp_path / "sub").is_dir()
 
 
 class TestObservedDatasetSpill:
