@@ -522,19 +522,32 @@ RUN_CONFLICTS: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
+def _given(args, flag: str) -> bool:
+    return getattr(args, flag[2:].replace("-", "_")) is not None
+
+
 def _check_conflicts(args) -> None:
     """Raise :class:`~repro.errors.ConfigurationError` when a
     :data:`RUN_CONFLICTS` mode is combined with a flag it excludes."""
-
-    def given(flag: str) -> bool:
-        return getattr(args, flag[2:].replace("-", "_")) is not None
-
     for mode, (reason, excluded) in RUN_CONFLICTS.items():
-        clashes = [flag for flag in excluded if given(flag)]
-        if given(mode) and clashes:
+        clashes = [flag for flag in excluded if _given(args, flag)]
+        if _given(args, mode) and clashes:
             raise ConfigurationError(
                 f"{mode} {reason}; it cannot be combined with "
                 f"{', '.join(clashes)}"
+            )
+
+
+def _check_sharded_scenario(args, scenario: Scenario) -> None:
+    """Refuse the modes that exclude ``--shards`` when the scenario
+    itself (a ``--scenario-file``) is sharded."""
+    if scenario.shards == 1:
+        return
+    for mode, (reason, excluded) in RUN_CONFLICTS.items():
+        if "--shards" in excluded and _given(args, mode):
+            raise ConfigurationError(
+                f"{mode} {reason}; it cannot be combined with a "
+                f"scenario of {scenario.shards} shards"
             )
 
 
@@ -573,6 +586,7 @@ def _command_run(args) -> int:
         print(f"resumed from checkpoint: {args.resume_from}")
         return _report_run(run, args)
     scenario = _resolve_scenario(args)
+    _check_sharded_scenario(args, scenario)
     if args.checkpoint_every is not None:
         from repro.service import run_with_checkpoints
 

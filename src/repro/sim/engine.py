@@ -2,16 +2,14 @@
 
 :class:`Simulator` owns the clock and the event queue, and exposes the small
 scheduling API the rest of the library is written against: ``schedule`` /
-``schedule_at`` / ``run_until``.  Exceptions raised by callbacks propagate by
-default so simulation bugs fail loudly; tests can install an error handler
-to collect failures instead.
+``schedule_at`` / ``run_until``.  An exception raised by a callback
+propagates out of the loop, so a simulation bug fails loudly and ends the
+run.
 """
 
 from __future__ import annotations
 
 from heapq import heappop
-from typing import Any, Callable
-
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventCallback, EventQueue
@@ -29,7 +27,6 @@ class Simulator:
         self._queue = EventQueue()
         self._running = False
         self._events_fired = 0
-        self._error_handler: Callable[[Event, Exception], None] | None = None
 
     # ------------------------------------------------------------------
     # scheduling
@@ -85,22 +82,6 @@ class Simulator:
         """Cancel a scheduled event (idempotent)."""
         self._queue.cancel(event)
 
-    def set_error_handler(
-        self, handler: Callable[[Event, Exception], None] | None
-    ) -> None:
-        """Install a handler for callback exceptions (``None`` re-raises)."""
-        self._error_handler = handler
-
-    @property
-    def error_handler(self) -> Callable[[Event, Exception], None] | None:
-        """The installed callback-exception handler (``None`` re-raises).
-
-        Exposed so compound events — a :class:`~repro.sim.process.
-        PeriodicBatch` tick running many member callbacks — can apply
-        the same per-callback isolation the engine applies per event.
-        """
-        return self._error_handler
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -113,12 +94,7 @@ class Simulator:
         event = self._queue.pop()
         self.clock.advance_to(event.time)
         self._events_fired += 1
-        try:
-            event.callback()
-        except Exception as exc:  # noqa: BLE001 - routed to handler
-            if self._error_handler is None:
-                raise
-            self._error_handler(event, exc)
+        event.callback()
         return event
 
     def run_until(self, end_time: float, *, max_events: int | None = None) -> int:
@@ -168,12 +144,7 @@ class Simulator:
                 clock._now = event_time
                 self._events_fired += 1
                 executed += 1
-                try:
-                    event.callback()
-                except Exception as exc:  # noqa: BLE001 - routed to handler
-                    if self._error_handler is None:
-                        raise
-                    self._error_handler(event, exc)
+                event.callback()
                 if max_events is not None and executed >= max_events:
                     raise SimulationError(
                         f"run_until exceeded max_events={max_events}"
@@ -199,12 +170,3 @@ class Simulator:
             f"fired={self._events_fired})"
         )
 
-
-def run_simulation(sim: Simulator, end_time: float) -> dict[str, Any]:
-    """Run ``sim`` to ``end_time`` and return a small execution summary."""
-    executed = sim.run_until(end_time)
-    return {
-        "end_time": sim.now,
-        "events_executed": executed,
-        "events_pending": sim.pending_events,
-    }

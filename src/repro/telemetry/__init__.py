@@ -8,8 +8,8 @@ gives that stream a compact, typed representation:
 * :class:`StringTable` — an interning table so repeated addresses, user
   agents, cities and countries are stored once and compared as ints;
 * :class:`EventLog` — an append-only struct-of-arrays store built on
-  stdlib :mod:`array` columns, with cursor-based incremental readers
-  (:class:`EventCursor`) and pluggable sinks notified on every append;
+  stdlib :mod:`array` columns, with pluggable sinks notified on every
+  append;
 * sinks — :class:`JsonlSink` spills rows to disk as JSON lines for runs
   too big for RAM; :class:`CountByKey`, :class:`StreamingECDF` and
   :class:`OnlineStats` aggregate online without retaining rows;
@@ -24,7 +24,7 @@ Stores can also leave RAM entirely: :meth:`EventLog.configure_spill`
 swaps a log's columns for chunked, disk-spillable twins
 (:mod:`repro.telemetry.spill`), and :class:`DiskStringTable` serves
 interned ids from a sealed on-disk table — all behind the same
-cursor/row/column APIs.  A run given a spill directory spills its
+row/column APIs.  A run given a spill directory spills its
 access, notification and scrape-log stores this way.
 
 The package is a leaf: it imports nothing from the rest of ``repro``,
@@ -35,7 +35,7 @@ The numpy-backed spill machinery is re-exported lazily so importing
 
 from repro.telemetry.aggregates import CountByKey, OnlineStats, StreamingECDF
 from repro.telemetry.columns import Field, make_column
-from repro.telemetry.eventlog import EventCursor, EventLog, RowView
+from repro.telemetry.eventlog import EventLog, RowView
 from repro.telemetry.interning import (
     DiskStringTable,
     StringTable,
@@ -82,7 +82,6 @@ __all__ = [
     "DEFENSE_ACTION_FIELDS",
     "DefenseActionStore",
     "DiskStringTable",
-    "EventCursor",
     "EventLog",
     "Field",
     "JsonlSink",

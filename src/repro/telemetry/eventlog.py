@@ -2,18 +2,14 @@
 
 :class:`EventLog` is the spine every observation stream in the
 reproduction flows through.  Rows go in as tuples (one value per schema
-field), land column-wise in compact arrays, and come back out three
+field), land column-wise in compact arrays, and come back out two
 ways:
 
 * **row access** — ``log[i]`` / iteration yield value tuples, and
   :class:`RowView` wraps a log in a read-only sequence of typed records
   for callers that still expect lists of dataclasses;
 * **column access** — ``log.column(name)`` exposes the raw arrays for
-  single-pass analysis without materialising any row objects;
-* **cursors** — :meth:`EventLog.cursor` returns an
-  :class:`EventCursor` that reads only rows appended since its last
-  read, making incremental consumers (the scraper, live dashboards)
-  O(new events) instead of O(all events).
+  single-pass analysis without materialising any row objects.
 
 Sinks attached with :meth:`EventLog.attach_sink` observe every append,
 so disk spilling and online aggregation happen while the run streams,
@@ -155,7 +151,7 @@ class EventLog(Sequence):
         Appends keep landing in resident per-column tails; whenever the
         tail reaches ``chunk_rows`` rows, all columns flush one aligned
         chunk to files under ``directory``.  Every read API — ``row``,
-        cursors, :class:`RowView`, column iteration — keeps working
+        ``iter_rows``, :class:`RowView`, column iteration — keeps working
         with global indices, so callers cannot tell a spilled log from
         a resident one.
         """
@@ -261,13 +257,6 @@ class EventLog(Sequence):
         """
         return zip(*(column.values() for column in self._columns))
 
-    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
-        """Iterate row tuples in append order."""
-        if stop is None:
-            stop = len(self)
-        for i in range(start, stop):
-            yield self.row(i)
-
     def column(self, name: str):
         """The raw column object (arrays exposed for single-pass scans)."""
         return self._by_name[name]
@@ -278,16 +267,6 @@ class EventLog(Sequence):
 
     def field_names(self) -> tuple[str, ...]:
         return tuple(field.name for field in self.schema)
-
-    def cursor(self, *, at_end: bool = False) -> "EventCursor":
-        """A new incremental reader.
-
-        By default the cursor starts at the head: the first
-        :meth:`EventCursor.read_new` drains the existing rows, later
-        calls return only fresh appends.  Pass ``at_end=True`` to skip
-        history and observe new rows only.
-        """
-        return EventCursor(self, position=len(self) if at_end else 0)
 
     # ------------------------------------------------------------------
     # sinks
@@ -380,35 +359,6 @@ class EventLog(Sequence):
     def __repr__(self) -> str:
         names = ", ".join(f.name for f in self.schema)
         return f"{type(self).__name__}({len(self)} rows: {names})"
-
-
-class EventCursor:
-    """Incremental reader over one :class:`EventLog`.
-
-    Each :meth:`read_new` call yields only the rows appended since the
-    previous call — the primitive behind O(new events) scraping.
-    """
-
-    __slots__ = ("_log", "position")
-
-    def __init__(self, log: EventLog, *, position: int = 0) -> None:
-        self._log = log
-        self.position = position
-
-    @property
-    def pending(self) -> int:
-        """Rows appended but not yet read."""
-        return len(self._log) - self.position
-
-    def read_new(self) -> list[tuple]:
-        """All rows appended since the last read, advancing the cursor."""
-        end = len(self._log)
-        rows = [self._log.row(i) for i in range(self.position, end)]
-        self.position = end
-        return rows
-
-    def rewind(self) -> None:
-        self.position = 0
 
 
 class RowView(Sequence):

@@ -8,15 +8,15 @@ much computer time" notifications, which attackers then read (a case study
 in Section 4.7).
 
 :class:`AppsScriptRuntime` reproduces those semantics: scripts are bound to
-accounts, fire on periodic triggers, accrue simulated execution time
+accounts when the honey accounts are set up, before the first trigger
+fires, then run on periodic triggers, accrue simulated execution time
 against a daily quota, and keep running even when the account password
-changes (only deletion of the script, or account suspension by the
-provider, stops them).
+changes (only account suspension by the provider stops them).
 
 Scans are event-driven.  Same-cadence, same-phase triggers share one
-:class:`~repro.sim.process.PeriodicBatch` tick, so the heap sees one
-event per tick exactly as if every trigger fired, but a tick executes
-only the installations that have work:
+:class:`~repro.sim.process.PeriodicProcess`, so the heap sees one event
+per tick exactly as if every trigger fired, but a tick executes only the
+installations that have work:
 
 * a script whose mailbox changed since its last run (the mailbox's
   change hook marks the installation dirty);
@@ -31,12 +31,12 @@ so skipping it changes nothing but the run counters.  The runtime
 relies on two invariants.  A block is permanent: once a run finds its
 account blocked, the installation is parked and never woken again.  A
 light account can never reach its quota: an account polls once the
-summed worst-case daily cost of every script ever installed on it
+summed worst-case daily cost of every script installed on it
 (``execution_cost`` times the most ticks one quota window can hold)
 reaches the limit, so an account that does not poll could not have
-tripped.  When an account starts polling mid-run, the charges its
-skipped ticks would have made are replayed from the tick log first.
-Scripts that do not implement :class:`EventDrivenScript` poll always.
+tripped.  Every install happens before the first tick, so an account
+that turns heavy has skipped no charge.  Scripts that do not implement
+:class:`EventDrivenScript` poll always.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Callable, Hashable, Protocol, runtime_checkable
 from repro.errors import QuotaExceededError, ConfigurationError
 from repro.sim.clock import days
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicBatch
+from repro.sim.process import PeriodicProcess
 
 
 class AppsScript(Protocol):
@@ -116,16 +116,16 @@ class ScriptQuota:
 
 
 class _Cadence:
-    """The installations sharing one trigger batch, and which have work.
+    """The installations sharing one trigger, and which have work.
 
     ``dirty`` holds ids whose mailbox changed since their last run,
     ``beats`` groups the ids that have run by heartbeat key, and
     ``pollers`` lists, in install order, the ids that run every tick.
     """
 
-    def __init__(self, batch: PeriodicBatch) -> None:
-        self.batch = batch
-        self.live = 0
+    process: PeriodicProcess
+
+    def __init__(self) -> None:
         self.dirty: set[int] = set()
         self.beats: dict[Hashable, set[int]] = {}
         self.pollers: list[int] = []
@@ -133,19 +133,11 @@ class _Cadence:
 
 @dataclass
 class _Installation:
-    """One script installed on one account.
-
-    ``joined`` and ``left`` bound, as tick-log indices, the ticks whose
-    quota charges a catch-up replays for it.
-    """
+    """One script installed on one account."""
 
     account_address: str
     script: AppsScript
     cadence: _Cadence
-    hidden_in: str
-    joined: int
-    left: int | None = None
-    deleted: bool = False
     polling: bool = False
     parked: bool = False
     on_change: Callable[[], None] | None = None
@@ -179,36 +171,31 @@ class AppsScriptRuntime:
         self._quota_notifier = quota_notifier
         self._daily_quota_seconds = daily_quota_seconds
         self._next_id = 1
-        self._cadences: list[_Cadence] = []
+        #: ``(period, first fire time)`` -> the cadence triggering there.
+        self._cadences: dict[tuple[float, float], _Cadence] = {}
         #: account -> summed worst-case cost per quota window.
         self._quota_bounds: dict[str, float] = {}
         self._polling_accounts: set[str] = set()
-        #: ``(time, cadence)`` of every tick, in firing order.
-        self._tick_log: list[tuple[float, _Cadence]] = []
         self.runs_executed = 0
         self.quota_trips = 0
 
     def _cadence_for(self, period: float, start_delay: float | None) -> _Cadence:
-        """The live cadence whose pending tick matches ``now +
-        start_delay``, creating one when no compatible batch exists."""
+        """The cadence first firing at ``now + start_delay`` with this
+        period, creating one when none exists yet."""
         first_delay = float(period) if start_delay is None else float(start_delay)
-        first_time = self._sim.clock.now + first_delay
-        for cadence in self._cadences:
-            if cadence.batch.matches(period, first_time):
-                return cadence
-        cadence = _Cadence(
-            PeriodicBatch(
+        key = (float(period), self._sim.clock.now + first_delay)
+        cadence = self._cadences.get(key)
+        if cadence is None:
+            cadence = self._cadences[key] = _Cadence()
+            # partial (not a closure) so a checkpointed world pickles: the
+            # event queue holds these callbacks mid-run.
+            cadence.process = PeriodicProcess(
                 self._sim,
                 period,
+                partial(self._tick, cadence),
                 start_delay=first_delay,
-                label=f"apps-script:batch:{period:g}s",
+                label=f"apps-script:{period:g}s",
             )
-        )
-        # partial (not a closure) so a checkpointed world pickles: the
-        # event queue holds these callbacks mid-run.
-        cadence.batch.add(partial(self._tick, cadence))
-        self._cadences = [c for c in self._cadences if not c.batch.stopped]
-        self._cadences.append(cadence)
         return cadence
 
     def install(
@@ -218,26 +205,29 @@ class AppsScriptRuntime:
         *,
         period: float,
         start_delay: float | None = None,
-        hidden_in: str = "spreadsheet:Budget2015",
     ) -> int:
         """Install ``script`` on an account with a time trigger.
 
-        Returns an installation id usable with :meth:`uninstall`.
+        Returns the installation id.
+
+        Raises:
+            ConfigurationError: for a non-positive period, or once any
+                trigger has fired: scripts are installed while the honey
+                accounts are set up, before the measurement starts.
         """
         if period <= 0:
             raise ConfigurationError("trigger period must be positive")
+        if any(cadence.process.ticks for cadence in self._cadences.values()):
+            raise ConfigurationError(
+                "scripts must be installed before the first trigger fires"
+            )
         installation_id = self._next_id
         self._next_id += 1
         cadence = self._cadence_for(period, start_delay)
         installation = _Installation(
-            account_address=account_address,
-            script=script,
-            cadence=cadence,
-            hidden_in=hidden_in,
-            joined=len(self._tick_log),
+            account_address=account_address, script=script, cadence=cadence
         )
         self._installations[installation_id] = installation
-        cadence.live += 1
         self._quotas.setdefault(
             account_address,
             ScriptQuota(daily_limit_seconds=self._daily_quota_seconds),
@@ -266,38 +256,14 @@ class AppsScriptRuntime:
     # quota polling
     # ------------------------------------------------------------------
     def _start_polling(self, account_address: str) -> None:
-        """Make every script on the account poll from the next tick.
-
-        The account's quota was never charged while it did not poll, so
-        first replay, in firing order, the charges every tick it skipped
-        would have made.  None can trip: the account's bound was below
-        the limit until now.
-        """
+        """Make every script on the account poll from its first tick."""
         self._polling_accounts.add(account_address)
-        quota = self._quotas[account_address]
-        mine = [
-            (iid, inst)
-            for iid, inst in self._installations.items()
-            if inst.account_address == account_address
-        ]
-        start = min(inst.joined for _, inst in mine)
-        for index, (now, cadence) in enumerate(
-            self._tick_log[start:], start
-        ):
-            for _, inst in mine:
-                if (
-                    inst.cadence is cadence
-                    and inst.joined <= index
-                    and (inst.left is None or index < inst.left)
-                ):
-                    quota.charge(inst.script.execution_cost, now)
-        for iid, inst in mine:
-            if not inst.deleted:
+        for iid, inst in self._installations.items():
+            if inst.account_address == account_address:
                 self._start_polling_one(iid, inst)
 
     def _start_polling_one(self, installation_id: int, inst: _Installation) -> None:
         self._stop_waking(installation_id, inst)
-        inst.parked = False
         inst.polling = True
         insort(inst.cadence.pollers, installation_id)
 
@@ -323,9 +289,8 @@ class AppsScriptRuntime:
     # execution
     # ------------------------------------------------------------------
     def _tick(self, cadence: _Cadence) -> None:
-        """One batch tick: run the due installations in install order."""
+        """One cadence tick: run the due installations in install order."""
         now = self._sim.clock.now
-        self._tick_log.append((now, cadence))
         installations = self._installations
         dirty = cadence.dirty
         due = list(cadence.pollers)
@@ -338,21 +303,13 @@ class AppsScriptRuntime:
         if not due:
             return
         heapq.heapify(due)
-        handler = self._sim.error_handler
         last = 0
         while due:
             installation_id = heapq.heappop(due)
             if installation_id <= last:
                 continue  # listed for two reasons
             last = installation_id
-            if handler is None:
-                self._execute(installation_id, now)
-            else:
-                # Per-installation isolation, as per-trigger events had.
-                try:
-                    self._execute(installation_id, now)
-                except Exception as exc:  # noqa: BLE001 - routed
-                    handler(cadence.batch.event, exc)
+            self._execute(installation_id, now)
             if dirty:
                 # A run changed a mailbox: scripts still ahead of it
                 # this tick see the change now, the rest next tick.
@@ -362,7 +319,7 @@ class AppsScriptRuntime:
 
     def _execute(self, installation_id: int, now: float) -> None:
         installation = self._installations[installation_id]
-        if installation.deleted or installation.parked:
+        if installation.parked:
             return
         script = installation.script
         if installation.polling:
@@ -376,7 +333,7 @@ class AppsScriptRuntime:
                 return  # run skipped this tick; quota resets next day
         script.run(now)
         self.runs_executed += 1
-        if installation.polling or installation.deleted:
+        if installation.polling:
             return
         if script.halted:
             self._stop_waking(installation_id, installation)
@@ -387,40 +344,3 @@ class AppsScriptRuntime:
             self._leave_beat_group(installation_id, installation)
             installation.cadence.beats.setdefault(key, set()).add(installation_id)
             installation.beat_key = key
-
-    # ------------------------------------------------------------------
-    # removal and queries
-    # ------------------------------------------------------------------
-    def uninstall(self, installation_id: int) -> None:
-        """Remove a script (an attacker deleting it, or teardown)."""
-        installation = self._installations.get(installation_id)
-        if installation is None or installation.deleted:
-            return
-        installation.deleted = True
-        installation.left = len(self._tick_log)
-        self._stop_waking(installation_id, installation)
-        cadence = installation.cadence
-        if installation.polling:
-            cadence.pollers.remove(installation_id)
-        cadence.live -= 1
-        if cadence.live == 0:
-            cadence.batch.stop()
-
-    def uninstall_account(self, account_address: str) -> int:
-        """Remove every script on an account; returns how many."""
-        doomed = self.scripts_on(account_address)
-        for installation_id in doomed:
-            self.uninstall(installation_id)
-        return len(doomed)
-
-    def scripts_on(self, account_address: str) -> list[int]:
-        """Ids of live installations on an account."""
-        return [
-            iid
-            for iid, inst in self._installations.items()
-            if inst.account_address == account_address and not inst.deleted
-        ]
-
-    def hidden_location(self, installation_id: int) -> str:
-        """Where the script hides (the paper tucks it in a spreadsheet)."""
-        return self._installations[installation_id].hidden_in

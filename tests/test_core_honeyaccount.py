@@ -56,7 +56,7 @@ class TestProvisioning:
     def test_script_installed_with_clean_cursor(self, factory):
         group = paper_leak_plan().group("paste_uk")
         honey = factory.provision(group)
-        assert factory.runtime.scripts_on(honey.address)
+        assert honey.script_installation_id > 0
         # The first scan must not replay the seeding as fresh changes.
         honey.script.run(now=0.0)
         kinds = {n.kind.value for n in factory.notifications}

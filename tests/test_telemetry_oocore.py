@@ -2,7 +2,7 @@
 
 The contract under test: a store that spills chunked columns to disk
 behaves *identically* to the resident store behind every existing API
-— ``append_fields``, ``row``, ``EventCursor``, ``RowView``, pickling —
+— ``append_fields``, ``row``, ``iter_rows``, ``RowView``, pickling —
 and the spilled end-to-end run produces a bit-identical analysis.
 """
 
@@ -23,7 +23,6 @@ from repro.core.records import ObservedDataset
 from repro.telemetry import (
     AccessStore,
     DiskStringTable,
-    EventCursor,
     EventLog,
     Field,
     JsonlSink,
@@ -213,7 +212,9 @@ class TestSpillableStores:
 
 
 class TestEventCursorAcrossSpillBoundary:
-    """Satellite: cursor semantics must survive a chunk flush."""
+    """Reads by position (``row``/``iter_rows``) must survive a chunk
+    flush: rows read before it and rows appended after it decode
+    exactly as in a store that never spilled."""
 
     def test_cursor_opened_before_flush_sees_identical_rows(self, tmp_path):
         reference = AccessStore()
@@ -222,21 +223,19 @@ class TestEventCursorAcrossSpillBoundary:
         total = 3 * CHUNK + 2
         fill_access_store(reference, total)
 
-        # The first rows arrive; a cursor reads them before any flush.
+        # The first rows arrive and are read before any flush.
         for i in range(CHUNK - 2):
             store.append(reference.row(i))
-        cursor = EventCursor(store)
-        first = cursor.read_new()
+        first = list(store.iter_rows())
+        position = len(store)
         # The rest of the stream crosses three chunk boundaries.
         for i in range(CHUNK - 2, total):
             store.append(reference.row(i))
-        rest = cursor.read_new()
-        assert cursor.pending == 0
+        rest = [store.row(i) for i in range(position, len(store))]
         # Decoded rows — interned strings included — match a store that
         # never spilled, row for row, across the flush boundary.
         assert first + rest == [reference.row(i) for i in range(total)]
-        cursor.rewind()
-        assert cursor.read_new() == first + rest
+        assert list(store.iter_rows()) == first + rest
 
     def test_cursor_rows_match_reference_after_reattach(self, tmp_path):
         store = NotificationStore()
@@ -250,9 +249,8 @@ class TestEventCursorAcrossSpillBoundary:
         reopened = NotificationStore(strings=table)
         reopen_spilled_log(reopened, tmp_path / "n", manifest)
 
-        cursor = EventCursor(reopened)
-        rows = cursor.read_new()
-        assert rows == before
+        assert list(reopened.iter_rows()) == before
+        assert [reopened.row(i) for i in range(len(reopened))] == before
         # Re-interned ids resolve to the same strings through the
         # disk-resident table.
         assert [table.lookup(reopened.kind_ids[i]) for i in range(4)] == [

@@ -44,47 +44,6 @@ class TestRuntime:
         sim.run_until(minutes(35))
         assert script.runs == [minutes(10), minutes(20), minutes(30)]
 
-    def test_uninstall_stops_runs(self, sim):
-        runtime = AppsScriptRuntime(sim)
-        script = RecordingScript(execution_cost=0.001)
-        installation = runtime.install(
-            "a@x.example", script, period=minutes(10)
-        )
-        sim.run_until(minutes(15))
-        runtime.uninstall(installation)
-        sim.run_until(minutes(60))
-        assert len(script.runs) == 1
-
-    def test_uninstall_account(self, sim):
-        runtime = AppsScriptRuntime(sim)
-        first = RecordingScript(0.001)
-        second = RecordingScript(0.001)
-        runtime.install("a@x.example", first, period=minutes(10))
-        runtime.install("a@x.example", second, period=minutes(10))
-        removed = runtime.uninstall_account("a@x.example")
-        assert removed == 2
-        sim.run_until(hours(2))
-        assert first.runs == [] and second.runs == []
-
-    def test_scripts_on(self, sim):
-        runtime = AppsScriptRuntime(sim)
-        installation = runtime.install(
-            "a@x.example", RecordingScript(0.001), period=minutes(10)
-        )
-        assert runtime.scripts_on("a@x.example") == [installation]
-        runtime.uninstall(installation)
-        assert runtime.scripts_on("a@x.example") == []
-
-    def test_hidden_location(self, sim):
-        runtime = AppsScriptRuntime(sim)
-        installation = runtime.install(
-            "a@x.example",
-            RecordingScript(0.001),
-            period=minutes(10),
-            hidden_in="spreadsheet:Budget2015",
-        )
-        assert "spreadsheet" in runtime.hidden_location(installation)
-
     def test_quota_trip_notifies_and_skips(self, sim):
         trips = []
         runtime = AppsScriptRuntime(
