@@ -89,7 +89,6 @@ from repro.telemetry import (
     EventLog,
     JsonlSink,
     RowView,
-    StreamingECDF,
     StringTable,
 )
 
@@ -119,7 +118,6 @@ __all__ = [
     "Scenario",
     "ScenarioBuilder",
     "SignificanceTests",
-    "StreamingECDF",
     "StringTable",
     "SweepManager",
     "__version__",

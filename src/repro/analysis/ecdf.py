@@ -21,8 +21,9 @@ class Ecdf:
 
     @classmethod
     def from_sample(cls, values) -> "Ecdf":
-        """Build an ECDF from any non-empty iterable of numbers."""
-        array = np.asarray(sorted(values), dtype=float)
+        """Build an ECDF from a non-empty sequence of numbers (a list,
+        an ``array('d')``, a numpy array)."""
+        array = np.sort(np.asarray(values, dtype=float), kind="stable")
         if array.size == 0:
             raise AnalysisError("cannot build an ECDF from an empty sample")
         fractions = np.arange(1, array.size + 1, dtype=float) / array.size

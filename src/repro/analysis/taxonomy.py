@@ -64,12 +64,19 @@ class ClassifiedAccess:
         return TaxonomyLabel.CURIOUS
 
 
-_ACTION_KINDS = {
-    NotificationKind.READ,
-    NotificationKind.STARRED,
-    NotificationKind.SENT,
-    NotificationKind.DRAFT,
-}
+#: Notification kinds (wire values) that are attributable actions;
+#: everything else (heartbeats, quota warnings) labels nothing.
+ACTION_KIND_VALUES = frozenset(
+    kind.value
+    for kind in (
+        NotificationKind.READ,
+        NotificationKind.STARRED,
+        NotificationKind.SENT,
+        NotificationKind.DRAFT,
+    )
+)
+_SENT = NotificationKind.SENT.value
+_DRAFT = NotificationKind.DRAFT.value
 
 #: Actions further than this from any observed access window belong to
 #: post-lockout activity the measurement cannot attribute (the paper had
@@ -83,14 +90,15 @@ def attribution_margin(scan_period: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Incremental attribution core
+# Attribution core
 #
 # Both the batch path below and the online classifier
-# (:mod:`repro.service.classifier`) attribute actions and lockouts to
-# access *spans* — ``(t0, t_last)`` pairs per unique access of one
-# account — through these two functions, so live labels match what a
-# batch ``analyze()`` would assign on the same event prefix.  Spans must
-# be listed in the batch candidate order: ascending ``(t0, cookie_id)``.
+# (:mod:`repro.service.classifier`) label one account at a time through
+# :func:`label_account`, so live labels match what a batch
+# ``analyze()`` would assign on the same event prefix.  It attributes
+# actions and lockouts to access *spans* — ``(t0, t_last)`` pairs per
+# unique access of the account, listed in the batch candidate order:
+# ascending ``(t0, cookie_id)``.
 # ----------------------------------------------------------------------
 
 
@@ -141,18 +149,48 @@ def lockout_target_index(spans, lockout_time: float) -> int | None:
     return min(pool, key=lambda i: abs(lockout_time - spans[i][1]))
 
 
-def action_label(kind: NotificationKind) -> TaxonomyLabel | None:
-    """The taxonomy label one attributed action implies (``None`` for
-    drafts, which are counted but label nothing)."""
-    if kind is NotificationKind.SENT:
-        return TaxonomyLabel.SPAMMER
-    if kind is NotificationKind.DRAFT:
-        return None
-    return TaxonomyLabel.GOLD_DIGGER
+def label_account(
+    items: list[ClassifiedAccess],
+    actions,
+    lockouts,
+    *,
+    margin: float,
+) -> None:
+    """Label one account's accesses in place.
+
+    ``items`` are the account's accesses in ``(t0, cookie_id)`` order,
+    ``actions`` its ``(kind value, timestamp)`` action notifications and
+    ``lockouts`` its scraper-lockout timestamps.  Each action counts
+    toward the access nearest it (a send makes a spammer, a read or
+    star a gold digger, a draft labels nothing); the scraper lockout
+    reveals a password change, so the access it implicates is a
+    hijacker; an access left without a label is curious.
+    """
+    spans = [(item.access.t0, item.access.t_last) for item in items]
+    for kind, timestamp in actions:
+        index = nearest_span_index(spans, timestamp, margin=margin)
+        if index is None:
+            continue
+        best = items[index]
+        if kind == _SENT:
+            best.labels.add(TaxonomyLabel.SPAMMER)
+            best.attributed_sends += 1
+        elif kind == _DRAFT:
+            best.attributed_drafts += 1
+        else:
+            best.labels.add(TaxonomyLabel.GOLD_DIGGER)
+            best.attributed_reads += 1
+    for lockout_time in lockouts:
+        index = lockout_target_index(spans, lockout_time)
+        if index is not None:
+            items[index].labels.add(TaxonomyLabel.HIJACKER)
+    for item in items:
+        if not item.labels:
+            item.labels.add(TaxonomyLabel.CURIOUS)
 
 
 def _action_stream(dataset: ObservedDataset):
-    """Yield ``(kind, account_address, timestamp)`` for action
+    """Yield ``(kind value, account_address, timestamp)`` for action
     notifications, in arrival order.
 
     Scans the raw id columns: kind filtering is integer comparison and
@@ -162,8 +200,8 @@ def _action_stream(dataset: ObservedDataset):
     id_of = store.strings.id_of
     kind_for_id = {
         ident: kind
-        for kind in _ACTION_KINDS
-        if (ident := id_of(kind.value)) is not None
+        for kind in ACTION_KIND_VALUES
+        if (ident := id_of(kind)) is not None
     }
     lookup = store.strings.lookup
     account_ids = store.account_ids
@@ -202,42 +240,20 @@ def classify_accesses(
     by_account: dict[str, list[ClassifiedAccess]] = {}
     for item in classified:
         by_account.setdefault(item.access.account_address, []).append(item)
-    spans_by_account = {
-        address: [(c.access.t0, c.access.t_last) for c in candidates]
-        for address, candidates in by_account.items()
-    }
-
-    margin = attribution_margin(scan_period)
+    actions: dict[str, list[tuple[str, float]]] = {}
     for kind, account_address, timestamp in _action_stream(dataset):
-        spans = spans_by_account.get(account_address)
-        if not spans:
-            continue
-        index = nearest_span_index(spans, timestamp, margin=margin)
-        if index is None:
-            continue
-        best = by_account[account_address][index]
-        if kind is NotificationKind.SENT:
-            best.labels.add(TaxonomyLabel.SPAMMER)
-            best.attributed_sends += 1
-        elif kind is NotificationKind.DRAFT:
-            best.attributed_drafts += 1
-        else:
-            best.labels.add(TaxonomyLabel.GOLD_DIGGER)
-            best.attributed_reads += 1
-
-    # Hijackers: the scraper lockout reveals the password change; the
-    # access whose window is nearest before the lockout gets the label.
+        actions.setdefault(account_address, []).append((kind, timestamp))
+    lockouts: dict[str, list[float]] = {}
     for address, lockout_time in dataset.scrape_failures:
-        spans = spans_by_account.get(address)
-        if not spans:
-            continue
-        index = lockout_target_index(spans, lockout_time)
-        if index is not None:
-            by_account[address][index].labels.add(TaxonomyLabel.HIJACKER)
-
-    for item in classified:
-        if not item.labels:
-            item.labels.add(TaxonomyLabel.CURIOUS)
+        lockouts.setdefault(address, []).append(lockout_time)
+    margin = attribution_margin(scan_period)
+    for address, items in by_account.items():
+        label_account(
+            items,
+            actions.get(address, ()),
+            lockouts.get(address, ()),
+            margin=margin,
+        )
     return classified
 
 

@@ -9,8 +9,9 @@ the layers they harden:
   environment channel that carries a plan into forked and subprocess
   children.
 * :mod:`repro.faults.retry` — :class:`RetryPolicy` (bounded retries,
-  exponential backoff, deterministic jitter) and :class:`RetryBudget`,
-  shared by sweeps, the live feed, and service IO.
+  exponential backoff, deterministic jitter) and its one instance,
+  ``DEFAULT_IO_RETRY``, shared by sweeps, the live feed, and service
+  IO.
 * :mod:`repro.faults.supervise` — :func:`supervise_iter`, the
   fork-per-task supervision loop with wall-clock timeouts, heartbeat
   watchdogs, and kill-and-requeue.
@@ -29,7 +30,6 @@ from repro.faults.plan import (
 )
 from repro.faults.retry import (
     DEFAULT_IO_RETRY,
-    RetryBudget,
     RetryPolicy,
 )
 from repro.faults.supervise import SupervisedOutcome, supervise_iter
@@ -45,7 +45,6 @@ __all__ = [
     "hang_active",
     "reset_faults",
     "DEFAULT_IO_RETRY",
-    "RetryBudget",
     "RetryPolicy",
     "SupervisedOutcome",
     "supervise_iter",

@@ -8,9 +8,6 @@ so backoff behaviour is uniform and tunable in one place.
 Jitter is deterministic: it is drawn from a hash of ``(seed, key,
 attempt)`` rather than global RNG state, so a replayed run backs off
 identically and retry schedules never perturb simulation RNG streams.
-A :class:`RetryBudget` optionally caps *total* retries across many
-call sites, turning "retry forever-ish" into "spend at most N
-recoveries on this workload, then surface the failure".
 """
 
 from __future__ import annotations
@@ -28,37 +25,6 @@ def _jitter_draw(seed: int, key: str, attempt: int) -> float:
         f"{seed}:{key}:{attempt}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") / 2**64
-
-
-class RetryBudget:
-    """A global cap on retries shared across call sites.
-
-    Each recovery attempt calls :meth:`take`; once the budget is
-    spent, callers stop retrying and let the failure surface.  This
-    bounds worst-case latency when a fault is persistent rather than
-    transient (a full disk fails every retry; burning the whole
-    backoff schedule per write just delays the inevitable 503).
-    """
-
-    def __init__(self, limit: int) -> None:
-        if limit < 0:
-            raise ConfigurationError("retry budget limit must be >= 0")
-        self.limit = limit
-        self.spent = 0
-
-    def take(self) -> bool:
-        """Consume one retry; False once the budget is exhausted."""
-        if self.spent >= self.limit:
-            return False
-        self.spent += 1
-        return True
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.limit - self.spent)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RetryBudget(spent={self.spent}, limit={self.limit})"
 
 
 @dataclass(frozen=True)
@@ -137,7 +103,6 @@ class RetryPolicy:
         *,
         retry_on: tuple = (OSError, ConnectionError),
         key: str = "",
-        budget: RetryBudget | None = None,
         on_retry=None,
         sleep=time.sleep,
     ):
@@ -150,8 +115,6 @@ class RetryPolicy:
             key: jitter key — use a stable identity for the operation
                 (a cell address, a WAL path) so concurrent retriers
                 decorrelate.
-            budget: optional shared :class:`RetryBudget`; when it is
-                exhausted the failure propagates without further tries.
             on_retry: callback ``(attempt, delay_seconds, exc)`` before
                 each backoff sleep (journaling, logging).
             sleep: injection point for tests.
@@ -164,8 +127,6 @@ class RetryPolicy:
                 attempt += 1
                 if attempt >= self.attempts:
                     raise
-                if budget is not None and not budget.take():
-                    raise
                 pause = self.delay(attempt, key=key)
                 if on_retry is not None:
                     on_retry(attempt, pause, exc)
@@ -173,7 +134,8 @@ class RetryPolicy:
                     sleep(pause)
 
 
-#: Default policy for IO-path retries (WAL, store, spill, checkpoint):
+#: The one policy every retrying layer uses (WAL appends, feed POSTs,
+#: sweep requeues and store writes, spill flushes, checkpoint writes):
 #: three tries, ~50/100 ms backoffs — fast enough not to stall an
 #: ingest loop, spaced enough to ride out transient EIO/ENOSPC blips.
 DEFAULT_IO_RETRY = RetryPolicy()

@@ -5,9 +5,9 @@ after a run completes; this package answers it *while it happens*.  A
 :class:`LiveFeed` streams a running simulation's telemetry (or a replay
 of a finished run) as wire-format JSON events into a
 :class:`ServiceState`, which journals each request's events to a
-:class:`WriteAheadLog` as one line, folds them into the
-:class:`OnlineClassifier`'s rolling per-(account, cookie) state, and
-keeps the ``/stats`` dashboard aggregators current.
+:class:`WriteAheadLog` as one line and folds each of them once into
+the :class:`OnlineClassifier`, whose rolling per-(account, cookie)
+state also holds what the ``/stats`` dashboard reports.
 :class:`ReproService` exposes all of that over a stdlib-only asyncio
 HTTP API, and :mod:`repro.service.checkpoint` makes both the service
 and a mid-horizon simulation restartable.

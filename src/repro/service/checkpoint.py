@@ -13,9 +13,9 @@ atomic rename — a reader never sees a torn checkpoint):
   ``analyze()`` fingerprint identical to an uninterrupted run.
 
 * **Service checkpoints** are JSON: the online classifier's rolling
-  state, the dashboard aggregators, and the WAL position they cover.
-  A restarting service loads the snapshot and replays only the WAL
-  tail past that position.
+  state (which holds everything ``/stats`` reports) and the WAL
+  position it covers.  A restarting service loads the snapshot and
+  replays only the WAL tail past that position.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ from repro.service.state import ServiceState
 from repro.service.wal import replay_wal
 
 #: Format tag inside every service checkpoint; bump on layout changes.
-SERVICE_CHECKPOINT_VERSION = 1
+#: Version 2 carries the dashboard inside ``classifier``; a version-1
+#: checkpoint (with a separate ``dashboard`` key) is refused.
+SERVICE_CHECKPOINT_VERSION = 2
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -177,7 +179,7 @@ def resume_run(path: str | Path):
 def write_service_checkpoint(
     path: str | Path, state: ServiceState
 ) -> Path:
-    """Snapshot a service's classifier + dashboard + WAL position."""
+    """Snapshot a service's classifier and WAL position."""
     state.flush()
     payload = {
         "kind": "service_checkpoint",
@@ -186,7 +188,6 @@ def write_service_checkpoint(
             state.wal.position if state.wal is not None else 0
         ),
         "classifier": state.classifier.to_dict(),
-        "dashboard": state.dashboard_snapshot(),
     }
     path = Path(path)
     _atomic_write_bytes(
@@ -228,8 +229,8 @@ def restore_service_state(
 
     Order of operations on restart:
 
-    1. load the checkpoint (if any) — classifier and dashboard resume
-       from the snapshot, which covers WAL lines ``[0, position)``;
+    1. load the checkpoint (if any) — the classifier resumes from the
+       snapshot, which covers WAL lines ``[0, position)``;
     2. replay the WAL tail ``[position, end)`` without re-journaling;
     3. reopen the WAL in append mode so new events continue it.
 
@@ -240,17 +241,13 @@ def restore_service_state(
 
     position = 0
     classifier = None
-    dashboard = None
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         payload = load_service_checkpoint(checkpoint_path)
         position = payload["wal_position"]
         classifier = OnlineClassifier.from_dict(payload["classifier"])
-        dashboard = payload["dashboard"]
     state = ServiceState(classifier)
-    if dashboard is not None:
-        state.restore_dashboard(dashboard)
     if wal_path is not None:
-        replayed = state.replay(replay_wal(wal_path, position))
+        state.replay(replay_wal(wal_path, position))
         state.wal = WriteAheadLog(wal_path, resume=True)
         if position and state.wal.position < position:
             raise ServiceError(
@@ -259,5 +256,4 @@ def restore_service_state(
                 f"position ({position}); refusing to resume from a "
                 "truncated journal"
             )
-        del replayed
     return state

@@ -7,9 +7,13 @@ from the full telemetry after the fact: the unique-access span, the
 fingerprint of its earliest observation, and the location of its
 earliest located observation.  Actions and lockouts accumulate per
 account; labels are recomputed lazily — only for accounts whose state
-changed since the last query — through the *same* attribution core the
-batch path uses (:func:`repro.analysis.taxonomy.nearest_span_index` /
-:func:`~repro.analysis.taxonomy.lockout_target_index`).
+changed since the last query — through the *same* per-account
+attribution the batch path uses
+(:func:`repro.analysis.taxonomy.label_account`).
+
+The same fold keeps what the ``/stats`` dashboard reports beyond the
+labels: rows per notification kind and per access country, and every
+access timestamp, all counted before the Section 4.1 cleaning.
 
 **Parity contract**: after ingesting any prefix of a run's event
 stream, :meth:`classified` equals ``classify_accesses(...)`` over batch
@@ -27,32 +31,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass, field
 
 from repro.analysis.accesses import UniqueAccess
 from repro.analysis.taxonomy import (
+    ACTION_KIND_VALUES,
     ClassifiedAccess,
     TaxonomyLabel,
     attribution_margin,
-    lockout_target_index,
-    nearest_span_index,
+    label_account,
+    label_counts,
 )
-from repro.core.notifications import NotificationKind
 from repro.errors import ValidationError
 from repro.service.events import validate_event
 from repro.sim.clock import hours
-
-#: Notification kinds that are attributable actions; everything else
-#: (heartbeats, provisioning echoes) only counts toward totals.
-_ACTION_KIND_VALUES = frozenset(
-    kind.value
-    for kind in (
-        NotificationKind.READ,
-        NotificationKind.STARRED,
-        NotificationKind.SENT,
-        NotificationKind.DRAFT,
-    )
-)
 
 
 @dataclass
@@ -216,6 +209,12 @@ class OnlineClassifier:
         self.notifications_ingested = 0
         self.actions_ingested = 0
         self.lockouts_ingested = 0
+        #: notification kind -> rows.
+        self.notifications_by_kind: dict = {}
+        #: access country (``"unlocated"`` when absent) -> rows.
+        self.accesses_by_country: dict = {}
+        #: every access timestamp, in arrival order.
+        self.access_timestamps = array("d")
 
     # ------------------------------------------------------------------
     # ingest
@@ -248,6 +247,10 @@ class OnlineClassifier:
 
     def _ingest_access(self, record: dict) -> None:
         self.accesses_ingested += 1
+        country = record["country"] or "unlocated"
+        by_country = self.accesses_by_country
+        by_country[country] = by_country.get(country, 0) + 1
+        self.access_timestamps.append(record["timestamp"])
         sequence = self._sequence
         self._sequence += 1
         if record["ip_address"] in self.monitor_ips or (
@@ -273,7 +276,9 @@ class OnlineClassifier:
     def _ingest_notification(self, record: dict) -> None:
         self.notifications_ingested += 1
         kind = record["kind"]
-        if kind not in _ACTION_KIND_VALUES:
+        by_kind = self.notifications_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        if kind not in ACTION_KIND_VALUES:
             return
         self.actions_ingested += 1
         account = record["account_address"]
@@ -304,28 +309,12 @@ class OnlineClassifier:
                 cookies.values(), key=lambda s: (s.t0, s.cookie_id)
             )
         ]
-        spans = [(c.access.t0, c.access.t_last) for c in items]
-        margin = attribution_margin(self.scan_period)
-        for kind, timestamp in self._actions.get(account, ()):
-            index = nearest_span_index(spans, timestamp, margin=margin)
-            if index is None:
-                continue
-            best = items[index]
-            if kind == NotificationKind.SENT.value:
-                best.labels.add(TaxonomyLabel.SPAMMER)
-                best.attributed_sends += 1
-            elif kind == NotificationKind.DRAFT.value:
-                best.attributed_drafts += 1
-            else:
-                best.labels.add(TaxonomyLabel.GOLD_DIGGER)
-                best.attributed_reads += 1
-        for lockout_time in self._lockouts.get(account, ()):
-            index = lockout_target_index(spans, lockout_time)
-            if index is not None:
-                items[index].labels.add(TaxonomyLabel.HIJACKER)
-        for item in items:
-            if not item.labels:
-                item.labels.add(TaxonomyLabel.CURIOUS)
+        label_account(
+            items,
+            self._actions.get(account, ()),
+            self._lockouts.get(account, ()),
+            margin=attribution_margin(self.scan_period),
+        )
         return items
 
     def _refresh(self) -> None:
@@ -360,11 +349,7 @@ class OnlineClassifier:
 
     def label_totals(self) -> dict[TaxonomyLabel, int]:
         """Non-exclusive per-label access counts (the §4.2 headline)."""
-        totals = {label: 0 for label in TaxonomyLabel}
-        for item in self.classified():
-            for label in item.labels:
-                totals[label] += 1
-        return totals
+        return label_counts(self.classified())
 
     # ------------------------------------------------------------------
     # snapshots
@@ -396,6 +381,16 @@ class OnlineClassifier:
                 "actions_ingested": self.actions_ingested,
                 "lockouts_ingested": self.lockouts_ingested,
             },
+            # Pairs, not objects: a non-string key survives JSON.
+            "notifications_by_kind": [
+                [kind, count]
+                for kind, count in self.notifications_by_kind.items()
+            ],
+            "accesses_by_country": [
+                [country, count]
+                for country, count in self.accesses_by_country.items()
+            ],
+            "access_timestamps": self.access_timestamps.tolist(),
         }
 
     @classmethod
@@ -430,6 +425,16 @@ class OnlineClassifier:
         ]
         classifier.actions_ingested = counters["actions_ingested"]
         classifier.lockouts_ingested = counters["lockouts_ingested"]
+        classifier.notifications_by_kind = {
+            kind: count for kind, count in data["notifications_by_kind"]
+        }
+        classifier.accesses_by_country = {
+            country: count
+            for country, count in data["accesses_by_country"]
+        }
+        classifier.access_timestamps = array(
+            "d", data["access_timestamps"]
+        )
         classifier._dirty = set(classifier._accounts)
         return classifier
 

@@ -21,6 +21,7 @@ stream a live deployment would have produced.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 from repro.core.records import ObservedDataset
@@ -102,6 +103,17 @@ def validate_event(record: dict) -> dict:
             raise ValidationError(
                 f"{kind} event timestamp must be a number, got "
                 f"{type(timestamp).__name__}"
+            )
+        # json.loads accepts NaN and +/-Infinity, and an int can be
+        # too large for a float; neither has a place on the timeline.
+        try:
+            finite = math.isfinite(timestamp)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(
+                f"{kind} event timestamp must be finite, got "
+                f"{timestamp!r:.40}"
             )
     return record
 

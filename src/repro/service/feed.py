@@ -29,7 +29,7 @@ from repro.core.experiment import Experiment
 from repro.core.monitor import MonitorInfrastructure
 from repro.errors import ServiceError
 from repro.faults.plan import fault_site
-from repro.faults.retry import RetryPolicy
+from repro.faults.retry import DEFAULT_IO_RETRY
 from repro.service.events import (
     access_event_from_row,
     lockout_event_from_row,
@@ -100,18 +100,16 @@ class LiveFeed:
         *,
         batch_size: int = 256,
         timeout: float = 30.0,
-        retry_policy: RetryPolicy | None = None,
     ) -> "LiveFeed":
         """A feed that POSTs event arrays to ``url`` (``/events`` is
         appended when the URL has no path).
 
-        Each batch retries under ``retry_policy`` (default: the shared
-        IO policy) on connection failures, timeouts, and 503s from a
-        degraded service.  A 503 means the service journaled and
-        applied none of the batch, and events carry no server-side
-        dedup key — so the whole batch is resent, keeping delivery
-        exactly-once as long as the failure happened before the 200
-        landed.
+        Each batch retries under ``DEFAULT_IO_RETRY`` on connection
+        failures, timeouts, and 503s from a degraded service.  A 503
+        means the service journaled and applied none of the batch, and
+        events carry no server-side dedup key — so the whole batch is
+        resent, keeping delivery exactly-once as long as the failure
+        happened before the 200 landed.
         """
         import http.client
 
@@ -123,7 +121,6 @@ class LiveFeed:
         host = parts.hostname or "127.0.0.1"
         port = parts.port or 80
         path = parts.path or "/events"
-        policy = retry_policy or RetryPolicy()
 
         class _RetryableServiceError(ServiceError):
             """A response worth resending: 503 from a degraded peer."""
@@ -155,7 +152,7 @@ class LiveFeed:
                 connection.close()
 
         def deliver(batch: list[dict]) -> None:
-            policy.call(
+            DEFAULT_IO_RETRY.call(
                 lambda: post_once(batch),
                 retry_on=(
                     ConnectionError,

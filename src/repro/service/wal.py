@@ -16,7 +16,7 @@ short by the crash — one whole request, never acknowledged — is
 dropped by the sink's append-mode reopen.
 
 Failure discipline: a request's line rides one
-:class:`repro.faults.retry.RetryPolicy` call (a transient ``EIO``
+:data:`repro.faults.retry.DEFAULT_IO_RETRY` call (a transient ``EIO``
 costs a backoff, not an event), the sink rolls the file back to its
 last committed line before any append error surfaces (no mid-file
 torn records), and replay reads bytes — a torn tail is detected by its
@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.faults.plan import fault_site
-from repro.faults.retry import DEFAULT_IO_RETRY, RetryPolicy
+from repro.faults.retry import DEFAULT_IO_RETRY
 from repro.telemetry.sinks import JsonlSink
 
 #: Blanks the only bytes that could split a body across WAL lines.
@@ -48,21 +48,10 @@ class WriteAheadLog:
     ``n``, whatever the number of events each line holds, and
     :meth:`replay` yields records starting at a given position — which
     is how a checkpoint marks the prefix it already covers.
-
-    ``retry_policy`` bounds how hard :meth:`append` fights transient
-    IO errors before letting the failure surface (the service maps a
-    surfaced failure to degraded mode, not a crash).
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        resume: bool = False,
-        retry_policy: RetryPolicy | None = None,
-    ) -> None:
+    def __init__(self, path: str | Path, *, resume: bool = False) -> None:
         self.path = Path(path)
-        self.retry_policy = retry_policy or DEFAULT_IO_RETRY
         self._sink = JsonlSink(self.path, append=resume)
 
     @property
@@ -82,16 +71,17 @@ class WriteAheadLog:
         ``records``.  The caller passes ``raw`` only when ``records``
         is everything the body holds.
 
-        Retries transient ``OSError``s under the log's policy; the
-        sink's rollback guarantees each retry starts from a clean
-        committed tail, so a retried append never duplicates or tears
-        a line.
+        Retries transient ``OSError``s under ``DEFAULT_IO_RETRY``
+        before letting the failure surface (the service maps it to
+        degraded mode, not a crash); the sink's rollback guarantees
+        each retry starts from a clean committed tail, so a retried
+        append never duplicates or tears a line.
         """
         if raw is not None and raw.isascii():
             line = raw.translate(_BLANK_LINE_BREAKS) + b"\n"
         else:
             line = (json.dumps(records, sort_keys=True) + "\n").encode()
-        self.retry_policy.call(
+        DEFAULT_IO_RETRY.call(
             lambda: self._append_once(line),
             retry_on=(OSError,),
             key=str(self.path),

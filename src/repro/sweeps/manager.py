@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from repro.api.runner import BatchResult, FailedRun
 from repro.api.scenario import Scenario
 from repro.errors import ConfigurationError, SweepError
-from repro.faults.retry import RetryBudget, RetryPolicy
+from repro.faults.retry import DEFAULT_IO_RETRY
 from repro.sweeps.backends import (
     CellTask,
     DispatchBackend,
@@ -174,15 +174,10 @@ class SweepManager:
         code_version: the code-version token folded into every cell
             address (default: :func:`default_code_version`).
         retries: extra attempts per failed cell before it is declared
-            failed (0 = no requeue).
-        retry_policy: backoff schedule between requeue rounds (a
-            :class:`repro.faults.retry.RetryPolicy`); its ``attempts``
-            field is ignored — per-cell attempt accounting stays with
-            ``retries``.  The same policy guards ``store.put`` against
-            transient IO errors.  Default: the shared IO policy.
-        retry_budget: optional :class:`repro.faults.retry.RetryBudget`
-            capping *total* requeues across the whole sweep; once spent,
-            further failing cells fail immediately.
+            failed (0 = no requeue).  Requeue rounds back off on
+            ``DEFAULT_IO_RETRY``'s schedule (its ``attempts`` field is
+            ignored), and the same policy guards ``store.put`` against
+            transient IO errors.
         journal_path: where to journal (default:
             ``<store root>/journal.jsonl``; needs a store).
         progress: optional callback receiving every journal record as
@@ -197,8 +192,6 @@ class SweepManager:
         *,
         code_version: str | None = None,
         retries: int = 1,
-        retry_policy: RetryPolicy | None = None,
-        retry_budget: RetryBudget | None = None,
         journal_path: str | Path | None = None,
         progress: Callable[[dict], None] | None = None,
     ) -> None:
@@ -223,8 +216,6 @@ class SweepManager:
         self.store = store
         self.code_version = code_version or default_code_version()
         self.retries = retries
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.retry_budget = retry_budget
         self.journal_path = (
             Path(journal_path)
             if journal_path
@@ -371,12 +362,9 @@ class SweepManager:
                 else:
                     cell.error = outcome.error
                     cell.traceback = outcome.traceback
-                    if (
-                        cell.attempts <= self.retries
-                        and self._take_retry()
-                    ):
+                    if cell.attempts <= self.retries:
                         cell.status = CellStatus.PENDING
-                        delay = self.retry_policy.delay(
+                        delay = DEFAULT_IO_RETRY.delay(
                             cell.attempts, key=cell.address
                         )
                         requeue.append((cell, delay))
@@ -429,20 +417,6 @@ class SweepManager:
     # ------------------------------------------------------------------
     # retry plumbing
     # ------------------------------------------------------------------
-    def _take_retry(self) -> bool:
-        """Consume one requeue from the sweep-wide budget (if any)."""
-        if self.retry_budget is None:
-            return True
-        if self.retry_budget.take():
-            return True
-        self._journal(
-            {
-                "event": "retry_budget_exhausted",
-                "limit": self.retry_budget.limit,
-            }
-        )
-        return False
-
     def _store_with_retry(self, cell: SweepCell, run) -> None:
         """Memoize a finished run, riding out transient store IO errors.
 
@@ -450,7 +424,7 @@ class SweepManager:
         flaky write; each retry is journaled so the recovery is
         visible in the campaign record.
         """
-        self.retry_policy.call(
+        DEFAULT_IO_RETRY.call(
             lambda: self.store.put(cell.spec, run),
             retry_on=(OSError,),
             key=cell.address,

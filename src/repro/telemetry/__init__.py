@@ -11,8 +11,7 @@ gives that stream a compact, typed representation:
   stdlib :mod:`array` columns, with pluggable sinks notified on every
   append;
 * sinks — :class:`JsonlSink` spills rows to disk as JSON lines for runs
-  too big for RAM; :class:`CountByKey`, :class:`StreamingECDF` and
-  :class:`OnlineStats` aggregate online without retaining rows;
+  too big for RAM;
 * typed stores — :class:`AccessStore`, :class:`NotificationStore`,
   :class:`ScrapeLogStore` and :class:`ScrapeFailureLog` fix the schemas
   the monitor produces and the analysis consumes;
@@ -33,7 +32,6 @@ The numpy-backed spill machinery is re-exported lazily so importing
 ``repro.telemetry`` stays cheap for callers that never spill.
 """
 
-from repro.telemetry.aggregates import CountByKey, OnlineStats, StreamingECDF
 from repro.telemetry.columns import Field, make_column
 from repro.telemetry.eventlog import EventLog, RowView
 from repro.telemetry.interning import (
@@ -78,7 +76,6 @@ def __getattr__(name: str):
 __all__ = [
     "ACCESS_FIELDS",
     "AccessStore",
-    "CountByKey",
     "DEFENSE_ACTION_FIELDS",
     "DefenseActionStore",
     "DiskStringTable",
@@ -87,11 +84,9 @@ __all__ = [
     "JsonlSink",
     "NOTIFICATION_FIELDS",
     "NotificationStore",
-    "OnlineStats",
     "RowView",
     "ScrapeFailureLog",
     "ScrapeLogStore",
-    "StreamingECDF",
     "StringTable",
     "make_column",
     "read_jsonl",

@@ -19,7 +19,6 @@ from repro.faults import (
     DEFAULT_IO_RETRY,
     FaultPlan,
     FaultRule,
-    RetryBudget,
     RetryPolicy,
     active_plan,
     fault_site,
@@ -317,36 +316,6 @@ class TestRetryPolicy:
                 wrong_kind, retry_on=(OSError,), sleep=lambda _: None
             )
         assert len(calls) == 1
-
-    def test_budget_caps_total_retries_across_call_sites(self):
-        budget = RetryBudget(1)
-
-        def always():
-            raise OSError("x")
-
-        policy = RetryPolicy(attempts=3)
-        with pytest.raises(OSError):
-            policy.call(always, budget=budget, sleep=lambda _: None)
-        assert budget.remaining == 0
-        # The next call site gets no retries at all.
-        calls = []
-
-        def count_and_fail():
-            calls.append(1)
-            raise OSError("y")
-
-        with pytest.raises(OSError):
-            policy.call(
-                count_and_fail, budget=budget, sleep=lambda _: None
-            )
-        assert len(calls) == 1
-
-    def test_budget_validation_and_accounting(self):
-        with pytest.raises(ConfigurationError):
-            RetryBudget(-1)
-        budget = RetryBudget(2)
-        assert budget.take() and budget.take() and not budget.take()
-        assert budget.remaining == 0
 
     def test_default_io_policy_shape(self):
         assert DEFAULT_IO_RETRY.attempts == 3

@@ -132,6 +132,28 @@ def test_invalid_events_report_the_accepted_prefix(server):
     assert server.state.classifier.events_ingested == 1
 
 
+@pytest.mark.parametrize(
+    "timestamp",
+    [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["NaN", "Infinity", "-Infinity", "too-large-int"],
+)
+def test_non_finite_timestamps_are_a_400(server, timestamp):
+    # json.dumps writes NaN/Infinity bare, and json.loads reads them
+    # back as floats: the body is what a careless client would send.
+    server.request("POST", "/events", access_event())
+    position = server.state.wal.position
+    status, body = server.request(
+        "POST", "/events", access_event(cookie="c2", timestamp=timestamp)
+    )
+    assert status == 400
+    assert body["accepted"] == 0
+    assert "timestamp must be finite" in body["error"]
+    assert server.state.wal.position == position
+    status, stats = server.request("GET", "/stats")
+    assert status == 200
+    assert stats["access_time"]["count"] == 1
+
+
 def test_malformed_json_is_a_400(server):
     host, port = server.url.split("//", 1)[1].split(":")
     connection = http.client.HTTPConnection(host, int(port), timeout=10)

@@ -1,4 +1,4 @@
-"""WAL durability, JSONL sink reopen, and aggregator snapshots."""
+"""WAL durability, JSONL sink reopen, and service checkpoint restore."""
 
 import json
 
@@ -14,11 +14,9 @@ from repro.service import (
     restore_service_state,
     write_service_checkpoint,
 )
-from repro.service.checkpoint import load_service_checkpoint
-from repro.telemetry.aggregates import (
-    CountByKey,
-    OnlineStats,
-    StreamingECDF,
+from repro.service.checkpoint import (
+    SERVICE_CHECKPOINT_VERSION,
+    load_service_checkpoint,
 )
 from repro.telemetry.sinks import JsonlSink, _truncate_partial_tail
 from test_service_classifier import access_event, notification_event
@@ -304,14 +302,20 @@ def test_restore_replays_only_the_tail_past_the_checkpoint(tmp_path):
     for record in events[1:]:
         state.apply([record])
     fingerprint = state.classifier.fingerprint()
-    dashboard = state.dashboard_snapshot()
+    live = state.stats()
     state.close()
+    assert live["access_time"]["count"] == 2
+    assert live["notifications"]["by_kind"] == {"read": 1}
 
     restored = restore_service_state(wal_path, ckpt_path)
     assert restored.classifier.fingerprint() == fingerprint
-    assert restored.dashboard_snapshot() == dashboard
+    assert restored.stats() == live
     assert load_service_checkpoint(ckpt_path)["wal_position"] == 1
     restored.close()
+
+    replayed = restore_service_state(wal_path, None)
+    assert replayed.stats() == live
+    replayed.close()
 
 
 def test_restore_with_final_record_exactly_at_the_boundary(tmp_path):
@@ -360,58 +364,11 @@ def test_corrupt_checkpoints_are_rejected(tmp_path):
     path.write_text(json.dumps({"kind": "something_else"}))
     with pytest.raises(ServiceError, match="not a service checkpoint"):
         load_service_checkpoint(path)
-
-
-# ----------------------------------------------------------------------
-# aggregator snapshots (lossless to_dict/from_dict)
-# ----------------------------------------------------------------------
-
-
-def test_count_by_key_snapshot_round_trips():
-    counter = CountByKey(lambda row: row[0])
-    for key in ("a", "b", "a", None, "c", "a"):
-        counter.write(0, (key,), None)
-    payload = json.loads(json.dumps(counter.to_dict()))
-    restored = CountByKey.from_dict(payload, key=lambda row: row[0])
-    assert restored.counts == counter.counts
-    assert restored.most_common() == counter.most_common()
-    restored.write(0, ("a",), None)
-    assert restored.counts["a"] == counter.counts["a"] + 1
-
-
-def test_online_stats_snapshot_round_trips():
-    stats = OnlineStats(lambda row: row[0])
-    for value in (3.0, 1.0, 4.0, 1.5, 9.2):
-        stats.write(0, (value,), None)
-    payload = json.loads(json.dumps(stats.to_dict()))
-    restored = OnlineStats.from_dict(payload, value=lambda row: row[0])
-    assert restored.count == stats.count
-    assert restored.mean == pytest.approx(stats.mean)
-    assert restored.variance == pytest.approx(stats.variance)
-    assert (restored.minimum, restored.maximum) == (
-        stats.minimum, stats.maximum,
-    )
-
-
-def test_online_stats_empty_snapshot_round_trips():
-    stats = OnlineStats(lambda row: row[0])
-    restored = OnlineStats.from_dict(
-        json.loads(json.dumps(stats.to_dict())),
-        value=lambda row: row[0],
-    )
-    assert restored.count == 0
-    restored.write(0, (2.5,), None)
-    assert (restored.minimum, restored.maximum) == (2.5, 2.5)
-
-
-def test_streaming_ecdf_snapshot_round_trips():
-    ecdf = StreamingECDF(lambda row: row[0])
-    for value in (5.0, 1.0, 3.0, 2.0, 4.0):
-        ecdf.write(0, (value,), None)
-    payload = json.loads(json.dumps(ecdf.to_dict()))
-    restored = StreamingECDF.from_dict(
-        payload, value=lambda row: row[0]
-    )
-    assert len(restored) == len(ecdf)
-    assert restored.sorted_values() == ecdf.sorted_values()
-    assert restored.quantile(0.5) == ecdf.quantile(0.5)
+    # A checkpoint of another layout (version 1 kept the dashboard
+    # beside the classifier) is refused, not half-read.
+    for version in (1, SERVICE_CHECKPOINT_VERSION + 1, None):
+        path.write_text(
+            json.dumps({"kind": "service_checkpoint", "version": version})
+        )
+        with pytest.raises(ServiceError, match="has version"):
+            load_service_checkpoint(path)

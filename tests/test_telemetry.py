@@ -22,14 +22,11 @@ from repro.sim.clock import hours
 from repro.sim.engine import Simulator
 from repro.telemetry import (
     AccessStore,
-    CountByKey,
     EventLog,
     Field,
     JsonlSink,
     NotificationStore,
-    OnlineStats,
     RowView,
-    StreamingECDF,
     StringTable,
     read_jsonl,
     write_jsonl,
@@ -204,55 +201,6 @@ class TestEventLog:
         assert seen == [(0, "alpha"), (1, "beta")]
         log.append(("gamma", 0.0, 0, None, None))
         assert seen[-1] == (2, "gamma")
-
-
-class TestAggregators:
-    def test_count_by_key(self):
-        counter = CountByKey(key=lambda row: row[0])
-        log = EventLog((Field("k", "intern"),))
-        log.attach_sink(counter)
-        for key in ("a", "b", "a", "a"):
-            log.append((key,))
-        assert counter.counts == {"a": 3, "b": 1}
-        assert counter.total() == 4
-        assert counter.most_common(1) == [("a", 3)]
-
-    def test_streaming_ecdf(self):
-        ecdf = StreamingECDF(value=lambda row: row[0])
-        log = EventLog((Field("v", "opt_f64"),))
-        log.attach_sink(ecdf)
-        for value in (3.0, None, 1.0, 2.0):
-            log.append((value,))
-        assert len(ecdf) == 3
-        assert ecdf.sorted_values() == [1.0, 2.0, 3.0]
-        assert ecdf.ecdf_points()[-1] == (3.0, 1.0)
-        assert ecdf.quantile(0.0) == 1.0
-        assert ecdf.quantile(1.0) == 3.0
-        log.append((4.0,))
-        # Nearest rank: the median of an even sample is the lower middle.
-        assert ecdf.quantile(0.5) == 2.0
-        assert ecdf.quantile(0.25) == 1.0
-
-    def test_streaming_ecdf_empty_quantile(self):
-        ecdf = StreamingECDF(value=lambda row: row[0])
-        with pytest.raises(ValueError):
-            ecdf.quantile(0.5)
-
-    def test_online_stats_merge_matches_serial(self):
-        left = OnlineStats(value=lambda row: row[0])
-        right = OnlineStats(value=lambda row: row[0])
-        serial = OnlineStats(value=lambda row: row[0])
-        for sample in (1.0, 5.0, 2.0):
-            left.add(sample)
-            serial.add(sample)
-        for sample in (8.0, 3.0):
-            right.add(sample)
-            serial.add(sample)
-        left.merge(right)
-        assert left.count == serial.count
-        assert left.mean == pytest.approx(serial.mean)
-        assert left.variance == pytest.approx(serial.variance)
-        assert (left.minimum, left.maximum) == (1.0, 8.0)
 
 
 class TestJsonlSink:
