@@ -23,7 +23,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from repro.analysis.dataset import AnalysisResults, analyze
 from repro.analysis.defense import DefenseReport
@@ -337,7 +336,6 @@ def run_scenario(
     scenario: Scenario,
     seed: int | None = None,
     *,
-    on_built: Callable[[Experiment], None] | None = None,
     profile_path: str | None = None,
     jobs: int | None = None,
     spill_dir: str | Path | None = None,
@@ -346,10 +344,6 @@ def run_scenario(
     shard_retries: int = 1,
 ) -> RunResult:
     """Execute one scenario run and wrap it in a :class:`RunResult`.
-
-    ``on_built`` runs after the simulated world exists but before
-    anything is scheduled — the hook for attaching a live feed, extra
-    probes, or other instrumentation to the experiment.
 
     ``profile_path`` dumps a :mod:`cProfile` capture of the simulation
     loop to the given path (``pstats`` format; the CLI exposes it as
@@ -363,9 +357,9 @@ def run_scenario(
 
     Scenarios with ``shards > 1`` run on the sharded executor
     (:mod:`repro.shard`) with ``jobs`` worker processes; the result is
-    bit-identical to the serial path.  ``on_built`` and
-    ``profile_path`` apply to in-process worlds only and are rejected
-    for sharded runs (``spill_dir`` applies to both paths).
+    bit-identical to the serial path.  ``profile_path`` applies to
+    in-process worlds only and is rejected for sharded runs
+    (``spill_dir`` applies to both paths).
     ``shard_timeout``/``shard_retries`` configure the sharded
     executor's supervision (see :func:`repro.shard.run_sharded`) and
     are ignored on the serial path.
@@ -374,13 +368,13 @@ def run_scenario(
         scenario = scenario.with_seed(seed)
     fault_site("run.scenario", seed=scenario.seed, shards=scenario.shards)
     if scenario.shards > 1:
-        if on_built is not None or profile_path is not None:
+        if profile_path is not None:
             from repro.errors import ConfigurationError
 
             raise ConfigurationError(
-                "on_built/profile_path instrument one in-process world "
-                "and cannot apply to a sharded run; use shards=1 or "
-                "instrument repro.shard directly"
+                "profile_path instruments one in-process world and "
+                "cannot apply to a sharded run; use shards=1 or "
+                "profile repro.shard directly"
             )
         from repro.shard import run_sharded
 
@@ -396,8 +390,6 @@ def run_scenario(
     experiment = Experiment.from_scenario(
         scenario, spill_dir=spill_dir, chunk_rows=chunk_rows
     ).build()
-    if on_built is not None:
-        on_built(experiment)
     result = experiment.run(profile_path=profile_path)
     elapsed = time.perf_counter() - started
     return RunResult.from_experiment(scenario, result, elapsed)

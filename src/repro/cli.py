@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--scenario", default=None, metavar="NAME",
-        help="also run this registry scenario and stream its "
+        help="also run this registry scenario, then replay its "
         "telemetry into the service over its own HTTP API "
         "(default: serve only, wait for an external feed)",
     )
@@ -238,11 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--duration-days", type=float, default=None, metavar="DAYS",
         help="override the --scenario measurement window length",
-    )
-    serve_parser.add_argument(
-        "--feed-batch", type=int, default=256, metavar="N",
-        dest="feed_batch",
-        help="events per --scenario feed POST (default: 256)",
     )
     serve_parser.add_argument(
         "--shutdown-after-feed", action="store_true",
@@ -674,11 +669,12 @@ def _command_tables(args) -> int:
 def _command_serve(args) -> int:
     """Run the live ingestion service, optionally self-fed.
 
-    With ``--scenario`` the named scenario runs in a feeder thread and
-    streams its telemetry through the service's own public HTTP API —
-    the same path an external deployment would use; the scenario name
-    resolves through the registry, so an unknown name exits 2 listing
-    the known ones before the socket ever binds.
+    With ``--scenario`` the named scenario runs in a feeder thread,
+    and its telemetry, replayed by ``events_from_dataset``, goes
+    through the service's own public HTTP API — the same path an
+    external deployment would use; the scenario name resolves through
+    the registry, so an unknown name exits 2 listing the known ones
+    before the socket ever binds.
     """
     import threading
 
@@ -686,6 +682,7 @@ def _command_serve(args) -> int:
     from repro.service import (
         LiveFeed,
         ReproService,
+        events_from_dataset,
         restore_service_state,
         run_service,
     )
@@ -712,12 +709,12 @@ def _command_serve(args) -> int:
 
     def _feed(url: str) -> None:
         try:
-            feed = LiveFeed.over_http(
-                url + "/events", batch_size=args.feed_batch
-            )
-            run_scenario(
-                scenario, on_built=lambda exp: feed.attach(exp)
-            )
+            run = run_scenario(scenario)
+            feed = LiveFeed.over_http(url + "/events")
+            for record in events_from_dataset(
+                run.dataset, scan_period=run.config.scan_period
+            ):
+                feed.send(record)
             feed.close()
             print(f"feed complete: {feed.events_sent} events in "
                   f"{feed.batches_sent} batches", flush=True)

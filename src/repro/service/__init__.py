@@ -1,9 +1,9 @@
 """Live ingestion service: online classification of honey-account telemetry.
 
 The batch pipeline (:mod:`repro.analysis`) answers "what happened"
-after a run completes; this package answers it *while it happens*.  A
-:class:`LiveFeed` streams a running simulation's telemetry (or a replay
-of a finished run) as wire-format JSON events into a
+after a run completes; this package answers it *while it happens*.
+:func:`events_from_dataset` turns a run's telemetry into wire-format
+JSON events, which a :class:`LiveFeed` delivers in batches to a
 :class:`ServiceState`, which journals each request's events to a
 :class:`WriteAheadLog` as one line and folds each of them once into
 the :class:`OnlineClassifier`, whose rolling per-(account, cookie)

@@ -50,10 +50,47 @@ EVENT_TYPES = ("meta", "access", "notification", "lockout")
 #: and fingerprints reproducible byte for byte.
 _STREAM_RANK = {"access": 0, "notification": 1, "lockout": 2}
 
-_REQUIRED = {
-    "access": ACCESS_FIELD_NAMES,
-    "notification": NOTIFICATION_FIELD_NAMES,
-    "lockout": LOCKOUT_FIELD_NAMES,
+#: Per column kind: the Python types a JSON value of it parses to, and
+#: how an error names them.  Exact types, so ``bool`` is not a number
+#: here although it subclasses ``int``; an ``obj`` column holds any
+#: JSON value.
+_KIND_TYPES = {
+    "intern": (frozenset({str, type(None)}), "a string or null"),
+    "f64": (frozenset({int, float}), "a number"),
+    "opt_f64": (frozenset({int, float, type(None)}), "a number or null"),
+    "i64": (frozenset({int}), "an integer"),
+    "obj": (
+        frozenset({str, int, float, bool, type(None), list, dict}),
+        "a JSON value",
+    ),
+}
+
+#: ``intern`` fields the classifier groups and orders rows by: a null
+#: there would be compared with strings when it sorts accounts and
+#: cookies, so these must be strings.
+_KEY_FIELDS = frozenset({"account_address", "cookie_id", "kind", "address"})
+
+
+def _field_check(field) -> tuple:
+    """``(name, allowed types, expected)`` for one store field."""
+    if field.name in _KEY_FIELDS:
+        return (field.name, frozenset({str}), "a string")
+    return (field.name, *_KIND_TYPES[field.kind])
+
+
+#: Per row event type: one precomputed check per field, then the
+#: ``f64`` fields that must also be finite — both read off the store
+#: schema, so the wire format has no second copy of it.
+_SCHEMAS = {
+    kind: (
+        tuple(_field_check(field) for field in fields),
+        tuple(field.name for field in fields if field.kind == "f64"),
+    )
+    for kind, fields in (
+        ("access", ACCESS_FIELDS),
+        ("notification", NOTIFICATION_FIELDS),
+        ("lockout", SCRAPE_FAILURE_FIELDS),
+    )
 }
 
 
@@ -77,45 +114,81 @@ def validate_event(record: dict) -> dict:
 
     Returns the record unchanged; raises
     :class:`~repro.errors.ValidationError` (an HTTP 400 at the API
-    surface) naming what is wrong.
+    surface) naming what is wrong.  Every field the classifier reads
+    is type-checked here, so a record that passes cannot make
+    ``OnlineClassifier.ingest`` raise.
     """
     if not isinstance(record, dict):
         raise ValidationError(
             f"event must be a JSON object, got {type(record).__name__}"
         )
     kind = record.get("type")
-    if kind not in EVENT_TYPES:
+    schema = _SCHEMAS.get(kind)
+    if schema is None:
+        if kind == "meta":
+            _validate_meta(record)
+            return record
         raise ValidationError(
             f"unknown event type {kind!r}; expected one of "
             f"{', '.join(EVENT_TYPES)}"
         )
-    required = _REQUIRED.get(kind)
-    if required is not None:
-        missing = [name for name in required if name not in record]
-        if missing:
+    checks, finite = schema
+    try:
+        for name, allowed, expected in checks:
+            value = record[name]
+            if type(value) not in allowed:
+                raise ValidationError(
+                    f"{kind} event {name} must be {expected}, got "
+                    f"{type(value).__name__}"
+                )
+    except KeyError:
+        missing = [name for name, _, _ in checks if name not in record]
+        raise ValidationError(
+            f"{kind} event missing fields: {', '.join(missing)}"
+        ) from None
+    for name in finite:
+        if not _is_finite(record[name]):
             raise ValidationError(
-                f"{kind} event missing fields: {', '.join(missing)}"
-            )
-        timestamp = record["timestamp"]
-        if not isinstance(timestamp, (int, float)) or isinstance(
-            timestamp, bool
-        ):
-            raise ValidationError(
-                f"{kind} event timestamp must be a number, got "
-                f"{type(timestamp).__name__}"
-            )
-        # json.loads accepts NaN and +/-Infinity, and an int can be
-        # too large for a float; neither has a place on the timeline.
-        try:
-            finite = math.isfinite(timestamp)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValidationError(
-                f"{kind} event timestamp must be finite, got "
-                f"{timestamp!r:.40}"
+                f"{kind} event {name} must be finite, got "
+                f"{record[name]!r:.40}"
             )
     return record
+
+
+def _is_finite(value) -> bool:
+    # json.loads accepts NaN and +/-Infinity, and an int can be too
+    # large for a float; neither has a place on the timeline.
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _validate_meta(record: dict) -> None:
+    """The ``meta`` fields are optional; present ones must be typed."""
+    ips = record.get("monitor_ips")
+    if ips is not None and (
+        type(ips) is not list or any(type(ip) is not str for ip in ips)
+    ):
+        raise ValidationError(
+            "meta event monitor_ips must be a list of strings"
+        )
+    city = record.get("monitor_city")
+    if city is not None and type(city) is not str:
+        raise ValidationError(
+            f"meta event monitor_city must be a string or null, got "
+            f"{type(city).__name__}"
+        )
+    period = record.get("scan_period")
+    if period is not None and (
+        type(period) not in (int, float)
+        or not _is_finite(period)
+        or period <= 0
+    ):
+        raise ValidationError(
+            f"meta event scan_period must be a finite positive number "
+            f"or null, got {period!r:.40}"
+        )
 
 
 def access_event_from_row(row: tuple) -> dict:

@@ -1,22 +1,19 @@
-"""``LiveFeed``: stream a running simulation's telemetry to a service.
+"""``LiveFeed``: deliver a stream of wire-format events to a service.
 
-The feed attaches row sinks to the monitor's columnar stores, so every
-scraped access row, script notification and lockout becomes a
-wire-format event the moment the simulation collects it — the
-simulator plays the role of a real honey-account deployment feeding
-the live classifier.  Delivery is pluggable:
+The feed buffers the events it is handed with :meth:`LiveFeed.send`
+and delivers them in batches of ``batch_size``:
 
 * ``LiveFeed(deliver)`` hands each batch to any ``callable`` — e.g.
   ``ServiceState.apply``, which journals a batch as one WAL line (the
-  in-process path); :meth:`LiveFeed.to_callable` hands it on one
-  event at a time;
+  in-process path);
 * :meth:`LiveFeed.over_http` POSTs JSON arrays to a running
   :class:`~repro.service.server.ReproService` with stdlib
-  ``http.client`` (the CI smoke path).
+  ``http.client`` (the ``serve --scenario`` and CI smoke path).
 
-Events buffer locally and flush every ``batch_size`` records; call
-:meth:`close` (or use the feed as a context manager) to flush the tail
-and detach the sinks.
+The stream itself comes from
+:func:`~repro.service.events.events_from_dataset`, the one producer of
+the service's event stream.  Call :meth:`close` (or use the feed as a
+context manager) to flush the tail.
 """
 
 from __future__ import annotations
@@ -25,34 +22,13 @@ import json
 from typing import Callable
 from urllib.parse import urlsplit
 
-from repro.core.experiment import Experiment
-from repro.core.monitor import MonitorInfrastructure
 from repro.errors import ServiceError
 from repro.faults.plan import fault_site
 from repro.faults.retry import DEFAULT_IO_RETRY
-from repro.service.events import (
-    access_event_from_row,
-    lockout_event_from_row,
-    meta_event,
-    notification_event_from_row,
-)
-
-
-class _RowSink:
-    """Adapter: EventLog sink protocol -> wire-format event buffer."""
-
-    __slots__ = ("_feed", "_builder")
-
-    def __init__(self, feed: "LiveFeed", builder) -> None:
-        self._feed = feed
-        self._builder = builder
-
-    def write(self, index: int, row: tuple, log) -> None:
-        self._feed._buffer_event(self._builder(row))
 
 
 class LiveFeed:
-    """Streams monitor telemetry to a delivery target as it happens.
+    """Batches wire-format events to a delivery target.
 
     Args:
         deliver: called with a non-empty ``list[dict]`` of wire-format
@@ -71,28 +47,12 @@ class LiveFeed:
         self._deliver = deliver
         self._batch_size = batch_size
         self._buffer: list[dict] = []
-        self._attached: list[tuple[object, _RowSink]] = []
         self.events_sent = 0
         self.batches_sent = 0
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def to_callable(
-        cls,
-        per_event: Callable[[dict], None],
-        *,
-        batch_size: int = 256,
-    ) -> "LiveFeed":
-        """A feed that hands each event to ``per_event`` in order."""
-
-        def deliver(batch: list[dict]) -> None:
-            for record in batch:
-                per_event(record)
-
-        return cls(deliver, batch_size=batch_size)
-
     @classmethod
     def over_http(
         cls,
@@ -167,60 +127,13 @@ class LiveFeed:
         return cls(deliver, batch_size=batch_size)
 
     # ------------------------------------------------------------------
-    # attachment
-    # ------------------------------------------------------------------
-    def attach(
-        self,
-        experiment: Experiment | None = None,
-        *,
-        monitor: MonitorInfrastructure | None = None,
-        scan_period: float | None = None,
-    ) -> "LiveFeed":
-        """Hook the feed onto a built experiment (or bare monitor).
-
-        Sends the ``meta`` event immediately — the classifier needs the
-        cleaning rules before the first row — then forwards every new
-        store row.  Rows collected *before* attachment are not
-        replayed; attach before the measurement starts (e.g. from
-        ``run_scenario``'s ``on_built`` hook).
-        """
-        if monitor is None:
-            if experiment is None:
-                raise ServiceError(
-                    "attach needs an experiment or a monitor"
-                )
-            experiment.build()
-            monitor = experiment.monitor
-            if scan_period is None:
-                scan_period = experiment.config.scan_period
-        self._buffer_event(
-            meta_event(
-                monitor_ips=monitor.monitor_ip_strings,
-                monitor_city=monitor.monitor_city.name,
-                scan_period=scan_period,
-            )
-        )
-        for store, builder in (
-            (monitor.access_store, access_event_from_row),
-            (monitor.notification_store, notification_event_from_row),
-            (monitor.failure_log, lockout_event_from_row),
-        ):
-            sink = _RowSink(self, builder)
-            store.attach_sink(sink)
-            self._attached.append((store, sink))
-        return self
-
-    # ------------------------------------------------------------------
     # delivery
     # ------------------------------------------------------------------
-    def _buffer_event(self, record: dict) -> None:
+    def send(self, record: dict) -> None:
+        """Buffer one event; a full batch is delivered at once."""
         self._buffer.append(record)
         if len(self._buffer) >= self._batch_size:
             self.flush()
-
-    def send(self, record: dict) -> None:
-        """Feed one externally produced event (replay drivers)."""
-        self._buffer_event(record)
 
     def flush(self) -> None:
         if not self._buffer:
@@ -231,11 +144,8 @@ class LiveFeed:
         self.batches_sent += 1
 
     def close(self) -> None:
-        """Flush the tail and detach from the stores."""
+        """Flush the tail."""
         self.flush()
-        for store, sink in self._attached:
-            store.detach_sink(sink)
-        self._attached.clear()
 
     def __enter__(self) -> "LiveFeed":
         return self

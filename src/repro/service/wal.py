@@ -1,13 +1,13 @@
 """Write-ahead log for the live ingestion service.
 
 Every request the service accepts is journaled as **one** JSONL line —
-through the same :class:`~repro.telemetry.sinks.JsonlSink` machinery
-the telemetry spill uses — *before* any of its events reaches the
-classifier.  A line holds either the request body's own bytes (a JSON
-array of events, or one event object) or the canonical
-``json.dumps(events, sort_keys=True)`` of the accepted events; replay
-yields the events of an array line one by one, so a line written one
-event per line by older services replays unchanged.
+through :class:`~repro.telemetry.sinks.JsonlSink`, the durable line
+writer ``run --telemetry-out`` also exports through — *before* any of
+its events reaches the classifier.  A line holds either the request
+body's own bytes (a JSON array of events, or one event object) or the
+canonical ``json.dumps(events, sort_keys=True)`` of the accepted
+events; replay yields the events of an array line one by one, so a
+line written one event per line by older services replays unchanged.
 
 On restart the service loads its last checkpoint and replays the WAL
 tail (the lines past the checkpoint's position); a crash between a

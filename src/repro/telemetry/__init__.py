@@ -8,10 +8,10 @@ gives that stream a compact, typed representation:
 * :class:`StringTable` — an interning table so repeated addresses, user
   agents, cities and countries are stored once and compared as ints;
 * :class:`EventLog` — an append-only struct-of-arrays store built on
-  stdlib :mod:`array` columns, with pluggable sinks notified on every
-  append;
-* sinks — :class:`JsonlSink` spills rows to disk as JSON lines for runs
-  too big for RAM;
+  stdlib :mod:`array` columns;
+* :class:`JsonlSink` — a durable JSON-lines writer (whole lines,
+  rollback on error, fsync on close); :func:`write_jsonl` dumps a
+  finished log through it;
 * typed stores — :class:`AccessStore`, :class:`NotificationStore`,
   :class:`ScrapeLogStore` and :class:`ScrapeFailureLog` fix the schemas
   the monitor produces and the analysis consumes;
@@ -39,7 +39,7 @@ from repro.telemetry.interning import (
     StringTable,
     write_string_table,
 )
-from repro.telemetry.sinks import JsonlSink, read_jsonl, write_jsonl
+from repro.telemetry.sinks import JsonlSink, write_jsonl
 from repro.telemetry.stores import (
     ACCESS_FIELDS,
     DEFENSE_ACTION_FIELDS,
@@ -89,7 +89,6 @@ __all__ = [
     "ScrapeLogStore",
     "StringTable",
     "make_column",
-    "read_jsonl",
     "write_jsonl",
     "write_string_table",
     *sorted(_SPILL_NAMES),

@@ -10,10 +10,6 @@ ways:
   for callers that still expect lists of dataclasses;
 * **column access** — ``log.column(name)`` exposes the raw arrays for
   single-pass analysis without materialising any row objects.
-
-Sinks attached with :meth:`EventLog.attach_sink` observe every append,
-so disk spilling and online aggregation happen while the run streams,
-not in a post-hoc pass.
 """
 
 from __future__ import annotations
@@ -67,7 +63,6 @@ class EventLog(Sequence):
             make_column(field.kind, self.strings) for field in self.schema
         ]
         self._by_name = dict(zip((f.name for f in self.schema), self._columns))
-        self._sinks: list = []
         self._spill: _SpillState | None = None
         self._containers = self._list_containers()
 
@@ -84,8 +79,6 @@ class EventLog(Sequence):
         index = len(self._columns[0])
         for column, value in zip(self._columns, row):
             column.append(value)
-        for sink in self._sinks:
-            sink.write(index, row, self)
         if self._spill is not None:
             self._maybe_flush()
         return index
@@ -99,10 +92,9 @@ class EventLog(Sequence):
         field as values then mask bytes), all of one length;
         :meth:`raw_columns` builds them.  It is the bulk counterpart of
         :meth:`append`: one container ``extend`` per column, nothing
-        interned.  Rows still reach every sink one at a time, and a
-        spilled log splits the batch at its chunk boundaries, so sinks
-        and spill files see exactly what appending the rows one by one
-        would leave.
+        interned.  A spilled log splits the batch at its chunk
+        boundaries, so the spill files hold exactly what appending the
+        rows one by one would leave.
         """
         containers = self._containers
         if len(columns) != len(containers):
@@ -125,20 +117,10 @@ class EventLog(Sequence):
             else:
                 for container, column in zip(containers, columns):
                     container.extend(column[done : done + step])
-            if self._sinks:
-                for index in range(start + done, start + done + step):
-                    self._notify_sinks(index)
             done += step
             if spill is not None:
                 self._maybe_flush()
         return start
-
-    def _notify_sinks(self, index: int) -> None:
-        """Dispatch an already-appended row to sinks (fast-path helper)."""
-        if self._sinks:
-            row = self.row(index)
-            for sink in self._sinks:
-                sink.write(index, row, self)
 
     # ------------------------------------------------------------------
     # spilling (out-of-core backing)
@@ -269,23 +251,6 @@ class EventLog(Sequence):
         return tuple(field.name for field in self.schema)
 
     # ------------------------------------------------------------------
-    # sinks
-    # ------------------------------------------------------------------
-    def attach_sink(self, sink, *, replay: bool = False) -> None:
-        """Attach a sink; with ``replay`` it first sees existing rows."""
-        if replay:
-            for index, row in enumerate(self.iter_rows()):
-                sink.write(index, row, self)
-        self._sinks.append(sink)
-
-    def detach_sink(self, sink) -> None:
-        self._sinks.remove(sink)
-
-    @property
-    def sinks(self) -> tuple:
-        return tuple(self._sinks)
-
-    # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -322,10 +287,8 @@ class EventLog(Sequence):
             column.load(data["columns"][field.name])
 
     def __getstate__(self) -> dict:
-        # Sinks hold file handles and callbacks; they do not survive
-        # pickling (a restored log starts with no sinks attached).  The
-        # interning table is pickled by reference, so logs sharing one
-        # table still share it after a round trip.
+        # The interning table is pickled by reference, so logs sharing
+        # one table still share it after a round trip.
         return {
             "schema": self.schema,
             "strings": self.strings,
@@ -341,7 +304,6 @@ class EventLog(Sequence):
         self._by_name = dict(
             zip((f.name for f in self.schema), self._columns)
         )
-        self._sinks = []
         self._spill = None
         for column, raw in zip(self._columns, state["columns"]):
             column.load_raw(raw)

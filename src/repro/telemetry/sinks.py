@@ -1,12 +1,10 @@
-"""Disk sinks: JSONL spill for event logs too big for RAM.
+"""Durable JSON-lines files.
 
-:class:`JsonlSink` streams every appended row to a ``.jsonl`` file as it
-happens, one JSON object per line, keyed by the log's field names.
-Attached with ``replay=True`` it first drains the rows already in the
-log, so it can be bolted onto a running monitor mid-measurement.
-
-:func:`write_jsonl` / :func:`read_jsonl` are the one-shot counterparts
-for finished logs.
+:class:`JsonlSink` appends whole lines to a ``.jsonl`` file: a failed
+write rolls back to the last committed line, a reopen in append mode
+drops a torn tail, and :meth:`JsonlSink.close` fsyncs.  The service's
+write-ahead log journals through it, and :func:`write_jsonl` dumps a
+finished event log through it, one JSON object per row.
 """
 
 from __future__ import annotations
@@ -15,16 +13,15 @@ import json
 import os
 from pathlib import Path
 
-from repro.telemetry.columns import Field
 from repro.telemetry.eventlog import EventLog
 
 
 class JsonlSink:
-    """Streams rows of one event log to a JSON-lines file.
+    """An append-only JSON-lines file written one whole line at a time.
 
     The file handle stays open between writes (appends are the hot
     path); call :meth:`close` — or use the sink as a context manager —
-    when the producing run finishes.
+    when the writer finishes.
 
     Durability discipline (mirrors the results-store sidecar commits):
     each line is written whole and flushed before the write returns, so
@@ -50,18 +47,8 @@ class JsonlSink:
             self._handle = self.path.open("ab")
         else:
             self._handle = self.path.open("wb")
-        self.rows_written = 0
         # Byte offset of the last fully committed line.
         self._bytes_committed = self.path.stat().st_size
-
-    def write(self, index: int, row: tuple, log: EventLog) -> None:
-        record = dict(zip(log.field_names(), row))
-        self.write_record(record)
-
-    def write_record(self, record: dict) -> None:
-        """Append one free-form record as a JSONL line."""
-        self.write_line((json.dumps(record, sort_keys=True) + "\n").encode())
-        self.rows_written += 1
 
     def write_line(self, line: bytes) -> None:
         """Append one complete line (``line`` ends in ``b"\\n"``).
@@ -132,35 +119,10 @@ def write_jsonl(log: EventLog, path: str | Path) -> Path:
     at a time instead of being random-accessed row by row.
     """
     path = Path(path)
+    names = log.field_names()
     with JsonlSink(path) as sink:
-        for index, row in enumerate(log.iter_rows()):
-            sink.write(index, row, log)
+        for row in log.iter_rows():
+            record = dict(zip(names, row))
+            sink.write_line((json.dumps(record, sort_keys=True) + "\n").encode())
     return path
 
-
-def read_jsonl(
-    path: str | Path,
-    schema,
-    *,
-    log: EventLog | None = None,
-) -> EventLog:
-    """Load a JSON-lines spill back into an event log.
-
-    ``schema`` fixes the field order (JSON objects are unordered); pass
-    an existing ``log`` to append into it — e.g. a typed store — instead
-    of creating a generic :class:`EventLog`.
-    """
-    schema = tuple(
-        f if isinstance(f, Field) else Field(*f) for f in schema
-    )
-    if log is None:
-        log = EventLog(schema)
-    names = [f.name for f in schema]
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            log.append(tuple(record[name] for name in names))
-    return log

@@ -166,8 +166,6 @@ class AccessStore(EventLog):
         a_browser(intern(browser))
         a_ua(intern(user_agent))
         a_ts(timestamp)
-        if self._sinks:
-            self._notify_sinks(index)
         if self._spill is not None:
             self._maybe_flush()
         return index
@@ -208,8 +206,6 @@ class NotificationStore(EventLog):
         self.message_ids.append(intern(message_id))
         self.subject_ids.append(intern(subject))
         self.bodies.append(body_copy)
-        if self._sinks:
-            self._notify_sinks(index)
         if self._spill is not None:
             self._maybe_flush()
         return index
@@ -245,8 +241,6 @@ class ScrapeLogStore(EventLog):
         self.timestamps.append(timestamp)
         self.outcome_ids.append(intern(outcome_value))
         self.event_counts.append(new_events)
-        if self._sinks:
-            self._notify_sinks(index)
         if self._spill is not None:
             self._maybe_flush()
         return index
@@ -300,8 +294,6 @@ class DefenseActionStore(EventLog):
         self.account_ids.append(intern(account_address))
         self.timestamps.append(timestamp)
         self.detail_ids.append(intern(detail))
-        if self._sinks:
-            self._notify_sinks(index)
         if self._spill is not None:
             self._maybe_flush()
         return index

@@ -48,13 +48,13 @@ class MailSink(Protocol):
 class OutboundRouter:
     """Routes outbound mail, honouring per-account sinkhole overrides."""
 
-    _sinks: dict[str, MailSink] = field(default_factory=dict)
+    _mail_sinks: dict[str, MailSink] = field(default_factory=dict)
     _ledger: list[SentEmail] = field(default_factory=list)
     _inbound_delivery: Callable[[str, EmailMessage], bool] | None = None
 
     def register_sink(self, sink_address: str, sink: MailSink) -> None:
         """Register the mail sink behind ``sink_address``."""
-        self._sinks[sink_address] = sink
+        self._mail_sinks[sink_address] = sink
 
     def set_inbound_delivery(
         self, deliver: Callable[[str, EmailMessage], bool]
@@ -77,7 +77,7 @@ class OutboundRouter:
         registered sink, the mail is sinkholed; otherwise it is delivered
         to any local recipients (remote ones are assumed delivered).
         """
-        if send_from_override is not None and send_from_override in self._sinks:
+        if send_from_override is not None and send_from_override in self._mail_sinks:
             outcome = DeliveryOutcome.SINKHOLED
             sent = SentEmail(
                 account_address=account_address,
@@ -86,7 +86,7 @@ class OutboundRouter:
                 outcome=outcome,
                 timestamp=timestamp,
             )
-            self._sinks[send_from_override].receive(sent)
+            self._mail_sinks[send_from_override].receive(sent)
         else:
             if self._inbound_delivery is not None:
                 for recipient in recipients:

@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 
 from _golden import GOLDEN_FIELDS, analysis_fingerprint
-from repro.api.envelope import run_scenario
+from repro.api.envelope import RunResult
 from repro.api.registry import scenarios
+from repro.core.experiment import Experiment
 from repro.shard import run_sharded
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "paper_default_analysis.json"
@@ -69,9 +70,10 @@ def test_empty_defenses_stay_out_of_dataset_json():
         .build()
         .with_defenses()
     )
-    built: list = []
-    run = run_scenario(scenario.with_seed(1), on_built=built.append)
-    assert built[0].defense_engine is None
+    scenario = scenario.with_seed(1)
+    experiment = Experiment.from_scenario(scenario).build()
+    assert experiment.defense_engine is None
+    run = RunResult.from_experiment(scenario, experiment.run(), 0.0)
     assert "defense_actions" not in run.dataset.to_json_dict()
 
 

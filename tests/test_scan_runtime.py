@@ -25,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api.envelope import run_scenario
+from repro.api.envelope import RunResult, run_scenario
+from repro.core.experiment import Experiment
 from repro.core.script import HoneyMonitorScript
 from repro.errors import QuotaExceededError
 from repro.sim.clock import days, hours, minutes
@@ -45,20 +46,16 @@ import run_rows  # noqa: E402
 # the committed row-level golden
 # ----------------------------------------------------------------------
 def _serial(case: str, **kwargs) -> dict:
-    built = []
-    mailboxes = []
-
-    def on_built(experiment):
-        built.append(experiment)
-        mailboxes.append(run_rows.mailbox_digest(experiment))
-
-    run = run_scenario(run_rows.scenario_for(case), on_built=on_built, **kwargs)
+    scenario = run_rows.scenario_for(case)
+    experiment = Experiment.from_scenario(scenario, **kwargs).build()
+    mailboxes = run_rows.mailbox_digest(experiment)
+    run = RunResult.from_experiment(scenario, experiment.run(), 0.0)
     return run_rows.observed(
         run.dataset,
         run.events_executed,
-        built[0].runtime.quota_trips,
-        built[0].monitor.scrape_log_store,
-        mailboxes[0],
+        experiment.runtime.quota_trips,
+        experiment.monitor.scrape_log_store,
+        mailboxes,
     )
 
 
@@ -75,7 +72,6 @@ class TestRowGolden:
         assert observed == run_rows.load_golden()["fast-1"]
 
     def test_fast_checkpoint_resumed(self, tmp_path):
-        from repro.core.experiment import Experiment
         from repro.service.checkpoint import (
             load_experiment_checkpoint,
             save_experiment_checkpoint,

@@ -17,8 +17,8 @@ in every row.  This module pins that two ways:
   append, bare cookie rotations, scraper re-syncs after a lockout,
   defender resets and blocks of armed accounts,
   future-stamped sandbox rows, accounts watched mid-run and monitor
-  IPs registered mid-run or late, with resident, spilled (small chunks) and JSONL-sink
-  telemetry.  Its budget is the loaded Hypothesis profile (``ci``
+  IPs registered mid-run or late, with resident and spilled (small
+  chunks) telemetry.  Its budget is the loaded Hypothesis profile (``ci``
   unless ``--hypothesis-profile`` names another, see
   ``tests/conftest.py``);
 * unit tests of the visit itself and of the loud failure on an unknown
@@ -52,7 +52,6 @@ from repro.netsim.ipaddr import IPAddress
 from repro.sim.clock import hours
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_rng
-from repro.telemetry import JsonlSink
 from repro.telemetry.spill import spill_manifest
 from repro.webmail.account import Credentials
 from repro.webmail.service import LoginContext, WebmailService
@@ -172,7 +171,7 @@ worlds = st.fixed_dictionaries(
         "ticks": st.integers(1, MAX_TICKS),
         "actions": st.lists(actions, max_size=16),
         "sandbox": st.lists(sandbox_logins, max_size=3),
-        "telemetry": st.sampled_from(("resident", "spilled", "sink")),
+        "telemetry": st.sampled_from(("resident", "spilled")),
     }
 )
 
@@ -204,15 +203,6 @@ def _run_world(world: dict, monitor_cls, scratch: Path) -> dict:
     telemetry = world.get("telemetry", "resident")
     if telemetry == "spilled":
         monitor.configure_spill(scratch, chunk_rows=CHUNK_ROWS)
-    sinks = []
-    if telemetry == "sink":
-        for name, store in (
-            ("accesses", monitor.access_store),
-            ("notifications", monitor.notification_store),
-        ):
-            sink = JsonlSink(scratch / f"{name}.jsonl")
-            store.attach_sink(sink, replay=True)
-            sinks.append(sink)
     for address in addresses:
         monitor.watch(address, PASSWORD)
 
@@ -285,8 +275,6 @@ def _run_world(world: dict, monitor_cls, scratch: Path) -> dict:
     monitor.start()
     sim.run_until(world["ticks"] * PERIOD)
     monitor.stop()
-    for sink in sinks:
-        sink.close()
 
     strings = monitor.telemetry_strings
     seen = {
@@ -300,7 +288,6 @@ def _run_world(world: dict, monitor_cls, scratch: Path) -> dict:
             for key, cookies in service.sessions.all_minted_cookies().items()
         ],
         "monitor_ips": [ip.dotted for ip in monitor.monitor_ips],
-        "sink_lines": [sink.path.read_text() for sink in sinks],
     }
     if telemetry == "spilled":
         seen["chunks"] = [
@@ -386,18 +373,14 @@ class TestAgainstReference:
                 and len(set(seen["accesses"]["columns"]["cookie_id"])) == 9
                 and len(seen["chunks"][0]) > 10,
             ),
-            # a block and a reset of armed accounts in one tick, with
-            # the telemetry streamed to JSONL sinks
+            # a block and a reset of armed accounts in one tick
             (
-                {"accounts": 4, "ticks": 12, "sandbox": [],
-                 "telemetry": "sink", "actions": [
+                {"accounts": 4, "ticks": 12, "sandbox": [], "actions": [
                     ("block", 1, 7, None, -1, 0, 0, 0),
                     ("reset", 3, 7, None, -1, 0, 0, 0),
                 ]},
                 lambda seen: "blocked"
-                in seen["scrape_log"]["columns"]["outcome"]
-                and seen["sink_lines"][0].count("\n")
-                == seen["accesses"]["length"],
+                in seen["scrape_log"]["columns"]["outcome"],
             ),
         ],
         ids=[

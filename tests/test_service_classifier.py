@@ -62,6 +62,17 @@ def lockout_event(account="alice@example.com", timestamp=2000.0):
     return {"type": "lockout", "address": account, "timestamp": timestamp}
 
 
+#: Records that carry every field but mistype one, each named by the
+#: field a rejection must name.  Before the wire schema was
+#: type-checked, each of them reached the WAL and then made
+#: ``OnlineClassifier.ingest`` raise, so the service could not restart.
+MISTYPED = {
+    "scan_period": {"type": "meta", "scan_period": "two hours"},
+    "monitor_ips": {"type": "meta", "monitor_ips": 5},
+    "country": access_event(country=["GB"]),
+}
+
+
 # ----------------------------------------------------------------------
 # wire schema
 # ----------------------------------------------------------------------
@@ -93,6 +104,69 @@ def test_validate_rejects_missing_fields_and_bad_timestamps():
         validate_event(access_event(timestamp="late"))
     with pytest.raises(ValidationError, match="timestamp"):
         validate_event(access_event(timestamp=True))
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        *(
+            pytest.param(record, field, id=f"found-{field}")
+            for field, record in MISTYPED.items()
+        ),
+        pytest.param(access_event(city=7), "city", id="intern"),
+        pytest.param(access_event(cookie_id=None), "cookie_id", id="key-null"),
+        pytest.param(
+            access_event(account_address=None), "account_address",
+            id="key-null-account",
+        ),
+        pytest.param(
+            {**notification_event("read"), "kind": None}, "kind",
+            id="key-null-kind",
+        ),
+        pytest.param(access_event(latitude="6.5"), "latitude", id="opt_f64"),
+        pytest.param(
+            access_event(longitude=False), "longitude", id="opt_f64-bool"
+        ),
+        pytest.param(
+            {**notification_event("read"), "subject": 3}, "subject",
+            id="notification",
+        ),
+        pytest.param(lockout_event(account={"a": 1}), "address", id="lockout"),
+        pytest.param(
+            {"type": "meta", "monitor_ips": ["1.2.3.4", 5]}, "monitor_ips",
+            id="meta-ip",
+        ),
+        pytest.param(
+            {"type": "meta", "monitor_city": ["London"]}, "monitor_city",
+            id="meta-city",
+        ),
+        pytest.param(
+            {"type": "meta", "scan_period": 0}, "scan_period", id="meta-zero"
+        ),
+        pytest.param(
+            {"type": "meta", "scan_period": float("inf")}, "scan_period",
+            id="meta-inf",
+        ),
+        pytest.param(
+            {"type": "meta", "scan_period": True}, "scan_period",
+            id="meta-bool",
+        ),
+    ],
+)
+def test_validate_type_checks_every_field(record, field):
+    with pytest.raises(ValidationError, match=field):
+        validate_event(record)
+
+
+def test_validate_accepts_nulls_ints_and_free_form_bodies():
+    for record in (
+        access_event(city=None, country=None, timestamp=1000),
+        {**notification_event("read"), "body_copy": {"any": ["json"]}},
+        {"type": "meta", "monitor_ips": None, "scan_period": None},
+        {"type": "meta"},
+        meta_event(monitor_ips=[], scan_period=7200),
+    ):
+        assert validate_event(record) is record
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.service import (
     run_service,
 )
 from test_service_classifier import (
+    MISTYPED,
     access_event,
     lockout_event,
     meta_event,
@@ -152,6 +153,36 @@ def test_non_finite_timestamps_are_a_400(server, timestamp):
     status, stats = server.request("GET", "/stats")
     assert status == 200
     assert stats["access_time"]["count"] == 1
+
+
+@pytest.mark.parametrize("field", sorted(MISTYPED))
+def test_mistyped_events_are_a_400_that_keeps_the_connection(tmp_path, field):
+    with LiveServer(tmp_path) as live:
+        live.request("POST", "/events", [meta_event(), access_event()])
+        position = live.state.wal.position
+        host, port = live.url.split("//", 1)[1].split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            body = [access_event(cookie="c2"), MISTYPED[field]]
+            connection.request("POST", "/events", body=json.dumps(body))
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 400
+            assert payload["accepted"] == 1
+            assert field in payload["error"]
+            # The same keep-alive connection still serves requests.
+            connection.request("GET", "/stats")
+            response = connection.getresponse()
+            stats = json.loads(response.read())
+            assert response.status == 200
+        finally:
+            connection.close()
+        assert stats["events"]["total"] == 3
+        assert stats["wal_position"] == position + 1
+    for checkpoint in (tmp_path / "service.ckpt", None):
+        restored = restore_service_state(tmp_path / "events.wal", checkpoint)
+        assert json.loads(json.dumps(restored.stats())) == stats
+        restored.close()
 
 
 def test_malformed_json_is_a_400(server):

@@ -19,7 +19,7 @@ from repro.service.checkpoint import (
     load_service_checkpoint,
 )
 from repro.telemetry.sinks import JsonlSink, _truncate_partial_tail
-from test_service_classifier import access_event, notification_event
+from test_service_classifier import MISTYPED, access_event, notification_event
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +172,30 @@ def test_validation_error_journals_and_applies_exactly_the_prefix(
     assert list(replay_wal(path)) == prefix
 
 
+@pytest.mark.parametrize("field", sorted(MISTYPED))
+@pytest.mark.parametrize("k", [0, 2])
+def test_mistyped_event_never_reaches_the_wal(tmp_path, field, k):
+    path = tmp_path / "events.wal"
+    state = _wal_state(path)
+    state.apply(_group(), None)
+    position = state.wal.position
+    records = _group(5000.0)
+    body = records[:k] + [MISTYPED[field]] + records[k:]
+    with pytest.raises(ValidationError, match=field) as caught:
+        state.apply(body, json.dumps(body).encode())
+    assert caught.value.accepted == k
+    # Only the valid prefix is journaled, as one line of its own.
+    assert state.wal.position == position + (1 if k else 0)
+    fingerprint = state.classifier.fingerprint()
+    stats = state.stats()
+    state.close()
+    assert list(replay_wal(path)) == _group() + records[:k]
+    restored = restore_service_state(path, None)
+    assert restored.classifier.fingerprint() == fingerprint
+    assert restored.stats() == stats
+    restored.close()
+
+
 def test_degraded_group_leaves_the_wal_byte_for_byte_unchanged(tmp_path):
     path = tmp_path / "events.wal"
     state = _wal_state(path)
@@ -243,15 +267,15 @@ def test_checkpoint_between_groups_restores_the_live_state(tmp_path):
 def test_jsonl_sink_reopen_after_kill_drops_only_the_torn_line(tmp_path):
     path = tmp_path / "stream.jsonl"
     sink = JsonlSink(path)
-    sink.write_record({"row": 1})
-    sink.write_record({"row": 2})
+    sink.write_line(b'{"row": 1}\n')
+    sink.write_line(b'{"row": 2}\n')
     sink.close()
     # A killed process leaves a partially flushed final line.
     with path.open("a") as handle:
         handle.write('{"row": 3, "unfin')
     reopened = JsonlSink(path, append=True)
     assert reopened.lines_written == 2
-    reopened.write_record({"row": 3})
+    reopened.write_line(b'{"row": 3}\n')
     reopened.close()
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert rows == [{"row": 1}, {"row": 2}, {"row": 3}]

@@ -24,11 +24,9 @@ from repro.telemetry import (
     AccessStore,
     EventLog,
     Field,
-    JsonlSink,
     NotificationStore,
     RowView,
     StringTable,
-    read_jsonl,
     write_jsonl,
 )
 from repro.telemetry.spill import spill_manifest
@@ -160,18 +158,10 @@ class TestEventLog:
             bulk.configure_spill(tmp_path / "bulk", chunk_rows=chunk_rows)
         for row in rows:
             single.append(row)
-        seen = []
-
-        class Probe:
-            def write(self, index, row, source):
-                seen.append((index, row))
-
         bulk.append(rows[0])
-        bulk.attach_sink(Probe())
         raw = [single.raw_row(i) for i in range(1, len(rows))]
         assert bulk.extend(bulk.raw_columns(raw)) == 1
         assert list(bulk) == list(single) == rows
-        assert seen == list(enumerate(rows))[1:]
         if chunk_rows is not None:
             assert (
                 spill_manifest(bulk)["chunk_counts"]
@@ -189,39 +179,20 @@ class TestEventLog:
             log.extend(columns)
         assert len(log) == 2
 
-    def test_sink_sees_appends_and_replay(self):
-        log = self.make_log()
-        seen = []
-
-        class Probe:
-            def write(self, index, row, source):
-                seen.append((index, row[0]))
-
-        log.attach_sink(Probe(), replay=True)
-        assert seen == [(0, "alpha"), (1, "beta")]
-        log.append(("gamma", 0.0, 0, None, None))
-        assert seen[-1] == (2, "gamma")
-
 
 class TestJsonlSink:
-    def test_stream_and_read_back(self, tmp_path):
-        log = EventLog((Field("name", "intern"), Field("v", "f64")))
-        sink = JsonlSink(tmp_path / "rows.jsonl")
-        log.attach_sink(sink)
-        log.append(("a", 1.0))
-        log.append(("b", 2.0))
-        sink.close()
-        lines = (tmp_path / "rows.jsonl").read_text().strip().splitlines()
-        assert [json.loads(line)["name"] for line in lines] == ["a", "b"]
-        rebuilt = read_jsonl(tmp_path / "rows.jsonl", log.schema)
-        assert list(rebuilt) == list(log)
-
     def test_write_jsonl_one_shot(self, tmp_path):
         store = NotificationStore()
         store.append_fields("read", "a@x", 1.0, "m1", "s", "body")
+        store.append_fields("sent", "b@x", 2.5, "m2", "t", None)
         path = write_jsonl(store, tmp_path / "n.jsonl")
-        rebuilt = read_jsonl(path, store.schema, log=NotificationStore())
-        assert list(rebuilt) == list(store)
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            dict(zip(store.field_names(), row)) for row in store
+        ]
+        # Keys are sorted, so the export bytes do not depend on the
+        # schema's field order.
+        assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True)
 
 
 class TestTypedStores:
@@ -401,28 +372,22 @@ class TestMonitorTelemetry:
                 "target@gmail.example", self.PASSWORD, context, sim.now
             )
 
-        streams = [
-            (store, JsonlSink(tmp_path / f"{name}.jsonl"))
+        sim.schedule_at(hours(1), attacker_login)
+        sim.run_until(hours(13))
+        monitor.stop()
+        paths = [
+            write_jsonl(store, tmp_path / f"{name}.jsonl")
             for name, store in (
                 ("accesses", monitor.access_store),
                 ("notifications", monitor.notification_store),
             )
         ]
-        for store, sink in streams:
-            store.attach_sink(sink, replay=True)
-        sim.schedule_at(hours(1), attacker_login)
-        sim.run_until(hours(13))
-        monitor.stop()
-        for store, sink in streams:
-            store.detach_sink(sink)
-            sink.close()
-        lines = streams[0][1].path.read_text().strip().splitlines()
+        lines = paths[0].read_text().strip().splitlines()
         assert len(lines) == len(monitor.access_store)
         cities = [json.loads(line)["city"] for line in lines]
         assert "Paris" in cities
-        # Closed sinks are detached: the stores stay appendable (they
-        # live on inside the run's dataset after the zero-copy handoff).
-        assert monitor.access_store.sinks == ()
+        # Exporting leaves the stores appendable (they live on inside
+        # the run's dataset after the zero-copy handoff).
         monitor.notification_sink(heartbeat("target@gmail.example", 99.0))
 
     def test_scrape_uses_cursor_not_rescans(self, geo):

@@ -23,8 +23,6 @@ from repro.core.records import ObservedDataset
 from repro.telemetry import (
     AccessStore,
     DiskStringTable,
-    EventLog,
-    Field,
     JsonlSink,
     NotificationStore,
     ScrapeLogStore,
@@ -331,13 +329,17 @@ class TestObservedDatasetSpill:
 class TestJsonlSinkDurability:
     """Satellite: a killed writer must leave only complete JSONL lines."""
 
-    def test_close_fsyncs(self, tmp_path):
-        log = EventLog((Field("value", "f64"),))
+    def test_close_fsyncs(self, tmp_path, monkeypatch):
         path = tmp_path / "out.jsonl"
         sink = JsonlSink(path)
-        log.attach_sink(sink)
-        log.append((1.5,))
+        sink.write_line(b'{"value": 1.5}\n')
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd)
+        )
         sink.close()
+        assert len(synced) == 1
         assert [json.loads(line) for line in path.read_text().splitlines()] == [
             {"value": 1.5}
         ]
@@ -346,15 +348,14 @@ class TestJsonlSinkDurability:
         path = tmp_path / "killed.jsonl"
         script = textwrap.dedent(
             f"""
-            import itertools, sys
-            from repro.telemetry import EventLog, Field, JsonlSink
+            import itertools, json
+            from repro.telemetry import JsonlSink
 
-            log = EventLog((Field("n", "i64"), Field("body", "obj")))
             sink = JsonlSink({str(path)!r})
-            log.attach_sink(sink)
             print("ready", flush=True)
             for i in itertools.count():
-                log.append((i, "payload-" + "x" * 512))
+                record = {{"n": i, "body": "payload-" + "x" * 512}}
+                sink.write_line((json.dumps(record) + "\\n").encode())
             """
         )
         env = dict(os.environ)
