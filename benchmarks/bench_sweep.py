@@ -9,7 +9,7 @@ ways per round:
   a storeless ``SweepManager`` (no lookups, no puts, no journal file)
   and the overhead baseline;
 * **cold** — the same cells through ``SweepManager`` into a fresh
-  :class:`ResultsStore` (in-process backend), plus the aggregate;
+  :class:`ResultsStore` (one job, in this process), plus the aggregate;
 * **warm** — a second ``SweepManager.run(resume=True)`` against the
   now-populated store, plus the aggregate: every cell loads from disk.
 
@@ -59,7 +59,7 @@ from pathlib import Path
 import harness
 
 from repro.api.runner import BatchRunner
-from repro.sweeps import InProcessBackend, ResultsStore, SweepManager
+from repro.sweeps import ResultsStore, SweepManager
 
 #: Warm (all-cached) sweep must be at least this many times faster
 #: than the cold sweep that populated the store, on CPU time.
@@ -132,7 +132,7 @@ def bench_round(scenario, workdir: Path, index: int) -> dict:
     )
 
     def cold_path():
-        result = manager.run(InProcessBackend())
+        result = manager.run()
         assert result.executed == len(SEEDS), (
             "cold round found a warm store"
         )
@@ -142,7 +142,7 @@ def bench_round(scenario, workdir: Path, index: int) -> dict:
     gc.collect()
 
     def warm_path():
-        result = manager.run(InProcessBackend(), resume=True)
+        result = manager.run(resume=True)
         assert result.cached == len(SEEDS), "warm round missed the store"
         return _aggregate_dict(result.batch())
 

@@ -23,7 +23,7 @@ import sys
 import time
 
 from repro import scenarios
-from repro.sweeps import ResultsStore, SweepManager, backend_for
+from repro.sweeps import ResultsStore, SweepManager
 
 
 def main() -> None:
@@ -50,12 +50,10 @@ def main() -> None:
                   f"seed={record['seed']}")
 
     manager = SweepManager(scenario, seeds, store, progress=progress)
-    backend = backend_for(jobs)
     print(f"sweeping {scenario.name} over seeds {seeds} "
-          f"(backend={backend.name}, store={store.root}, "
-          f"resume={resume})...")
+          f"(jobs={jobs}, store={store.root}, resume={resume})...")
     started = time.time()
-    result = manager.run(backend, resume=resume)
+    result = manager.run(jobs, resume=resume)
     print(f"done in {time.time() - started:.1f}s: "
           f"{result.executed} executed, {result.cached} cached\n")
 

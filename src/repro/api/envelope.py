@@ -121,7 +121,7 @@ class RunResult:
             account_count=result.account_count,
             elapsed_seconds=elapsed_seconds,
             perf=dict(result.perf),
-            rss_kb=dict(getattr(result, "rss_kb", {}) or {}),
+            rss_kb=dict(result.rss_kb),
             experiment_result=result,
         )
 
@@ -319,17 +319,6 @@ class RunResult:
         state["experiment_result"] = None
         state["_analysis"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        # Results pickled before phase accounting existed carry no
-        # "perf" entry; default it so perf_summary & friends work.
-        # "shard_perf" arrived with the sharded runner and defaults the
-        # same way.
-        state.setdefault("perf", {})
-        state.setdefault("rss_kb", {})
-        state.setdefault("shard_perf", None)
-        state.setdefault("_analyze_seconds", None)
-        self.__dict__.update(state)
 
 
 def run_scenario(

@@ -273,25 +273,9 @@ class BatchRunner:
         """
         # The sweeps package imports this module; import it here to
         # keep the cycle out of module load.
-        from repro.sweeps.backends import backend_for
         from repro.sweeps.manager import SweepManager
 
-        seed_list = list(seeds)
-        if not scenario_list:
-            raise ConfigurationError("need at least one scenario")
-        if not seed_list:
-            raise ConfigurationError("need at least one seed")
-        names = [s.name for s in scenario_list]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(
-                "scenario names in a batch must be unique "
-                "(use with_name() to disambiguate)"
-            )
+        manager = SweepManager(scenario_list, seeds, store=None, retries=0)
+        cells = len(manager.scenario_list) * len(manager.seeds)
         workers = self.jobs if jobs is None else jobs
-        if workers < 1:
-            raise ConfigurationError("jobs must be >= 1")
-        backend = backend_for(
-            min(workers, len(scenario_list) * len(seed_list))
-        )
-        manager = SweepManager(scenario_list, seed_list, store=None, retries=0)
-        return manager.run(backend, strict=strict).batch()
+        return manager.run(jobs=min(workers, cells), strict=strict).batch()

@@ -34,8 +34,9 @@ or a path to a JSON file of specs; it replaces the scenario's defense
 list.  ``--defenses ''`` strips all defenses from a defended scenario.
 
 Every ``sweep`` runs through one :class:`~repro.sweeps.SweepManager`
-on the backend :func:`~repro.sweeps.backend_for` derives from
-``--jobs`` and ``--cell-timeout``, and honours ``--retries``.
+with ``--jobs`` and ``--cell-timeout`` (in this process for one job
+and no timeout, a supervised forked child per cell otherwise), and
+honours ``--retries``.
 ``sweep --store DIR`` turns a one-shot sweep into a persistent,
 memoized campaign (:mod:`repro.sweeps`): completed (scenario, seed,
 code-version) cells are stored content-addressed under ``DIR`` and
@@ -43,9 +44,12 @@ skipped on re-launch (``--resume``), with every state transition
 journaled to ``DIR/journal.jsonl``.  ``store ls``/``verify``/``gc``
 inspect and maintain the store.
 
-``--fault-plan``, ``--scenario-file`` and the file forms of
-``--persona-mix``/``--defenses`` are read by one loader: an unreadable
-file or malformed JSON exits 2 with an ``error:`` line.
+``--scenario-file`` and the file forms of ``--persona-mix``/
+``--defenses`` are read by one loader: an unreadable file or
+malformed JSON exits 2 with an ``error:`` line.  Fault injection has
+one switch, the ``REPRO_FAULTS`` environment variable (inline plan
+JSON or ``@plan.json``), read by every command and every forked
+worker; an unreadable or malformed plan exits 2 the same way.
 
 ``python -m repro.cli ...`` keeps working for older scripts.
 """
@@ -71,6 +75,7 @@ from repro.api.scenario import Scenario
 from repro.attackers.personas import PersonaMix, personas
 from repro.defenses import Defense, defenses, defenses_from_specs
 from repro.errors import ConfigurationError, ReproError
+from repro.faults import active_plan
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,13 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="shard_retries",
         help="re-executions allowed per crashed/hung/timed-out shard "
         "before the run fails (default: 1)",
-    )
-    run_parser.add_argument(
-        "--fault-plan", default=None, metavar="FILE",
-        dest="fault_plan",
-        help="activate the fault-injection plan in FILE (FaultPlan "
-        "JSON) for this run and its workers — chaos testing the "
-        "supervision paths",
     )
     run_parser.add_argument(
         "--scenario-file", default=None, metavar="FILE",
@@ -568,12 +566,6 @@ def _resolve_scenario(args) -> Scenario:
 
 def _command_run(args) -> int:
     _check_conflicts(args)
-    if args.fault_plan:
-        from repro.faults import FaultPlan
-
-        FaultPlan.from_dict(
-            _load_json_spec(args.fault_plan, "fault plan")
-        ).activate()
     if args.resume_from is not None:
         from repro.service import resume_run
 
@@ -814,7 +806,7 @@ def _print_progress(record: dict) -> None:
 
 
 def _command_sweep(args) -> int:
-    from repro.sweeps import ResultsStore, SweepManager, backend_for
+    from repro.sweeps import ResultsStore, SweepManager
 
     seeds = parse_seed_spec(args.seeds)
     names = [n.strip() for n in args.scenario.split(",") if n.strip()]
@@ -824,7 +816,6 @@ def _command_sweep(args) -> int:
         _apply_duration(scenarios.get(name), args.duration_days)
         for name in names
     ]
-    backend = backend_for(args.jobs, cell_timeout=args.cell_timeout)
     store = ResultsStore(args.store) if args.store is not None else None
     manager = SweepManager(
         scenario_list,
@@ -834,13 +825,14 @@ def _command_sweep(args) -> int:
         progress=_print_progress,
     )
     result = manager.run(
-        backend,
+        args.jobs,
+        cell_timeout=args.cell_timeout,
         resume=args.resume,
         max_cells=args.max_cells,
     )
     counts = result.counts()
     print(f"sweep over {len(result.cells)} cells in "
-          f"{result.elapsed_seconds:.1f}s (backend={backend.name}): "
+          f"{result.elapsed_seconds:.1f}s (jobs={args.jobs}): "
           f"{counts['done']} executed, {counts['cached']} cached, "
           f"{counts['failed']} failed, "
           f"{counts['deferred'] + counts['pending']} deferred")
@@ -942,6 +934,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # Read REPRO_FAULTS before any work, so a broken plan stops
+        # every command here rather than failing each forked worker.
+        active_plan()
         return _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

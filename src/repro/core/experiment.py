@@ -57,6 +57,7 @@ from repro.netsim.anonymity import AnonymityNetwork
 from repro.netsim.blacklist import IPBlacklist
 from repro.netsim.cities import city_by_name
 from repro.netsim.geo import GeoDatabase
+from repro.perf import PhaseTimer, capture_profile
 from repro.sim.clock import days, hours, minutes
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequence
@@ -127,8 +128,10 @@ class ExperimentResult:
     ``perf`` holds the per-phase wall-clock breakdown of the run
     (``build`` / ``provision`` / ``leak`` / ``case_studies`` /
     ``simulate`` / ``assemble`` seconds) collected by the
-    :class:`repro.perf.PhaseTimer` threaded through :meth:`Experiment.
-    run`; sweeps read run costs from it without re-running benchmarks.
+    :class:`repro.perf.PhaseTimer` that :meth:`Experiment.
+    start_measurement` starts and :meth:`Experiment.finish_measurement`
+    reads, checkpointed or not; sweeps read run costs from it without
+    re-running benchmarks.
     """
 
     dataset: ObservedDataset
@@ -223,6 +226,7 @@ class Experiment:
         self._built = False
         self._build_seconds = 0.0
         self._measuring = False
+        self._timer: PhaseTimer | None = None
         self._events_executed = 0
         # World components; populated by build().
         self._seeds: SeedSequence | None = None
@@ -616,40 +620,16 @@ class Experiment:
     # run
     # ------------------------------------------------------------------
     def run(self, *, profile_path: str | None = None) -> ExperimentResult:
-        """Execute the full measurement and assemble the dataset.
+        """Execute the full measurement and assemble the dataset:
+        :meth:`start_measurement`, then :meth:`finish_measurement`.
 
         Args:
             profile_path: when set, a :mod:`cProfile` capture of the
                 simulation loop (only — setup and assembly are excluded)
                 is dumped to this path in ``pstats`` format.
         """
-        from repro.perf import PhaseTimer, capture_profile
-
-        timer = PhaseTimer(track_rss=True)
-        with timer.phase("build"):
-            self.build()
-        already_built_seconds = self._build_seconds
-        with timer.phase("provision"):
-            self.provision_accounts()
-        with timer.phase("leak"):
-            self.leak_credentials()
-        with timer.phase("case_studies"):
-            self.schedule_case_studies()
-            self.schedule_defenses()
-            self.monitor.start()
-        with timer.phase("simulate"), capture_profile(profile_path):
-            executed = self.sim.run_until(days(self.config.duration_days))
-        with timer.phase("assemble"):
-            self.monitor.stop()
-            dataset = self._assemble_dataset()
-        perf = timer.summary()
-        # When the world was built before run() (the scenario API path),
-        # the timed call above was an idempotent no-op; report the real
-        # construction cost recorded by build() itself.
-        perf["build"] = round(already_built_seconds, 6)
-        return self._result(
-            dataset, executed, perf=perf, rss_kb=timer.rss_kb
-        )
+        self.start_measurement()
+        return self.finish_measurement(profile_path=profile_path)
 
     # ------------------------------------------------------------------
     # incremental measurement (checkpointable runs)
@@ -658,60 +638,73 @@ class Experiment:
         """Set up everything and start monitoring, without advancing
         simulated time.
 
-        The incremental triple — :meth:`start_measurement`, then any
-        number of :meth:`advance_to_day` calls, then
-        :meth:`finish_measurement` — executes exactly the stages
-        :meth:`run` does, but hands control back between advances so a
-        caller can pickle the whole experiment mid-horizon
-        (:mod:`repro.service.checkpoint`).  Idempotent.
+        :meth:`run` is this followed by :meth:`finish_measurement`;
+        calling :meth:`advance_to_day` in between hands control back
+        between advances so a caller can pickle the whole experiment
+        mid-horizon (:mod:`repro.service.checkpoint`).  Every stage is
+        timed into one :class:`~repro.perf.PhaseTimer` that travels
+        with the experiment, so a checkpointed run reports the same
+        phases as an uninterrupted one.  Idempotent.
         """
         if self._measuring:
             return
-        self.build()
-        self.provision_accounts()
-        self.leak_credentials()
-        self.schedule_case_studies()
-        self.schedule_defenses()
-        self.monitor.start()
+        timer = self._timer = PhaseTimer(track_rss=True)
+        with timer.phase("build"):
+            self.build()
+        with timer.phase("provision"):
+            self.provision_accounts()
+        with timer.phase("leak"):
+            self.leak_credentials()
+        with timer.phase("case_studies"):
+            self.schedule_case_studies()
+            self.schedule_defenses()
+            self.monitor.start()
         self._measuring = True
 
     def advance_to_day(self, day: float) -> int:
         """Advance the measurement to ``day`` (cumulative); returns the
         events executed so far across all advances."""
         self.start_measurement()
-        self._events_executed += self.sim.run_until(days(day))
+        with self._timer.phase("simulate"):
+            self._events_executed += self.sim.run_until(days(day))
         return self._events_executed
 
-    def finish_measurement(self) -> ExperimentResult:
+    def finish_measurement(
+        self, *, profile_path: str | None = None
+    ) -> ExperimentResult:
         """Advance to the configured horizon and assemble the dataset.
 
         The result is identical to :meth:`run`'s for the same config
         and seed, however many advance/pickle/resume cycles happened in
-        between.
+        between.  ``profile_path`` profiles this last advance, as in
+        :meth:`run`.
         """
-        self.advance_to_day(self.config.duration_days)
-        self.monitor.stop()
+        self.start_measurement()
+        with capture_profile(profile_path):
+            self.advance_to_day(self.config.duration_days)
+        timer = self._timer
+        with timer.phase("assemble"):
+            self.monitor.stop()
+            dataset = self._assemble_dataset()
         self._measuring = False
-        dataset = self._assemble_dataset()
-        return self._result(dataset, self._events_executed)
-
-    def _result(
-        self, dataset: ObservedDataset, events_executed: int, **timings
-    ) -> ExperimentResult:
-        """The result both :meth:`run` and :meth:`finish_measurement`
-        return; ``timings`` carries :meth:`run`'s ``perf``/``rss_kb``."""
+        perf = timer.summary()
+        # When the world was built before the timed build phase (the
+        # scenario API path), that phase was an idempotent no-op;
+        # report the real construction cost recorded by build() itself.
+        perf["build"] = round(self._build_seconds, 6)
         return ExperimentResult(
             dataset=dataset,
             honey_accounts=self.honey_accounts,
             ledger=self.ledger,
             config=self.config,
-            events_executed=events_executed,
+            events_executed=self._events_executed,
             blacklisted_ips={
                 str(entry.address) for entry in self.blacklist
             },
+            perf=perf,
+            rss_kb=timer.rss_kb,
             all_addresses=tuple(h.address for h in self.honey_accounts),
             owned_addresses=tuple(h.address for h in self.owned_accounts),
-            **timings,
         )
 
     def _assemble_dataset(self) -> ObservedDataset:

@@ -12,9 +12,10 @@ the layers they harden:
   exponential backoff, deterministic jitter) and its one instance,
   ``DEFAULT_IO_RETRY``, shared by sweeps, the live feed, and service
   IO.
-* :mod:`repro.faults.supervise` — :func:`supervise_iter`, the
-  fork-per-task supervision loop with wall-clock timeouts, heartbeat
-  watchdogs, and kill-and-requeue.
+* :mod:`repro.faults.supervise` — :func:`fan_out`, which runs a batch
+  of tasks in this process or forks them under :func:`supervise_iter`,
+  the fork-per-task supervision loop with wall-clock timeouts,
+  heartbeat watchdogs, and kill-and-requeue.
 """
 
 from repro.faults.plan import (
@@ -32,7 +33,7 @@ from repro.faults.retry import (
     DEFAULT_IO_RETRY,
     RetryPolicy,
 )
-from repro.faults.supervise import SupervisedOutcome, supervise_iter
+from repro.faults.supervise import SupervisedOutcome, fan_out, supervise_iter
 
 __all__ = [
     "FAULT_KINDS",
@@ -47,5 +48,6 @@ __all__ = [
     "DEFAULT_IO_RETRY",
     "RetryPolicy",
     "SupervisedOutcome",
+    "fan_out",
     "supervise_iter",
 ]

@@ -374,14 +374,32 @@ def fault_site(site: str, **context) -> None:
 
 
 def _load_from_env() -> None:
+    """Install the plan :data:`FAULTS_ENV` carries, if any.
+
+    An unreadable ``@file`` or a malformed plan raises
+    :class:`~repro.errors.ConfigurationError` and leaves the variable
+    unconsumed, so every later site hit reports it again instead of
+    running fault-free.
+    """
     global _injector, _env_checked
-    _env_checked = True
     payload = os.environ.get(FAULTS_ENV, "")
-    if not payload:
-        return
     if payload.startswith("@"):
-        payload = Path(payload[1:]).read_text()
-    _injector = _FaultInjector(FaultPlan.from_json(payload))
+        try:
+            payload = Path(payload[1:]).read_text()
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read fault plan file {payload[1:]!r} named by "
+                f"{FAULTS_ENV}: {exc}"
+            ) from exc
+    if payload:
+        try:
+            plan = FaultPlan.from_json(payload)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigurationError(
+                f"bad fault plan JSON in {FAULTS_ENV}: {exc}"
+            ) from exc
+        _injector = _FaultInjector(plan)
+    _env_checked = True
 
 
 def active_plan() -> FaultPlan | None:

@@ -1,14 +1,18 @@
-"""Supervised execution of forked workers: timeouts, heartbeats,
-kill-and-requeue.
+"""Fan-out of independent tasks: in this process, or in supervised
+forks with timeouts, heartbeats and kill-and-requeue.
 
-:func:`supervise_iter` is the only way the library forks workers:
-pooled sharded runs, the pooled sweep backend and pooled
-:class:`~repro.api.runner.BatchRunner` batches (which dispatch through
-that backend) all run on it.  Each task runs in its own forked child
-(so a SIGKILL takes out exactly one task, never a shared pool); the
-child ships its result back through a pickle file written
-atomically, and touches a heartbeat file from a daemon thread while it
-works.  The parent polls children against two clocks:
+:func:`fan_out` is the one place the library decides where a batch of
+independent tasks runs; sharded runs (:func:`repro.shard.run_sharded`)
+and sweep cells (:meth:`repro.sweeps.SweepManager.run`, which
+:class:`~repro.api.runner.BatchRunner` batches go through) both call
+it.  One job with no timeout runs the tasks in the calling process;
+anything else forks under :func:`supervise_iter`.
+
+In :func:`supervise_iter` each task runs in its own forked child (so a
+SIGKILL takes out exactly one task, never a shared pool); the child
+ships its result back through a pickle file written atomically, and
+touches a heartbeat file from a daemon thread while it works.  The
+parent polls children against two clocks:
 
 * a **wall-clock deadline** per attempt (``timeout``) — catches tasks
   that run but never finish;
@@ -314,3 +318,42 @@ def supervise_iter(
                     att.process.kill()
                 att.process.join()
             running.clear()
+
+
+def fan_out(
+    worker: Callable,
+    tasks: Sequence,
+    *,
+    jobs: int = 1,
+    timeout: float | None = None,
+    retries: int = 0,
+) -> Iterator[SupervisedOutcome]:
+    """Run ``worker(task)`` for every task, here or in supervised forks.
+
+    ``jobs == 1`` with no ``timeout`` runs the tasks one after another
+    in the calling process, in input order, and lets a raising worker's
+    exception propagate (there is no child to kill or requeue, so
+    ``retries`` does not apply).  Any other combination — more than one
+    job, or a deadline that needs a child to kill — is
+    :func:`supervise_iter` with the same arguments.
+    """
+    if jobs < 1:
+        raise ConfigurationError("jobs must be >= 1")
+    if jobs == 1 and timeout is None:
+        return _in_process(worker, tasks)
+    return supervise_iter(
+        worker, tasks, jobs=jobs, timeout=timeout, retries=retries
+    )
+
+
+def _in_process(
+    worker: Callable, tasks: Sequence
+) -> Iterator[SupervisedOutcome]:
+    for index, task in enumerate(tasks):
+        started = time.monotonic()
+        result = worker(task)
+        yield SupervisedOutcome(
+            index=index,
+            result=result,
+            elapsed_seconds=time.monotonic() - started,
+        )

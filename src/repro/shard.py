@@ -15,9 +15,10 @@ that:
    draw-for-draw as in the serial run), but installs scan scripts,
    watches the scraper, schedules attacker visits and runs case
    studies only for the accounts it owns.  Shards execute as
-   independent :class:`~repro.core.experiment.Experiment` runs in
-   forked workers under :func:`~repro.faults.supervise.supervise_iter`,
-   or sequentially in this process when ``jobs <= 1``.
+   independent :class:`~repro.core.experiment.Experiment` runs
+   through :func:`~repro.faults.supervise.fan_out`: sequentially in
+   this process for one job with no shard timeout, in supervised
+   forked workers otherwise.
 3. **Merge** — the per-shard columnar stores are merged back into one
    :class:`~repro.core.records.ObservedDataset`, column-wise: strings
    re-interned into a fresh shared table (one id remap array per
@@ -53,7 +54,7 @@ from repro.core.records import AccountProvenance, ObservedDataset
 from repro.core.sharding import ShardSpec, shard_of, stable_hash64
 from repro.errors import ConfigurationError, SupervisionError
 from repro.faults.plan import fault_site
-from repro.faults.supervise import supervise_iter
+from repro.faults.supervise import fan_out
 from repro.telemetry.spill import (
     DEFAULT_CHUNK_ROWS,
     NUMPY_BY_TYPECODE,
@@ -528,8 +529,6 @@ def run_sharded(
     chunk_rows: int | None = None,
     shard_timeout: float | None = None,
     shard_retries: int = 1,
-    heartbeat_interval: float = 0.2,
-    stale_after: float | None = None,
 ) -> RunResult:
     """Run ``scenario`` across ``shards`` workers and merge the result.
 
@@ -538,14 +537,14 @@ def run_sharded(
             field.  ``1`` falls through to the ordinary serial
             :func:`~repro.api.envelope.run_scenario`.
         jobs: worker processes; defaults to ``min(shards, cpu_count)``.
-            ``1`` runs the shards sequentially in this process — same
-            result, no fork (useful for tests and debugging).  Pooled
-            workers run under
-            :func:`repro.faults.supervise.supervise_iter`: a crashed,
-            hung, or timed-out shard is killed and re-executed instead
-            of aborting the whole run (shard execution is
-            deterministic in (scenario, seed), so reruns are
-            bit-identical).
+            ``1`` with no ``shard_timeout`` runs the shards
+            sequentially in this process — same result, no fork
+            (useful for tests, tracing and debugging).  Otherwise
+            :func:`repro.faults.supervise.fan_out` forks supervised
+            workers: a crashed or timed-out shard is killed and
+            re-executed instead of aborting the whole run (shard
+            execution is deterministic in (scenario, seed), so reruns
+            are bit-identical).
         seed: master-seed override, as in ``Scenario.run``.
         spill_dir: makes every worker *and* the merge spill telemetry
             (``chunk_rows`` rows per chunk).  The directory is
@@ -554,12 +553,8 @@ def run_sharded(
             instead of pickled row data, and the merge streams shard
             chunks into merged chunks.
         shard_timeout: wall-clock limit per shard attempt, seconds.
-        shard_retries: re-executions allowed per shard before the run
-            fails with :class:`~repro.errors.SupervisionError`.
-        heartbeat_interval: how often supervised workers touch their
-            heartbeat file.
-        stale_after: kill a worker whose heartbeat is older than this
-            (``None`` disables the hang watchdog).
+        shard_retries: re-executions allowed per forked shard before
+            the run fails with :class:`~repro.errors.SupervisionError`.
 
     The returned :class:`RunResult` carries the merged dataset, the
     union of blacklist snapshots, summed event counts, critical-path
@@ -596,37 +591,29 @@ def run_sharded(
         ]
     if jobs is None:
         jobs = min(shards, os.cpu_count() or 1)
-    if jobs <= 1:
-        shard_runs = [_execute_shard(task) for task in tasks]
-    else:
-        outcomes = list(
-            supervise_iter(
-                _execute_shard,
-                tasks,
-                jobs=min(jobs, shards),
-                timeout=shard_timeout,
-                retries=shard_retries,
-                heartbeat_interval=heartbeat_interval,
-                stale_after=stale_after,
+    outcomes = sorted(
+        fan_out(
+            _execute_shard,
+            tasks,
+            jobs=min(jobs, shards),
+            timeout=shard_timeout,
+            retries=shard_retries,
+        ),
+        key=lambda o: o.index,
+    )
+    failed = [o for o in outcomes if not o.ok]
+    if failed:
+        worst = failed[0]
+        raise SupervisionError(
+            f"shard {worst.index} failed after {worst.attempts} "
+            f"attempt(s): {worst.error}"
+            + (
+                f" (+{len(failed) - 1} more shards)"
+                if len(failed) > 1
+                else ""
             )
         )
-        failed = sorted(
-            (o for o in outcomes if not o.ok), key=lambda o: o.index
-        )
-        if failed:
-            worst = failed[0]
-            raise SupervisionError(
-                f"shard {worst.index} failed after {worst.attempts} "
-                f"attempt(s): {worst.error}"
-                + (
-                    f" (+{len(failed) - 1} more shards)"
-                    if len(failed) > 1
-                    else ""
-                )
-            )
-        shard_runs = [
-            o.result for o in sorted(outcomes, key=lambda o: o.index)
-        ]
+    shard_runs = [o.result for o in outcomes]
     for run in shard_runs:
         if run.spill_manifest is not None:
             run.dataset.attach_spilled_stores(run.spill_manifest)

@@ -15,11 +15,10 @@ over it); with one, sweeps become persistent, resumable **campaigns**:
   scenario × seed matrix, skips cached cells, journals every state
   transition to JSONL, survives kill-and-restart (``resume=True``),
   and requeues failures with a bounded retry budget;
-* dispatch backends (:mod:`repro.sweeps.backends`) —
-  :class:`InProcessBackend` and :class:`LocalPoolBackend` (supervised
-  forked workers, one per cell) behind one :class:`DispatchBackend`
-  protocol; :func:`backend_for` derives which one a sweep of ``jobs``
-  workers and an optional cell timeout runs on.
+* cell dispatch — ``SweepManager.run(jobs, cell_timeout=...)`` hands
+  the cells to :func:`repro.faults.supervise.fan_out`, the same
+  decision sharded runs use: in this process for one job with no cell
+  timeout, one supervised forked child per cell otherwise.
 
 Quickstart::
 
@@ -41,14 +40,6 @@ The CLI mirrors this: ``python -m repro sweep [--store DIR [--resume]
 ``python -m repro store ls|verify|gc``.
 """
 
-from repro.sweeps.backends import (
-    CellOutcome,
-    CellTask,
-    DispatchBackend,
-    InProcessBackend,
-    LocalPoolBackend,
-    backend_for,
-)
 from repro.sweeps.jobspec import (
     CODE_VERSION_ENV,
     JobSpec,
@@ -56,7 +47,9 @@ from repro.sweeps.jobspec import (
     default_code_version,
 )
 from repro.sweeps.manager import (
+    CellOutcome,
     CellStatus,
+    CellTask,
     SweepCell,
     SweepManager,
     SweepResult,
@@ -69,16 +62,12 @@ __all__ = [
     "CellOutcome",
     "CellStatus",
     "CellTask",
-    "DispatchBackend",
-    "InProcessBackend",
     "JobSpec",
-    "LocalPoolBackend",
     "ResultsStore",
     "StoreEntry",
     "SweepCell",
     "SweepManager",
     "SweepResult",
-    "backend_for",
     "canonical_scenario_json",
     "default_code_version",
     "open_store",

@@ -2,8 +2,10 @@
 
 :class:`SweepManager` plans a scenario × seed matrix into cells, checks
 each cell's content address against the :class:`ResultsStore`, and
-dispatches only the missing ones on a pluggable
-:class:`~repro.sweeps.backends.DispatchBackend`.  Every state
+dispatches only the missing ones through
+:func:`~repro.faults.supervise.fan_out`: in this process for one job
+with no cell timeout, one supervised forked child per cell otherwise
+(a SIGKILLed or timed-out child costs exactly that cell).  Every state
 transition is journaled to a JSONL progress log inside the store, so a
 killed sweep leaves a readable record and a re-launched one
 (``resume=True`` / ``--resume``) picks up exactly where it stopped:
@@ -29,7 +31,7 @@ are still dispatched, retried and reported the same way, and the
 Journal records are JSON objects, one per line, ``event``-tagged:
 
 ``launch``
-    one per invocation: backend, cell counts, code version;
+    one per invocation: jobs, cell timeout, cell counts, code version;
 ``cell``
     one per state transition, with ``status`` ∈ ``cached`` /
     ``running`` / ``done`` / ``requeued`` / ``failed`` / ``deferred``
@@ -43,6 +45,7 @@ from __future__ import annotations
 import enum
 import json
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -50,17 +53,67 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from repro.api.runner import BatchResult, FailedRun
 from repro.api.scenario import Scenario
 from repro.errors import ConfigurationError, SweepError
+from repro.faults.plan import fault_site
 from repro.faults.retry import DEFAULT_IO_RETRY
-from repro.sweeps.backends import (
-    CellTask,
-    DispatchBackend,
-    InProcessBackend,
-)
+from repro.faults.supervise import fan_out
 from repro.sweeps.jobspec import JobSpec, default_code_version
 from repro.sweeps.store import ResultsStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.envelope import RunResult
+
+
+@dataclass(frozen=True)
+class CellTask:
+    """One dispatchable cell: a serialized scenario plus its seed."""
+
+    index: int
+    scenario_json: str
+    seed: int
+
+
+@dataclass(frozen=True)
+class CellOutcome:
+    """What one dispatched cell produced: a run or a contained failure."""
+
+    index: int
+    run: "RunResult | None"
+    elapsed_seconds: float
+    error: str | None = None
+    traceback: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.run is not None
+
+
+def _execute_cell(task: CellTask) -> CellOutcome:
+    """Run one cell, containing any failure into a failed outcome.
+
+    Module-level so forked workers can run it; in-process sweeps call
+    it too, so every cell follows the same serialize-rebuild-run
+    discipline wherever it runs.
+    """
+    from repro.api.envelope import run_scenario
+
+    started = time.perf_counter()
+    try:
+        fault_site("sweep.cell", index=task.index, seed=task.seed)
+        scenario = Scenario.from_json(task.scenario_json)
+        run = run_scenario(scenario, seed=task.seed)
+    except Exception as exc:  # noqa: BLE001 - failures must be contained
+        return CellOutcome(
+            index=task.index,
+            run=None,
+            elapsed_seconds=time.perf_counter() - started,
+            error=f"{type(exc).__name__}: {exc}",
+            traceback=traceback.format_exc(),
+        )
+    return CellOutcome(
+        index=task.index,
+        run=run,
+        elapsed_seconds=time.perf_counter() - started,
+    )
 
 
 class CellStatus(enum.Enum):
@@ -99,7 +152,6 @@ class SweepResult:
 
     cells: list[SweepCell]
     elapsed_seconds: float
-    backend_name: str
 
     def counts(self) -> dict[str, int]:
         counts = {status.value: 0 for status in CellStatus}
@@ -255,13 +307,22 @@ class SweepManager:
     # ------------------------------------------------------------------
     def run(
         self,
-        backend: DispatchBackend | None = None,
+        jobs: int = 1,
         *,
+        cell_timeout: float | None = None,
         resume: bool = False,
         max_cells: int | None = None,
         strict: bool = False,
     ) -> SweepResult:
         """Execute the sweep, memoizing through the store.
+
+        Cells run through :func:`~repro.faults.supervise.fan_out`: in
+        this process when ``jobs == 1`` and ``cell_timeout`` is
+        ``None``, otherwise each in its own supervised forked child, at
+        most ``jobs`` at a time, killed once it runs past
+        ``cell_timeout`` seconds.  Either way a raising, crashing or
+        timed-out cell fails only itself and is requeued under the
+        manager's ``retries`` budget.
 
         ``resume=False`` refuses to run against a store whose journal
         shows a previous invocation — resuming must be explicit, so a
@@ -274,6 +335,8 @@ class SweepManager:
         raises :class:`~repro.errors.SweepError` if any cell exhausts
         its retry budget.  ``resume`` and ``max_cells`` need a store.
         """
+        if jobs < 1:
+            raise ConfigurationError("jobs must be >= 1")
         if max_cells is not None and max_cells < 0:
             raise ConfigurationError("max_cells must be >= 0")
         if self.store is None and (resume or max_cells is not None):
@@ -291,7 +354,6 @@ class SweepManager:
                 "pass resume=True (--resume) to continue it, or point "
                 "the sweep at a fresh store"
             )
-        backend = backend or InProcessBackend()
         started = time.perf_counter()
         cells = self.plan()
 
@@ -306,7 +368,8 @@ class SweepManager:
         self._journal(
             {
                 "event": "launch",
-                "backend": backend.name,
+                "jobs": jobs,
+                "cell_timeout": cell_timeout,
                 "code_version": self.code_version,
                 "cells": len(cells),
                 "cached": sum(
@@ -341,7 +404,19 @@ class SweepManager:
                     )
                 )
             requeue: list[tuple[SweepCell, float]] = []
-            for outcome in backend.run_cells(tasks):
+            for supervised in fan_out(
+                _execute_cell, tasks, jobs=jobs, timeout=cell_timeout
+            ):
+                outcome = (
+                    supervised.result
+                    if supervised.ok
+                    else CellOutcome(
+                        index=tasks[supervised.index].index,
+                        run=None,
+                        elapsed_seconds=supervised.elapsed_seconds,
+                        error=f"worker {supervised.error}",
+                    )
+                )
                 cell = cells[outcome.index]
                 cell.attempts += 1
                 if outcome.ok:
@@ -394,7 +469,6 @@ class SweepManager:
         result = SweepResult(
             cells=cells,
             elapsed_seconds=time.perf_counter() - started,
-            backend_name=backend.name,
         )
         self._journal(
             {

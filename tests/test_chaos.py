@@ -37,13 +37,7 @@ from repro.service import (
     write_service_checkpoint,
 )
 from repro.shard import dataset_mismatches, run_sharded
-from repro.sweeps import (
-    LocalPoolBackend,
-    ResultsStore,
-    SweepManager,
-    read_journal,
-)
-from repro.sweeps.backends import InProcessBackend
+from repro.sweeps import ResultsStore, SweepManager, read_journal
 from repro.telemetry.spill import ChunkFile
 from test_service_classifier import access_event
 from test_service_server import LiveServer
@@ -110,6 +104,9 @@ class TestShardChaos:
         ) == analysis_fingerprint(baseline.analysis)
 
     def test_quick_shard_hang_is_killed_and_requeued(self, tmp_path):
+        # The state-dir budget hangs only shard 0's first attempt; the
+        # shard timeout kills that worker and the requeued attempt runs
+        # clean, well inside the same timeout.
         scenario = _short()
         baseline = run_sharded(scenario, shards=2, jobs=1)
         plan = FaultPlan(
@@ -128,9 +125,8 @@ class TestShardChaos:
                 scenario,
                 shards=2,
                 jobs=2,
+                shard_timeout=4.0,
                 shard_retries=1,
-                heartbeat_interval=0.05,
-                stale_after=1.0,
             )
         assert not dataset_mismatches(
             baseline.dataset, recovered.dataset
@@ -179,7 +175,7 @@ class TestSweepChaos:
         store = ResultsStore(tmp_path / "store")
         manager = SweepManager(scenario, seeds, store, retries=1)
         with plan.scoped():
-            result = manager.run(LocalPoolBackend(jobs=2))
+            result = manager.run(jobs=2)
         assert result.complete
         assert result.cells[0].attempts == 2
         assert [
@@ -207,7 +203,7 @@ class TestSweepChaos:
         store = ResultsStore(tmp_path / "store")
         manager = SweepManager(scenario, [SEED], store, retries=1)
         with plan.scoped():
-            result = manager.run(LocalPoolBackend(jobs=1, cell_timeout=4.0))
+            result = manager.run(cell_timeout=4.0)
         assert result.complete
         assert result.cells[0].attempts == 2
         assert [
@@ -232,7 +228,7 @@ class TestSweepChaos:
         store = ResultsStore(tmp_path / "store")
         manager = SweepManager(scenario, [SEED], store, retries=0)
         with plan.scoped():
-            result = manager.run(InProcessBackend())
+            result = manager.run()
         assert result.complete
         assert store.verify() == []
         assert store.get(result.cells[0].spec) is not None
@@ -249,7 +245,7 @@ class TestSweepChaos:
         scenario = _short()
         store = ResultsStore(tmp_path / "store")
         manager = SweepManager(scenario, [SEED], store, retries=0)
-        result = manager.run(InProcessBackend())
+        result = manager.run()
         spec = result.cells[0].spec
         payload_path = store._payload_path(spec.address)
         payload_path.write_bytes(b"garbage" * 100)
@@ -267,7 +263,7 @@ class TestSweepChaos:
         assert store.verify() == []
         # The next resume recomputes the quarantined cell.
         rerun = SweepManager(scenario, [SEED], store, retries=0).run(
-            InProcessBackend(), resume=True
+            resume=True
         )
         assert rerun.executed == 1 and rerun.complete
 

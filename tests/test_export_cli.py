@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.export import export_results, results_to_dict
 from repro.cli import RUN_CONFLICTS, main
+from repro.faults import FAULTS_ENV, reset_faults
 
 #: A value for every flag :data:`RUN_CONFLICTS` names.
 FLAG_VALUES = {
@@ -22,6 +23,20 @@ FLAG_VALUES = {
     "--profile": "run.prof",
     "--shard-timeout": "5",
 }
+
+
+@pytest.fixture()
+def fault_env(monkeypatch):
+    """Sets ``REPRO_FAULTS`` for one test, with the injector re-reading
+    it on the next fault-site hit and forgetting it afterwards."""
+
+    def install(value: str) -> None:
+        monkeypatch.setenv(FAULTS_ENV, value)
+        reset_faults()
+
+    yield install
+    monkeypatch.delenv(FAULTS_ENV, raising=False)
+    reset_faults()
 
 
 class TestResultsToDict:
@@ -257,18 +272,33 @@ class TestCli:
         assert "unknown persona" in message
         assert "gold_digger" in message
 
-    def test_unreadable_fault_plan_is_reported(self, tmp_path, capsys):
-        missing = tmp_path / "missing.json"
-        assert main(["run", "--fault-plan", str(missing)]) == 2
+    def test_unreadable_fault_plan_is_reported(
+        self, tmp_path, capsys, fault_env
+    ):
+        fault_env(f"@{tmp_path / 'missing.json'}")
+        assert main(["run", "--duration-days", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read fault plan file")
 
-    def test_malformed_fault_plan_is_reported(self, tmp_path, capsys):
+    def test_malformed_fault_plan_is_reported(
+        self, tmp_path, capsys, fault_env
+    ):
         malformed = tmp_path / "bad.json"
         malformed.write_text("{not json")
-        assert main(["run", "--fault-plan", str(malformed)]) == 2
+        fault_env(f"@{malformed}")
+        assert main(["run", "--duration-days", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad fault plan JSON")
+
+    def test_broken_fault_plan_stops_a_pooled_sweep_up_front(
+        self, tmp_path, capsys, fault_env
+    ):
+        fault_env(f"@{tmp_path / 'missing.json'}")
+        argv = ["sweep", "--seeds", "1", "--jobs", "2", "--duration-days", "2"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: cannot read fault plan file")
+        assert "FAILED" not in out + err
 
     def test_sweep_command(self, tmp_path, capsys):
         exit_code = main(

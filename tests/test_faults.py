@@ -22,6 +22,7 @@ from repro.faults import (
     RetryPolicy,
     active_plan,
     fault_site,
+    fan_out,
     reset_faults,
     supervise_iter,
 )
@@ -177,6 +178,26 @@ class TestInjection:
         assert active_plan() == plan
         with pytest.raises(ConnectionError):
             fault_site("feed.post", events=3)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("@MISSING", "cannot read fault plan file"),
+            ('{"rules": [{"kind": "crash"}]}', "bad fault plan JSON"),
+            ("[1, 2]", "bad fault plan JSON"),
+        ],
+        ids=["unreadable_file", "rule_without_site", "not_an_object"],
+    )
+    def test_bad_env_plan_is_a_configuration_error_every_time(
+        self, tmp_path, value, message
+    ):
+        os.environ[FAULTS_ENV] = value.replace(
+            "MISSING", str(tmp_path / "nope")
+        )
+        reset_faults()
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match=message):
+                fault_site("spill.flush", path="x", rows=1)
 
     def test_probability_draws_are_deterministic(self):
         draws = [_unit_draw(42, 0, hit) for hit in range(1, 200)]
@@ -432,6 +453,36 @@ class TestSuperviseIter:
         started = time.monotonic()
         iterator.close()  # ...and closing kills the sleeper.
         assert time.monotonic() - started < 30
+
+
+def _pid(task):
+    return os.getpid()
+
+
+class TestFanOut:
+    def test_one_job_without_timeout_runs_here_in_order(self):
+        outcomes = list(fan_out(_pid, ["a", "b"]))
+        assert [o.index for o in outcomes] == [0, 1]
+        assert [o.result for o in outcomes] == [os.getpid()] * 2
+        assert all(o.ok and o.attempts == 1 for o in outcomes)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"jobs": 2}, {"timeout": 60.0}, {"jobs": 2, "timeout": 60.0}],
+        ids=["jobs_2", "timeout", "jobs_2_timeout"],
+    )
+    def test_more_jobs_or_a_timeout_forks(self, kwargs):
+        outcomes = list(fan_out(_pid, ["a", "b"], **kwargs))
+        assert len(outcomes) == 2 and all(o.ok for o in outcomes)
+        assert os.getpid() not in {o.result for o in outcomes}
+
+    def test_in_process_exceptions_propagate(self):
+        with pytest.raises(ValueError, match="bad task x"):
+            list(fan_out(_raise_value_error, ["x"]))
+
+    def test_zero_jobs_is_rejected_before_any_work(self):
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            fan_out(abs, [-1], jobs=0)
 
 
 def _hang_at_site(task):

@@ -20,7 +20,7 @@ from repro.core.sharding import (
     shard_of,
     stable_hash64,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SupervisionError
 from repro.shard import (
     ShardRun,
     dataset_mismatches,
@@ -206,6 +206,18 @@ class TestShardEdgeCases:
         ]
         assert empty, "16 shards over 8 accounts must leave idle shards"
         _assert_equivalent(serial, sharded)
+
+    def test_one_job_with_a_shard_timeout_is_supervised(self):
+        # A timeout needs a worker to kill, so one job still forks:
+        # the deadline applies instead of being dropped.
+        with pytest.raises(SupervisionError, match="timed out"):
+            run_sharded(
+                _short("fast", days=2.0).with_seed(2016),
+                shards=2,
+                jobs=1,
+                shard_timeout=0.001,
+                shard_retries=0,
+            )
 
     def test_run_result_round_trips_shard_perf(self):
         scenario = _short("fast", days=10.0)

@@ -362,20 +362,3 @@ class TestBatchingEndToEndEquivalence:
             "build", "provision", "leak", "case_studies", "simulate",
             "assemble",
         }
-
-    def test_unpickling_pre_perf_run_result_still_works(self):
-        """Results pickled before phase accounting lack "perf"."""
-        import pickle
-
-        scenario = (
-            scenarios.get("fast").to_builder().with_duration_days(5.0).build()
-        )
-        run = run_scenario(scenario, seed=1)
-        state = run.__getstate__()
-        state.pop("perf")  # what a 1.2-era pickle carries
-        old = object.__new__(type(run))
-        old.__setstate__(state)
-        assert old.perf == {}
-        assert old.perf_summary()["simulate_seconds"] is None
-        rehydrated = pickle.loads(pickle.dumps(old))
-        assert rehydrated.perf == {}

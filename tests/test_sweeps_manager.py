@@ -1,22 +1,22 @@
-"""Tests for repro.sweeps.manager and repro.sweeps.backends."""
+"""Tests for repro.sweeps.manager."""
+
+import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.fingerprint import fingerprint_digest
 from repro.api import BatchRunner, scenarios
 from repro.errors import ConfigurationError, SweepError
+from repro.faults import FaultPlan, FaultRule
 from repro.sweeps import (
-    CellOutcome,
     CellStatus,
     CellTask,
-    DispatchBackend,
-    InProcessBackend,
-    LocalPoolBackend,
     ResultsStore,
     SweepManager,
-    backend_for,
     read_journal,
 )
+from repro.sweeps.manager import _execute_cell
 
 TINY = (
     scenarios.get("fast")
@@ -46,45 +46,20 @@ def store(tmp_path) -> ResultsStore:
     return ResultsStore(tmp_path / "store")
 
 
-class FailingBackend:
-    """Fails every cell without running anything (cheap failure tests)."""
-
-    name = "failing"
-
-    def run_cells(self, tasks):
-        for task in tasks:
-            yield CellOutcome(
-                index=task.index,
-                run=None,
-                elapsed_seconds=0.0,
-                error="BoomError: injected",
-                traceback="synthetic traceback",
+def failing_cells(times: int, indices=(0, 1)):
+    """A scoped plan failing each listed cell's first ``times``
+    attempts with an injected IO error at the ``sweep.cell`` site."""
+    return FaultPlan(
+        rules=tuple(
+            FaultRule(
+                site="sweep.cell",
+                kind="io_error",
+                match={"index": index},
+                times=times,
             )
-
-
-class FlakyBackend:
-    """Fails each cell's first ``failures_per_cell`` attempts, then runs it."""
-
-    name = "flaky"
-
-    def __init__(self, failures_per_cell: int = 1) -> None:
-        self.failures_per_cell = failures_per_cell
-        self.attempts: dict[int, int] = {}
-        self.inner = InProcessBackend()
-
-    def run_cells(self, tasks):
-        for task in tasks:
-            seen = self.attempts.get(task.index, 0)
-            self.attempts[task.index] = seen + 1
-            if seen < self.failures_per_cell:
-                yield CellOutcome(
-                    index=task.index,
-                    run=None,
-                    elapsed_seconds=0.0,
-                    error="FlakeError: try again",
-                )
-            else:
-                yield from self.inner.run_cells([task])
+            for index in indices
+        )
+    ).scoped()
 
 
 class TestPlanning:
@@ -231,17 +206,18 @@ class TestJournalAndProgress:
 
 class TestFailureHandling:
     def test_failures_become_failed_runs(self, store):
-        result = make_manager(store, retries=0).run(FailingBackend())
+        with failing_cells(times=1):
+            result = make_manager(store, retries=0).run()
         assert result.failed == 2 and result.executed == 0
         batch = result.batch()
         assert batch.runs == []
         assert [f.seed for f in batch.failures] == [2016, 2017]
-        assert "BoomError" in batch.failures[0].error
+        assert "injected IO fault at sweep.cell" in batch.failures[0].error
         assert not batch.ok
 
     def test_retry_budget_recovers_flaky_cells(self, store):
-        backend = FlakyBackend(failures_per_cell=1)
-        result = make_manager(store, retries=1).run(backend)
+        with failing_cells(times=1):
+            result = make_manager(store, retries=1).run()
         assert result.failed == 0 and result.executed == 2
         journal = read_journal(store.journal_path)
         requeued = [
@@ -252,17 +228,17 @@ class TestFailureHandling:
         assert len(requeued) == 2
 
     def test_retry_budget_is_bounded(self, store):
-        backend = FlakyBackend(failures_per_cell=5)
-        result = make_manager(store, retries=2).run(backend)
+        with failing_cells(times=5):
+            result = make_manager(store, retries=2).run()
         assert result.failed == 2
         # 1 initial + 2 retries per cell
-        assert all(n == 3 for n in backend.attempts.values())
+        assert [cell.attempts for cell in result.cells] == [3, 3]
 
     def test_strict_raises_sweep_error(self, store):
-        with pytest.raises(SweepError, match="injected"):
-            make_manager(store, retries=0).run(
-                FailingBackend(), strict=True
-            )
+        with failing_cells(times=1), pytest.raises(
+            SweepError, match="injected"
+        ):
+            make_manager(store, retries=0).run(strict=True)
         # The journal still recorded the failures before the raise.
         journal = read_journal(store.journal_path)
         assert any(
@@ -271,14 +247,11 @@ class TestFailureHandling:
 
     def test_cell_failure_is_contained_not_raised(self, store):
         # A malformed scenario JSON must fail its cell, not the sweep.
-        outcomes = list(
-            InProcessBackend().run_cells(
-                [CellTask(index=0, scenario_json="{broken", seed=1)]
-            )
+        outcome = _execute_cell(
+            CellTask(index=0, scenario_json="{broken", seed=1)
         )
-        assert len(outcomes) == 1
-        assert not outcomes[0].ok
-        assert "ConfigurationError" in outcomes[0].error
+        assert not outcome.ok
+        assert "ConfigurationError" in outcome.error
 
 
 class TestMaxCells:
@@ -296,19 +269,33 @@ class TestMaxCells:
             make_manager(store).run(resume=True, max_cells=-1)
 
 
-class TestBackends:
-    def test_protocol_conformance(self):
-        for backend in (
-            InProcessBackend(),
-            LocalPoolBackend(jobs=2),
-            FailingBackend(),
-        ):
-            assert isinstance(backend, DispatchBackend)
+def _pid_run(scenario, seed=None, **kwargs):
+    """Stands in for ``run_scenario``: the "run" is the worker's pid."""
+    return SimpleNamespace(pid=os.getpid())
 
-    def test_pool_backend_matches_inprocess(self, store, tmp_path):
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "kwargs, forked",
+        [
+            ({}, False),
+            ({"jobs": 2}, True),
+            # A cell timeout needs a worker to kill, even with one job.
+            ({"cell_timeout": 60.0}, True),
+        ],
+        ids=["in_process", "jobs_2", "cell_timeout"],
+    )
+    def test_where_cells_run(self, monkeypatch, kwargs, forked):
+        monkeypatch.setattr("repro.api.envelope.run_scenario", _pid_run)
+        result = make_manager(None, retries=0).run(**kwargs)
+        assert result.executed == 2
+        pids = {cell.run.pid for cell in result.cells}
+        assert (os.getpid() not in pids) is forked
+
+    def test_pooled_matches_in_process(self, store, tmp_path):
         pool_store = ResultsStore(tmp_path / "pool-store")
-        serial = make_manager(store).run(InProcessBackend())
-        pooled = make_manager(pool_store).run(LocalPoolBackend(jobs=2))
+        serial = make_manager(store).run()
+        pooled = make_manager(pool_store).run(jobs=2)
         assert pooled.executed == 2
 
         def strip(run):
@@ -321,19 +308,16 @@ class TestBackends:
             strip(r) for r in pooled.batch().runs
         ]
 
-    def test_backend_for_derives_the_backend(self):
-        assert isinstance(backend_for(1), InProcessBackend)
-        pool = backend_for(3)
-        assert isinstance(pool, LocalPoolBackend)
-        assert pool.jobs == 3 and pool.cell_timeout is None
-        # A cell timeout needs a worker to kill, even with one job.
-        timed = backend_for(1, cell_timeout=2.5)
-        assert isinstance(timed, LocalPoolBackend)
-        assert timed.jobs == 1 and timed.cell_timeout == 2.5
+    def test_launch_record_carries_jobs_and_cell_timeout(self, store):
+        make_manager(store, seeds=(2016,)).run(jobs=2, cell_timeout=60.0)
+        launch = read_journal(store.journal_path)[0]
+        assert launch["event"] == "launch"
+        assert (launch["jobs"], launch["cell_timeout"]) == (2, 60.0)
+        assert "backend" not in launch
+
+    def test_zero_jobs_is_rejected(self):
         with pytest.raises(ConfigurationError, match="jobs"):
-            backend_for(0)
-        with pytest.raises(ConfigurationError, match="jobs"):
-            LocalPoolBackend(jobs=0)
+            make_manager(None).run(jobs=0)
 
 
 class TestStoreless:
@@ -343,7 +327,8 @@ class TestStoreless:
         monkeypatch.chdir(tmp_path)
         seen = []
         manager = make_manager(None, seeds=(2016,), progress=seen.append)
-        result = manager.run(FlakyBackend(failures_per_cell=1))
+        with failing_cells(times=1, indices=(0,)):
+            result = manager.run()
         assert result.complete and result.executed == 1
         assert [r.seed for r in result.batch().runs] == [2016]
         assert manager.journal_path is None
