@@ -330,7 +330,7 @@ def run_scenario(
     spill_dir: str | Path | None = None,
     chunk_rows: int | None = None,
     shard_timeout: float | None = None,
-    shard_retries: int = 1,
+    shard_retries: int | None = None,
 ) -> RunResult:
     """Execute one scenario run and wrap it in a :class:`RunResult`.
 

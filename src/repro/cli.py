@@ -160,10 +160,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "bit-identical; default: no limit)",
     )
     run_parser.add_argument(
-        "--shard-retries", type=int, default=1, metavar="N",
+        "--shard-retries", type=int, default=None, metavar="N",
         dest="shard_retries",
         help="re-executions allowed per crashed/hung/timed-out shard "
-        "before the run fails (default: 1)",
+        "before the run fails (default: 1); forked shards only, so "
+        "not with --jobs 1 unless --shard-timeout is set",
     )
     run_parser.add_argument(
         "--scenario-file", default=None, metavar="FILE",
@@ -494,14 +495,14 @@ RUN_CONFLICTS: dict[str, tuple[str, tuple[str, ...]]] = {
         (
             "--scenario", "--scenario-file", "--persona-mix",
             "--duration-days", "--checkpoint-every", "--shards", "--jobs",
-            "--spill-dir", "--profile", "--shard-timeout",
+            "--spill-dir", "--profile", "--shard-timeout", "--shard-retries",
         ),
     ),
     "--checkpoint-every": (
         "snapshots one in-process world",
         (
             "--shards", "--jobs", "--spill-dir", "--profile",
-            "--shard-timeout",
+            "--shard-timeout", "--shard-retries",
         ),
     ),
     "--profile": (

@@ -663,10 +663,18 @@ class Experiment:
 
     def advance_to_day(self, day: float) -> int:
         """Advance the measurement to ``day`` (cumulative); returns the
-        events executed so far across all advances."""
+        events executed so far across all advances.
+
+        Scan ticks that passed idle (up to and including ``day``) count
+        as executed, so the total reads as if every trigger fired.
+        """
         self.start_measurement()
         with self._timer.phase("simulate"):
-            self._events_executed += self.sim.run_until(days(day))
+            skipped = self.runtime.ticks_skipped
+            fired = self.sim.run_until(days(day))
+            self._events_executed += (
+                fired + self.runtime.ticks_skipped - skipped
+            )
         return self._events_executed
 
     def finish_measurement(

@@ -17,9 +17,11 @@ would read an unchanged changelog and skip the heartbeat.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Hashable
 
 from repro.core.notifications import NotificationKind, NotificationRecord
+from repro.errors import ConfigurationError
 from repro.sim.clock import days
 from repro.webmail.account import WebmailAccount
 
@@ -49,6 +51,10 @@ class HoneyMonitorScript:
         execution_cost: simulated "computer time" charged per run against
             the provider quota; the two quota-warning case-study accounts
             are provisioned with a higher cost.
+
+    Raises:
+        ConfigurationError: for a heartbeat period that is not finite
+            (the runtime wakes the script at its next heartbeat).
     """
 
     def __init__(
@@ -59,6 +65,8 @@ class HoneyMonitorScript:
         heartbeat_period: float = days(1),
         execution_cost: float = 0.005,
     ) -> None:
+        if not math.isfinite(heartbeat_period):
+            raise ConfigurationError("heartbeat period must be finite")
         self._account = account
         self._sink = sink
         self._cursor = 0

@@ -528,7 +528,7 @@ def run_sharded(
     spill_dir: str | Path | None = None,
     chunk_rows: int | None = None,
     shard_timeout: float | None = None,
-    shard_retries: int = 1,
+    shard_retries: int | None = None,
 ) -> RunResult:
     """Run ``scenario`` across ``shards`` workers and merge the result.
 
@@ -554,7 +554,10 @@ def run_sharded(
             chunks into merged chunks.
         shard_timeout: wall-clock limit per shard attempt, seconds.
         shard_retries: re-executions allowed per forked shard before
-            the run fails with :class:`~repro.errors.SupervisionError`.
+            the run fails with :class:`~repro.errors.SupervisionError`
+            (default 1).  Shards running in this process cannot be
+            requeued, so giving it there is a
+            :class:`~repro.errors.ConfigurationError`.
 
     The returned :class:`RunResult` carries the merged dataset, the
     union of blacklist snapshots, summed event counts, critical-path
@@ -591,11 +594,20 @@ def run_sharded(
         ]
     if jobs is None:
         jobs = min(shards, os.cpu_count() or 1)
+    jobs = min(jobs, shards)
+    if shard_retries is None:
+        shard_retries = 1
+    elif jobs == 1 and shard_timeout is None:
+        raise ConfigurationError(
+            "--shard-retries (shard_retries) requeues forked shards only; "
+            "with one job and no shard timeout the shards run in this "
+            "process, where a failed shard cannot be retried"
+        )
     outcomes = sorted(
         fan_out(
             _execute_shard,
             tasks,
-            jobs=min(jobs, shards),
+            jobs=jobs,
             timeout=shard_timeout,
             retries=shard_retries,
         ),

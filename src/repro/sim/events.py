@@ -81,13 +81,16 @@ class EventQueue:
 
     The heap (``_heap``) stores ``(time, priority, sequence, event)``
     tuples; :meth:`repro.sim.engine.Simulator.run_until` reads it directly
-    for its inlined dispatch loop.
+    for its inlined dispatch loop.  The sequence counter (``_counter``)
+    is shared with the engine's idle ticks, which draw from it without
+    queueing an event (:meth:`reserve` hands such a number back).
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
+        self._reserved: int | None = None
 
     def __len__(self) -> int:
         return self._live
@@ -107,11 +110,20 @@ class EventQueue:
         if not callable(callback):
             raise SchedulingError(f"callback for {label!r} is not callable")
         time = float(time)
-        sequence = next(self._counter)
+        sequence = self._reserved
+        if sequence is None:
+            sequence = next(self._counter)
+        else:
+            self._reserved = None
         event = Event(time, priority, sequence, callback, label)
         heapq.heappush(self._heap, (time, priority, sequence, event))
         self._live += 1
         return event
+
+    def reserve(self, sequence: int) -> None:
+        """Give the next :meth:`push` the already-drawn ``sequence``
+        instead of a fresh one, so the event sorts where it was drawn."""
+        self._reserved = sequence
 
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.

@@ -1,9 +1,12 @@
 """Tests for repro.core.script (the honey monitoring script)."""
 
+import math
+
 import pytest
 
 from repro.core.notifications import NotificationKind
 from repro.core.script import HoneyMonitorScript
+from repro.errors import ConfigurationError
 from repro.sim.clock import days, hours
 from repro.webmail.account import Credentials, WebmailAccount
 from repro.webmail.mailbox import Folder
@@ -147,3 +150,10 @@ class TestBlockedAccount:
         script.run(0.0)
         script.run(600.0)
         assert script.scan_count == 2
+
+
+def test_heartbeat_period_must_be_finite(account, sink):
+    # The runtime wakes an idle script at its next heartbeat; a period
+    # that never elapses would leave it nothing to wake at.
+    with pytest.raises(ConfigurationError):
+        make_script(account, sink, heartbeat_period=math.inf)

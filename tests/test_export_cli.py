@@ -22,6 +22,7 @@ FLAG_VALUES = {
     "--spill-dir": "spill",
     "--profile": "run.prof",
     "--shard-timeout": "5",
+    "--shard-retries": "2",
 }
 
 
@@ -209,6 +210,17 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: {mode} ")
         assert err.endswith(f"cannot be combined with {flag}")
+
+    def test_shard_retries_for_in_process_shards_exit_2(self, capsys):
+        # One job and no timeout runs the shards in this process, where
+        # nothing can be requeued: the retries would be dropped.
+        argv = [
+            "run", "--shards", "2", "--jobs", "1", "--shard-retries", "5",
+            "--duration-days", "2",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: --shard-retries ")
 
     @pytest.mark.parametrize("mode", ["--checkpoint-every", "--profile"])
     def test_sharded_scenario_file_is_refused_by_flag(

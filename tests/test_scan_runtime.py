@@ -1,17 +1,22 @@
-"""Event-driven Apps Script scans.
+"""Event-driven Apps Script scans on a tickless clock.
 
 The runtime executes a honey script only when its mailbox changed, its
-heartbeat is due or its account's quota can trip.  Skipping every other
-run must be invisible.  This module pins that three ways:
+heartbeat is due or its account's quota can trip, and a cadence fires
+only at grid ticks where some script has work; a tripped account's
+pollers are parked until the quota window resets.  Skipping every
+other run and tick must be invisible.  This module pins that three
+ways:
 
 * the committed row-level golden (``tests/golden/run_rows.json``):
-  serial, sharded, spilled and checkpoint-resumed runs observe exactly
-  the rows, events and quota trips the per-tick polling runtime did;
+  serial, sharded, spilled and checkpoint-resumed runs (resumed on and
+  off the scan grid, once inside a parked window) observe exactly the
+  rows, events and quota trips the per-tick polling runtime did;
 * a property test against :class:`ReferencePoller`, a naive per-tick
   poller with one trigger per installation that charges and runs every
   script on every tick, over generated mailbox changes, blocks, heavy
   and light costs and cadences (every script is installed at t=0, as
-  honey accounts are set up before the measurement starts);
+  honey accounts are set up before the measurement starts).  Both
+  notify on the first refused charge of each quota window;
 * unit tests of the wake conditions themselves.
 """
 
@@ -27,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.api.envelope import RunResult, run_scenario
 from repro.core.experiment import Experiment
+from repro.core.notifications import NotificationKind
 from repro.core.script import HoneyMonitorScript
 from repro.errors import QuotaExceededError
 from repro.sim.clock import days, hours, minutes
@@ -71,7 +77,11 @@ class TestRowGolden:
         observed = _serial("fast-1", spill_dir=tmp_path)
         assert observed == run_rows.load_golden()["fast-1"]
 
-    def test_fast_checkpoint_resumed(self, tmp_path):
+    # Day 40.0 is a 2-hour tick; by day 40.3, off the grid, both quota
+    # accounts have tripped for the day, so the checkpoint holds a
+    # cadence asleep with its pollers parked.
+    @pytest.mark.parametrize("day", [40.0, 40.3])
+    def test_fast_checkpoint_resumed(self, tmp_path, day):
         from repro.service.checkpoint import (
             load_experiment_checkpoint,
             save_experiment_checkpoint,
@@ -80,10 +90,12 @@ class TestRowGolden:
         scenario = run_rows.scenario_for("fast-1")
         experiment = Experiment.from_scenario(scenario)
         mailboxes = run_rows.mailbox_digest(experiment)
-        experiment.advance_to_day(40.0)
+        experiment.advance_to_day(day)
+        if day == 40.3:
+            assert len(experiment.runtime._tripped) == 2
         path = save_experiment_checkpoint(
             experiment, tmp_path / "ck.pkl", scenario=scenario,
-            completed_day=40.0,
+            completed_day=day,
         )
         del experiment
         resumed = load_experiment_checkpoint(path)["experiment"]
@@ -111,13 +123,15 @@ class TestRowGolden:
 # ----------------------------------------------------------------------
 class ReferencePoller:
     """One trigger per installation; every tick charges the quota and
-    runs the script, whatever the script has to do."""
+    runs the script, whatever the script has to do.  The notifier hears
+    the first refused charge of each quota window."""
 
     def __init__(self, sim, *, quota_notifier, daily_quota_seconds=90.0):
         self._sim = sim
         self._notifier = quota_notifier
         self._limit = daily_quota_seconds
         self._quotas: dict[str, ScriptQuota] = {}
+        self._notified_windows: dict[str, float] = {}
         self.quota_trips = 0
 
     def install(self, address, script, *, period, start_delay=None) -> None:
@@ -129,11 +143,14 @@ class ReferencePoller:
 
     def _fire(self, address, script) -> None:
         now = self._sim.now
+        quota = self._quotas[address]
         try:
-            self._quotas[address].charge(script.execution_cost, now)
+            quota.charge(script.execution_cost, now)
         except QuotaExceededError:
             self.quota_trips += 1
-            self._notifier(address, now)
+            if self._notified_windows.get(address) != quota.window_start:
+                self._notified_windows[address] = quota.window_start
+                self._notifier(address, now)
             return
         script.run(now)
 
@@ -141,12 +158,29 @@ class ReferencePoller:
 # ----------------------------------------------------------------------
 # generated worlds
 # ----------------------------------------------------------------------
-HORIZON = days(2.5)
-PERIODS = (minutes(10), minutes(20), hours(1), hours(2))
+HORIZON = days(3.5)  # four quota windows
+#: Two periods that do not divide a day (7 minutes, 1000/3 s) and four
+#: that do.
+PERIODS = (minutes(7), 1000 / 3, minutes(10), minutes(20), hours(1), hours(2))
+START_DELAYS = (None, minutes(5), 37.5, 1000 / 7)
 #: Light; medium (light alone at a 10-minute cadence, heavy in pairs);
-#: heavy at 10 minutes only; heavy; heavy right at the limit (45 + 45).
-COSTS = (0.005, 0.6, 1.0, 40.0, 45.0)
+#: heavy at 10 minutes or faster only.
+LIGHT_COSTS = (0.005, 0.6, 1.0)
+#: Heavy: the 90 s quota refuses the fourth, third, third and second
+#: run of a window (45 + 45 sits right at the limit).
+HEAVY_COSTS = (30.0, 40.0, 45.0, 60.0)
 CHANGE_KINDS = ("read", "star", "draft", "receive")
+
+
+def _grid(spec: dict) -> list[float]:
+    """The tick times of an install's trigger up to the horizon, stepped
+    as its process steps them."""
+    tick = spec["period"] if spec["start_delay"] is None else spec["start_delay"]
+    ticks = []
+    while tick <= HORIZON:
+        ticks.append(tick)
+        tick += spec["period"]
+    return ticks
 
 
 @st.composite
@@ -154,34 +188,33 @@ def worlds(draw):
     periods = draw(
         st.lists(st.sampled_from(PERIODS), min_size=1, max_size=3, unique=True)
     )
-    accounts = draw(st.integers(1, 3))
+    accounts = draw(st.integers(1, 4))
 
-    def instant():
-        # Half the instants land exactly on a tick of some cadence.
-        on_tick = st.builds(
-            lambda p, k: p * k, st.sampled_from(periods),
-            st.integers(0, int(HORIZON // min(periods))),
-        ).filter(lambda t: t <= HORIZON)
-        anywhere = st.floats(0.0, HORIZON, allow_nan=False)
-        return st.one_of(on_tick, anywhere)
-
-    installs = draw(st.lists(
-        st.fixed_dictionaries({
+    def install(costs):
+        return st.fixed_dictionaries({
             "account": st.integers(0, accounts - 1),
             "period": st.sampled_from(periods),
-            "start_delay": st.sampled_from((None, minutes(5))),
-            "cost": st.sampled_from(COSTS),
+            "start_delay": st.sampled_from(START_DELAYS),
+            "cost": st.sampled_from(costs),
             "heartbeat": st.sampled_from((days(1), hours(6))),
-        }),
-        min_size=1, max_size=6,
+        })
+
+    installs = draw(st.lists(
+        install(LIGHT_COSTS + HEAVY_COSTS), min_size=1, max_size=6
     ))
+    heavy = draw(st.lists(install(HEAVY_COSTS), max_size=3))
+    installs = draw(st.permutations(installs + heavy))
+    # Half the instants land exactly on a tick of some trigger.
+    ticks = sorted({tick for spec in installs for tick in _grid(spec)})
+    anywhere = st.floats(0.0, HORIZON, allow_nan=False)
+    instant = st.one_of(st.sampled_from(ticks), anywhere) if ticks else anywhere
     changes = draw(st.lists(
-        st.tuples(instant(), st.integers(0, accounts - 1),
+        st.tuples(instant, st.integers(0, accounts - 1),
                   st.sampled_from(CHANGE_KINDS), st.integers(0, 4)),
         max_size=25,
     ))
     blocks = draw(st.lists(
-        st.tuples(instant(), st.integers(0, accounts - 1)), max_size=2,
+        st.tuples(instant, st.integers(0, accounts - 1)), max_size=2,
     ))
     return {
         "accounts": accounts, "installs": installs,
@@ -270,10 +303,10 @@ def _install_spec(**overrides) -> dict:
     return spec
 
 
-def _world(accounts: int, *installs: dict) -> dict:
+def _world(accounts: int, *installs: dict, changes=(), blocks=()) -> dict:
     return {
         "accounts": accounts, "installs": list(installs),
-        "changes": [], "blocks": [],
+        "changes": list(changes), "blocks": list(blocks),
     }
 
 
@@ -303,6 +336,42 @@ NAMED_WORLDS = {
     "quota notice changes a later mailbox": (_world(
         2, _install_spec(cost=40.0), _install_spec(account=1),
     ), True),
+    # The heavy account trips at 00:30 and is parked for the rest of
+    # the window when the provider blocks it.
+    "a parked account is blocked": (_world(
+        2, _install_spec(cost=40.0), _install_spec(account=1),
+        blocks=[(hours(5), 0)],
+    ), True),
+    # While the heavy account's pollers are parked, its own mailbox
+    # changes (reported after the window resets), and the light
+    # account on the same cadence changes, once at a tick's instant:
+    # the cadence fires, the parked poller counts a trip, the light
+    # script runs.
+    "a dirty mark lands while the account's pollers are parked": (_world(
+        2, _install_spec(cost=40.0), _install_spec(account=1),
+        changes=[
+            (hours(5), 0, "read", 1),
+            (hours(7) + 1.0, 1, "star", 2),
+            (hours(8), 1, "draft", 0),
+        ],
+    ), True),
+    # Two heavy accounts on different cadences, one sharing its
+    # cadence with a light script; one trips at once, one after a run.
+    "heavy accounts on shared and separate cadences": (_world(
+        3,
+        _install_spec(cost=60.0),
+        _install_spec(account=1),
+        _install_spec(account=2, cost=95.0, period=minutes(7),
+                      start_delay=37.5),
+    ), True),
+    # Three cadences' first ticks share one instant: the installs run
+    # there in install order, as separate triggers would run them.
+    "cadences share a first instant": (_world(
+        3,
+        _install_spec(start_delay=minutes(5)),
+        _install_spec(account=1, period=minutes(20), start_delay=minutes(5)),
+        _install_spec(account=2, start_delay=minutes(5)),
+    ), False),
 }
 
 
@@ -377,6 +446,30 @@ class TestWakeConditions:
         assert script.scan_count == 2
         assert account.mailbox._change_hooks == []
 
+    def test_idle_scripts_fire_only_for_heartbeats(self, sim):
+        # Three light scripts that never see a change: the cadence
+        # fires at the first tick and at each daily heartbeat, and
+        # every other tick of the 30 days passes idle but is counted.
+        rows = []
+        runtime = AppsScriptRuntime(sim)
+        for index in range(3):
+            account = WebmailAccount(
+                credentials=Credentials(f"h{index}@x.example", "pw123456"),
+                display_name=f"H{index}",
+            )
+            runtime.install(
+                account.address, HoneyMonitorScript(account, rows.append),
+                period=minutes(10),
+            )
+        sim.run_until(days(30))
+        heartbeats = {
+            row.timestamp for row in rows
+            if row.kind is NotificationKind.HEARTBEAT
+        }
+        assert len(heartbeats) == 30
+        assert sim.events_fired <= len(heartbeats) + 1
+        assert sim.events_fired + runtime.ticks_skipped == days(30) // minutes(10)
+
     def test_heavy_script_polls_every_tick(self, sim, honey):
         account, _ = honey
         runtime, script = self._install(
@@ -385,3 +478,20 @@ class TestWakeConditions:
         sim.run_until(hours(1))
         # Two runs fit the 90 s budget; the other four ticks trip it.
         assert (script.scan_count, runtime.quota_trips) == (2, 4)
+
+    def test_tripped_account_parks_until_the_window_resets(self, sim, honey):
+        account, _ = honey
+        notices = []
+        runtime = AppsScriptRuntime(
+            sim, quota_notifier=lambda address, now: notices.append(now)
+        )
+        script = HoneyMonitorScript(account, [].append, execution_cost=40.0)
+        runtime.install(account.address, script, period=minutes(10))
+        sim.run_until(days(2) + minutes(5))
+        # Per window (from t=0, then from the reset tick at day 1): two
+        # runs, one refused tick that fires and notifies, then parked
+        # ticks that only count, up to the run at the day-2 reset.
+        assert script.scan_count == 5
+        assert notices == [minutes(30), days(1) + minutes(20)]
+        assert runtime.quota_trips == days(2) // minutes(10) - 5
+        assert sim.events_fired == 7
