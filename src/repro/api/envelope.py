@@ -36,6 +36,7 @@ from repro.analysis.report import (
 from repro.api.scenario import Scenario
 from repro.core.experiment import Experiment, ExperimentConfig, ExperimentResult
 from repro.core.records import ObservedDataset
+from repro.errors import ConfigurationError
 from repro.faults.plan import fault_site
 from repro.perf import peak_rss_kb
 
@@ -350,16 +351,24 @@ def run_scenario(
     in-process worlds only and is rejected for sharded runs
     (``spill_dir`` applies to both paths).
     ``shard_timeout``/``shard_retries`` configure the sharded
-    executor's supervision (see :func:`repro.shard.run_sharded`) and
-    are ignored on the serial path.
+    executor's supervision (see :func:`repro.shard.run_sharded`); the
+    serial path forks nothing to supervise, so giving either there is
+    a :class:`~repro.errors.ConfigurationError`.  ``jobs`` is accepted
+    and unused on the serial path.
     """
     if seed is not None:
         scenario = scenario.with_seed(seed)
+    if scenario.shards == 1 and (
+        shard_timeout is not None or shard_retries is not None
+    ):
+        raise ConfigurationError(
+            "--shard-timeout/--shard-retries (shard_timeout/shard_retries) "
+            "supervise forked shards only; a serial run (shards=1) has "
+            "none, so the flag would be ignored"
+        )
     fault_site("run.scenario", seed=scenario.seed, shards=scenario.shards)
     if scenario.shards > 1:
         if profile_path is not None:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(
                 "profile_path instruments one in-process world and "
                 "cannot apply to a sharded run; use shards=1 or "

@@ -157,14 +157,15 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="shard_timeout",
         help="wall-clock limit per shard worker attempt; a shard past "
         "it is killed and re-executed (deterministic, so the rerun is "
-        "bit-identical; default: no limit)",
+        "bit-identical; default: no limit); sharded runs only",
     )
     run_parser.add_argument(
         "--shard-retries", type=int, default=None, metavar="N",
         dest="shard_retries",
         help="re-executions allowed per crashed/hung/timed-out shard "
         "before the run fails (default: 1); forked shards only, so "
-        "not with --jobs 1 unless --shard-timeout is set",
+        "not on a serial run nor with --jobs 1 unless --shard-timeout "
+        "is set",
     )
     run_parser.add_argument(
         "--scenario-file", default=None, metavar="FILE",

@@ -18,11 +18,10 @@ from repro.core.sinkhole import SINKHOLE_ADDRESS
 from repro.corpus.enron import CorpusGenerator
 from repro.corpus.identity import HoneyIdentity, IdentityFactory
 from repro.corpus.mapping import CorpusMapper, MappingConfig
-from repro.sim.clock import from_datetime, minutes
+from repro.sim.clock import minutes
 from repro.webmail.account import Credentials, WebmailAccount
 from repro.webmail.appsscript import AppsScriptRuntime
 from repro.webmail.mailbox import Folder
-from repro.webmail.message import EmailMessage, MessageFlags
 from repro.webmail.service import WebmailService
 
 _PASSWORD_ALPHABET = "abcdefghjkmnpqrstuvwxyz23456789"
@@ -98,24 +97,9 @@ class HoneyAccountFactory:
         count = self._rng.randint(*self._emails_per_account)
         generator = CorpusGenerator(self._rng)
         mapper = CorpusMapper(identity, self._mapping_config, self._rng)
-        mapped = mapper.map_mailbox(
-            generator.generate_mailbox(count), generator.company
-        )
         add = account.mailbox.add
-        recipients = (identity.address,)
-        for email in mapped:
-            add(Folder.INBOX, EmailMessage(
-                sender_name=email.sender_name,
-                sender_address=email.sender_address,
-                recipient_addresses=recipients,
-                subject=email.subject,
-                body=email.body,
-                # Seeded history predates the epoch: negative sim-times.
-                received_at=from_datetime(email.sent_at),
-                # Freshly created accounts: nobody has read this mail yet,
-                # so every attacker open is an observable read event.
-                flags=MessageFlags(read=False),
-            ))
+        for message in mapper.map_mailbox(generator.generate_mailbox(count)):
+            add(Folder.INBOX, message)
         return count
 
     def provision(

@@ -7,8 +7,11 @@ analysis needs: a heavy core of business vocabulary shared by all topics,
 and a thin tail of finance/personal-sensitive emails that search-driven
 attackers ("gold diggers") can surface.
 
-Emails are plain data (:class:`GeneratedEmail`); the mapping layer turns
-them into mailbox-ready messages for each honey account.
+Each email is drawn once and kept as a light record
+(:class:`GeneratedEmail`): the drawn content, the corpus sender and
+recipient, the subject, the send time and the topic.  The mapping layer
+renders each record once, as the honey persona receives it; the corpus
+sign-off is rendered only on demand (:attr:`GeneratedEmail.body`).
 
 The draw order is part of the contract.  Honey mailboxes are seeded
 from the shared ``provisioning`` stream, which then mints the next
@@ -16,10 +19,11 @@ account's identity, password and mailbox, so for any ``random.Random``
 state the generator must spend exactly the draws it always has, in the
 same order, and render the same text: one draw out of place shifts
 every later account.  :meth:`CorpusGenerator._generate` lists the order;
-it inlines ``random.Random``'s own uniform-index loop rather than calling
-``choice``, and renders only the pool sentences the sample keeps.
-``tests/test_corpus_fastpath.py`` checks messages and final stream state
-against a reference generator written with the library calls.
+it inlines ``random.Random``'s own uniform-index loop and ``sample``
+rather than calling them, and renders only the pool sentences the
+sample keeps.  ``tests/test_corpus_fastpath.py`` checks messages and
+final stream state against a reference generator and mapper written
+with the library calls.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate
 from operator import attrgetter
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.corpus import wordbank
@@ -108,8 +113,11 @@ class _Topic:
     #: ``len(vocab)`` and its bit length (the rejection loop's ``k``).
     n: int
     k: int
-    #: Population of the notes sample: the vocabulary, then the filler.
+    #: Population of the notes sample: the vocabulary, then the filler;
+    #: its size and bit length.
     note_terms: tuple[str, ...]
+    n_notes: int
+    k_notes: int
     #: Body templates + notes + the extra line, if any.
     pool_size: int
     extra_line: str | None
@@ -118,12 +126,16 @@ class _Topic:
 def _topic(name: str) -> _Topic:
     vocab = wordbank.topic_vocabulary(name)
     extra_line = _EXTRA_LINES.get(name)
+    # Over 21 terms, so ``sample`` of 4 takes its set branch.
+    note_terms = vocab + wordbank.GENERAL_FILLER
     return _Topic(
         name=name,
         vocab=vocab,
         n=len(vocab),
         k=len(vocab).bit_length(),
-        note_terms=vocab + wordbank.GENERAL_FILLER,
+        note_terms=note_terms,
+        n_notes=len(note_terms),
+        k_notes=len(note_terms).bit_length(),
         pool_size=_N_BODY + 1 + (extra_line is not None),
         extra_line=extra_line,
     )
@@ -145,24 +157,59 @@ _RECIPIENTS: tuple[tuple[str, ...], ...] = tuple(
     tuple(c for c in _CHARACTERS if c != sender) for sender in _CHARACTERS
 )
 
-_SENT_AT = attrgetter("sent_at")
+#: The corpus's stand-in for "Enron": it signs every corpus email, and
+#: the mapper signs with the fictitious company instead.  Neither name,
+#: nor a character's first name, occurs in any template or word bank
+#: (``tests/test_corpus_fastpath.py`` checks), so rendering each email
+#: once, already remapped, equals rendering it and then rewriting it.
+CORPUS_COMPANY = "Enrova"
+_SIGNATURE = f"{CORPUS_COMPANY} Corporation"
 
 
-@dataclass(frozen=True)
-class GeneratedEmail:
-    """One synthetic corpus email, before honey-account remapping."""
+def _positional(template: str) -> str:
+    """``template`` with its placeholders numbered, so that one drawn
+    ``(topic_word, core_word, counterparty)`` triple fills it."""
+    for index, name in enumerate(("topic_word", "core_word", "counterparty")):
+        template = template.replace("{%s}" % name, "{%d}" % index)
+    return template
+
+
+_SUBJECT_FORMS = tuple(map(_positional, _SUBJECT_TEMPLATES))
+_OPENING_FORMS = tuple(map(_positional, _OPENINGS))
+_BODY_FORMS = tuple(map(_positional, _BODY_TEMPLATES))
+_CLOSING_FORMS = tuple(map(_positional, _CLOSINGS))
+#: ``getrandbits`` widths of the pool sample's shrinking ranges.
+_BIT_LENGTHS = tuple(n.bit_length() for n in range(_N_BODY + 3))
+
+
+class GeneratedEmail(NamedTuple):
+    """One synthetic corpus email, before honey-account remapping.
+
+    ``content`` is what the draws chose: the opening, the kept pool
+    sentences and the closing, one per line.  The corpus sign-off (the
+    sender and the corpus company) is rendered on demand by
+    :attr:`body`; the mapper signs with the persona's correspondent and
+    the fictitious company instead.
+    """
 
     sender_name: str
     recipient_name: str
     subject: str
-    body: str
+    content: str
     sent_at: datetime
     topic: str
+
+    @property
+    def body(self) -> str:
+        return f"{self.content}\n{self.sender_name}\n{_SIGNATURE}"
 
     @property
     def text(self) -> str:
         """Subject + body, the text the TF-IDF analysis consumes."""
         return f"{self.subject}\n{self.body}"
+
+
+_SENT_AT = attrgetter("sent_at")
 
 
 @dataclass
@@ -178,13 +225,10 @@ class CorpusGenerator:
 
     Args:
         rng: the randomness stream; a fixed seed yields a fixed corpus.
-        company: company name woven into email bodies (pre-remapping this
-            is the stand-in for "Enron"; the mapper replaces it).
     """
 
-    def __init__(self, rng: random.Random, company: str = "Enrova") -> None:
+    def __init__(self, rng: random.Random) -> None:
         self._rng = rng
-        self.company = company
 
     def generate_email(self) -> GeneratedEmail:
         """Generate a single email with a weighted-random topic."""
@@ -197,7 +241,7 @@ class CorpusGenerator:
         return self._generate(1, _TOPICS[topic])[0]
 
     def generate_mailbox(self, email_count: int) -> list[GeneratedEmail]:
-        """Generate a mailbox-sized batch sorted by send time.
+        """Generate a mailbox-sized batch sorted (stably) by send time.
 
         Raises:
             ConfigurationError: if ``email_count`` is not positive.
@@ -223,18 +267,17 @@ class CorpusGenerator:
         closing template and its three words, and the send time (one
         ``random()``, as ``uniform`` spends it).  Every uniform index is
         :meth:`random.Random._randbelow`'s ``getrandbits`` rejection
-        loop, inlined; only the sentences the pool sample keeps are
-        rendered.
+        loop, inlined, and so are both samples (the note population
+        always takes ``sample``'s set branch, the pool its list branch).
+        Only the sentences the pool sample keeps are rendered.
         """
         rng = self._rng
         bits = rng.getrandbits
         uniform = rng.random
-        sample = rng.sample
         core, n_core = wordbank.CORE_BUSINESS, len(wordbank.CORE_BUSINESS)
         counterparties, n_counterparties = _COUNTERPARTIES, len(_COUNTERPARTIES)
         k_core = n_core.bit_length()
         k_counterparties = n_counterparties.bit_length()
-        signature = f"{self.company} Corporation"
 
         def below(n: int) -> int:
             """``randrange(n)``, for the once-per-email draws."""
@@ -244,8 +287,10 @@ class CorpusGenerator:
                 i = bits(k)
             return i
 
-        def words(vocab: tuple[str, ...], n: int, k: int) -> dict[str, str]:
-            """One template's words, by placeholder."""
+        def words(
+            vocab: tuple[str, ...], n: int, k: int
+        ) -> tuple[str, str, str]:
+            """One template's ``(topic_word, core_word, counterparty)``."""
             i = bits(k)
             while i >= n:
                 i = bits(k)
@@ -255,13 +300,10 @@ class CorpusGenerator:
             m = bits(k_counterparties)
             while m >= n_counterparties:
                 m = bits(k_counterparties)
-            return {
-                "topic_word": vocab[i],
-                "core_word": core[j],
-                "counterparty": counterparties[m],
-            }
+            return vocab[i], core[j], counterparties[m]
 
         emails: list[GeneratedEmail] = []
+        append = emails.append
         for _ in range(count):
             if fixed is None:
                 topic = _TOPIC_LIST[bisect(
@@ -274,38 +316,54 @@ class CorpusGenerator:
             sender = _CHARACTERS[i]
             recipients = _RECIPIENTS[i]
             recipient = recipients[below(len(recipients))]
-            template = _SUBJECT_TEMPLATES[below(len(_SUBJECT_TEMPLATES))]
-            subject = template.format(**words(vocab, n, k))
-            template = _OPENINGS[below(len(_OPENINGS))]
-            lines = [template.format(**words(vocab, n, k))]
-            pool = [words(vocab, n, k) for _ in _BODY_TEMPLATES]
-            notes = sample(topic.note_terms, 4)
+            template = _SUBJECT_FORMS[below(len(_SUBJECT_FORMS))]
+            subject = template.format(*words(vocab, n, k))
+            template = _OPENING_FORMS[below(len(_OPENING_FORMS))]
+            lines = [template.format(*words(vocab, n, k))]
+            pool = [words(vocab, n, k) for _ in _BODY_FORMS]
+            # sample(note_terms, 4), set branch: redraw a taken index.
+            n_notes, k_notes = topic.n_notes, topic.k_notes
+            notes: list[int] = []
+            for _ in range(4):
+                j = bits(k_notes)
+                while j >= n_notes or j in notes:
+                    j = bits(k_notes)
+                notes.append(j)
             size = 3 + below(4)  # randrange(3, 7)
-            # The pool (8 templates, the notes, the topic's extra line)
-            # holds 9 or 10 sentences, more than the 3-6 picked.
-            for index in sample(range(topic.pool_size), size):
+            # sample(range(pool size), size), list branch.  The pool (8
+            # templates, the notes, the topic's extra line) holds 9 or
+            # 10 sentences, more than the 3-6 picked.
+            left = list(range(topic.pool_size))
+            for m in range(topic.pool_size, topic.pool_size - size, -1):
+                k_left = _BIT_LENGTHS[m]
+                j = bits(k_left)
+                while j >= m:
+                    j = bits(k_left)
+                index = left[j]
+                left[j] = left[m - 1]
                 if index < _N_BODY:
-                    lines.append(_BODY_TEMPLATES[index].format(**pool[index]))
+                    lines.append(_BODY_FORMS[index].format(*pool[index]))
                 elif index == _N_BODY:
-                    lines.append("Notes: " + ", ".join(sorted(notes)) + ".")
+                    terms = topic.note_terms
+                    lines.append(
+                        "Notes: "
+                        + ", ".join(sorted([terms[t] for t in notes]))
+                        + "."
+                    )
                 else:
                     lines.append(topic.extra_line)
-            template = _CLOSINGS[below(len(_CLOSINGS))]
-            lines.append(template.format(**words(vocab, n, k)))
-            lines.append(sender)
-            lines.append(signature)
+            template = _CLOSING_FORMS[below(len(_CLOSING_FORMS))]
+            lines.append(template.format(*words(vocab, n, k)))
             # uniform(0, span) is 0 + span * random().
             offset_days = _CORPUS_SPAN_DAYS * uniform()
-            emails.append(
-                GeneratedEmail(
-                    sender_name=sender,
-                    recipient_name=recipient,
-                    subject=subject,
-                    body="\n".join(lines),
-                    sent_at=_CORPUS_START + timedelta(days=offset_days),
-                    topic=topic.name,
-                )
-            )
+            append(GeneratedEmail(
+                sender,
+                recipient,
+                subject,
+                "\n".join(lines),
+                _CORPUS_START + timedelta(days=offset_days),
+                topic.name,
+            ))
         return emails
 
     @staticmethod

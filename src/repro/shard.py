@@ -535,7 +535,8 @@ def run_sharded(
     Args:
         shards: partition size; defaults to the scenario's ``shards``
             field.  ``1`` falls through to the ordinary serial
-            :func:`~repro.api.envelope.run_scenario`.
+            :func:`~repro.api.envelope.run_scenario`, which refuses
+            ``shard_timeout`` and ``shard_retries``.
         jobs: worker processes; defaults to ``min(shards, cpu_count)``.
             ``1`` with no ``shard_timeout`` runs the shards
             sequentially in this process — same result, no fork
@@ -576,7 +577,11 @@ def run_sharded(
         # shards > 1 scenarios back here, so an explicit shards=1
         # override must not leave the field set.
         return run_scenario(
-            scenario.with_shards(1), spill_dir=spill_dir, chunk_rows=chunk_rows
+            scenario.with_shards(1),
+            spill_dir=spill_dir,
+            chunk_rows=chunk_rows,
+            shard_timeout=shard_timeout,
+            shard_retries=shard_retries,
         )
     # Workers re-read the shard count from the serialized scenario;
     # keep the two in sync even when ``shards`` came in as an override.

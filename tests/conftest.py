@@ -27,9 +27,9 @@ SESSION_SEED = 2016
 # profile plus a 50-example budget) is tier-1's; the nightly workflow
 # passes ``--hypothesis-profile=nightly``.  Both are derandomised with
 # no deadline and no example database, locally as under CI.  Only the
-# monitor's scrape and the shard merge property tests take their budget
-# from the profile; every other property test pins ``max_examples`` on
-# its own.
+# monitor's scrape, the shard merge and the corpus draw-exact property
+# tests take their budget from the profile; every other property test
+# pins ``max_examples`` on its own.
 settings.register_profile("ci", settings.get_profile("ci"), max_examples=50)
 settings.register_profile(
     "nightly", settings.get_profile("ci"), max_examples=500

@@ -83,10 +83,6 @@ class TestCorpusGenerator:
             email = generator.generate_email()
             assert email.sender_name != email.recipient_name
 
-    def test_company_in_signature(self, rng):
-        email = CorpusGenerator(rng, company="Acme").generate_email()
-        assert "Acme Corporation" in email.body
-
     def test_invalid_count(self, rng):
         with pytest.raises(ConfigurationError):
             CorpusGenerator(rng).generate_mailbox(0)

@@ -222,6 +222,18 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: --shard-retries ")
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--shard-timeout", "0.001"), ("--shard-retries", "5")]
+    )
+    def test_shard_supervision_on_a_serial_run_exit_2(
+        self, flag, value, capsys
+    ):
+        # A serial run forks nothing, so the flag would be ignored.
+        argv = ["run", flag, value, "--duration-days", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: --shard-timeout/--shard-retries ")
+
     @pytest.mark.parametrize("mode", ["--checkpoint-every", "--profile"])
     def test_sharded_scenario_file_is_refused_by_flag(
         self, mode, tmp_path, capsys

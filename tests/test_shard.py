@@ -187,6 +187,28 @@ class TestShardEdgeCases:
         assert via_shard.experiment_result is not None
         assert not dataset_mismatches(direct.dataset, via_shard.dataset)
 
+    @pytest.mark.parametrize(
+        "supervision", [{"shard_timeout": 5.0}, {"shard_retries": 2}]
+    )
+    def test_serial_path_refuses_shard_supervision(self, supervision):
+        # Nothing forks on the serial path, so there is nothing to time
+        # out or requeue: the settings would be dropped.
+        scenario = _short("fast", days=2.0)
+        with pytest.raises(ConfigurationError, match="--shard-timeout"):
+            run_scenario(scenario, seed=2016, **supervision)
+        with pytest.raises(ConfigurationError, match="--shard-retries"):
+            run_sharded(scenario.with_seed(2016), shards=1, **supervision)
+        with pytest.raises(ConfigurationError, match="serial run"):
+            run_sharded(
+                scenario.with_shards(2).with_seed(2016), shards=1,
+                **supervision,
+            )
+
+    def test_serial_path_accepts_jobs(self):
+        scenario = _short("fast", days=2.0)
+        run = run_scenario(scenario, seed=2016, jobs=3)
+        assert run.shard_perf is None
+
     def test_more_shards_than_accounts(self):
         scenario = (
             _short("fast", days=10.0)
