@@ -23,12 +23,12 @@ def bench_full_experiment(benchmark):
             (
                 "activity rows scraped",
                 "-",
-                str(len(result.dataset.accesses)),
+                str(len(result.dataset.access_store)),
             ),
             (
                 "script notifications",
                 "-",
-                str(len(result.dataset.notifications)),
+                str(len(result.dataset.notification_store)),
             ),
         ],
     )

@@ -41,21 +41,19 @@ def main() -> None:
     flagged = 0
     scored = 0
     examples: list[tuple[float, str]] = []
-    for notification in dataset.notifications:
-        if notification.kind is not NotificationKind.READ:
+    for kind, address, _, _, subject, body in (
+        dataset.notification_store.iter_rows()
+    ):
+        if kind != NotificationKind.READ.value or not body:
             continue
-        if not notification.body_copy:
-            continue
-        detector = detectors.get(notification.account_address)
+        detector = detectors.get(address)
         if detector is None:
             continue
-        verdict = detector.assess(notification.body_copy, 900.0)
+        verdict = detector.assess(body, 900.0)
         scored += 1
         if verdict.is_anomalous:
             flagged += 1
-            examples.append(
-                (verdict.vocabulary_score, notification.subject)
-            )
+            examples.append((verdict.vocabulary_score, subject))
 
     print(f"read-events scored: {scored}")
     print(f"flagged as anomalous content: {flagged} "

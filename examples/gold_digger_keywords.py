@@ -20,12 +20,12 @@ def main() -> None:
     dataset = run_scenario(scenarios.get("fast"), seed=2016).dataset
 
     reads = [
-        n
-        for n in dataset.notifications
-        if n.kind is NotificationKind.READ and n.body_copy
+        body
+        for kind, _, _, _, _, body in dataset.notification_store.iter_rows()
+        if kind == NotificationKind.READ.value and body
     ]
     print(f"read-event notifications with content: {len(reads)}")
-    drafts_read = [n for n in reads if "bitcoin" in n.body_copy]
+    drafts_read = [body for body in reads if "bitcoin" in body]
     print("  ...of which mention bitcoin (blackmailer drafts/mail): "
           f"{len(drafts_read)}")
 

@@ -91,17 +91,20 @@ def main() -> None:
     sim.run_until(days(3))
 
     print("\nscript notifications received:")
-    for record in monitor.notifications:
-        if record.kind.value in ("read", "starred"):
-            print(f"  t={record.timestamp / 3600:7.1f}h "
-                  f"{record.kind.value:<8} {record.subject[:48]}")
+    # Both stores hand rows back as plain tuples in schema order.
+    for kind, _, timestamp, _, subject, _ in (
+        monitor.notification_store.iter_rows()
+    ):
+        if kind in ("read", "starred"):
+            print(f"  t={timestamp / 3600:7.1f}h {kind:<8} {subject[:48]}")
 
     print("\nscraped accesses (after removing monitor rows):")
-    for row in monitor.scraped_accesses:
-        if row.ip_address in monitor.monitor_ip_strings:
+    for (_, cookie, ip, city, *_, browser, _, _) in (
+        monitor.access_store.iter_rows()
+    ):
+        if ip in monitor.monitor_ip_strings:
             continue
-        print(f"  cookie={row.cookie_id[:14]}... city={row.city} "
-              f"browser={row.browser}")
+        print(f"  cookie={cookie[:14]}... city={city} browser={browser}")
 
     print(f"\nmail sinkholed (never delivered): {len(sinkhole.dumped)}")
 

@@ -85,12 +85,7 @@ from repro.core.experiment import (
 from repro.core.groups import LeakPlan, OutletKind, paper_leak_plan
 from repro.perf import PhaseTimer, capture_profile, peak_rss_kb
 from repro.sweeps import JobSpec, ResultsStore, SweepManager
-from repro.telemetry import (
-    EventLog,
-    JsonlSink,
-    RowView,
-    StringTable,
-)
+from repro.telemetry import EventLog, JsonlSink, StringTable
 
 __version__ = "1.3.0"
 
@@ -113,7 +108,6 @@ __all__ = [
     "PersonaMix",
     "PhaseTimer",
     "ResultsStore",
-    "RowView",
     "RunResult",
     "Scenario",
     "ScenarioBuilder",

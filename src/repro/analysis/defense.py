@@ -167,22 +167,20 @@ def defense_report(
     resets = 0
     releaks = 0
     first_reset: dict[str, float] = {}
-    for row in dataset.defense_actions:
-        defended.add(row.account_address)
-        per_defense = action_counts.setdefault(row.defense, {})
-        per_defense[row.action] = per_defense.get(row.action, 0) + 1
-        if row.action == "prevented_login":
+    for defense, action, address, timestamp, detail in (
+        dataset.defense_store.iter_rows()
+    ):
+        defended.add(address)
+        per_defense = action_counts.setdefault(defense, {})
+        per_defense[action] = per_defense.get(action, 0) + 1
+        if action == "prevented_login":
             prevented += 1
-            prevented_devices.add(row.detail)
-        elif row.action == "reset":
+            prevented_devices.add(detail)
+        elif action == "reset":
             resets += 1
-            address = row.account_address
-            if (
-                address not in first_reset
-                or row.timestamp < first_reset[address]
-            ):
-                first_reset[address] = row.timestamp
-        elif row.action == "releak":
+            if address not in first_reset or timestamp < first_reset[address]:
+                first_reset[address] = timestamp
+        elif action == "releak":
             releaks += 1
 
     if analysis is None:

@@ -244,7 +244,7 @@ def classify_accesses(
     for kind, account_address, timestamp in _action_stream(dataset):
         actions.setdefault(account_address, []).append((kind, timestamp))
     lockouts: dict[str, list[float]] = {}
-    for address, lockout_time in dataset.scrape_failures:
+    for address, lockout_time in dataset.failure_log:
         lockouts.setdefault(address, []).append(lockout_time)
     margin = attribution_margin(scan_period)
     for address, items in by_account.items():

@@ -97,10 +97,10 @@ class RunResult:
     _analysis: AnalysisResults | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Wall-clock of the first ``analysis`` computation.  Kept out of
+    #: Wall-clock of the ``analysis`` computation.  Kept out of
     #: ``perf`` (whose phase set is the run loop's contract) and
-    #: surfaced as ``perf_summary()["analyze_seconds"]``; survives
-    #: pickling so summaries stay stable across process boundaries.
+    #: surfaced as ``analyze_perf()["analyze_seconds"]``; pickled with
+    #: the analysis it timed.
     _analyze_seconds: float | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -134,23 +134,19 @@ class RunResult:
         """The Section 4 analysis, computed lazily and cached.
 
         Always uses the scan period this run was configured with —
-        never the module-level default.
+        never the module-level default.  The cache pickles with the
+        run, so a run read back from a results store is not
+        re-analysed.
         """
         if self._analysis is None:
             started = time.perf_counter()
             self._analysis = analyze(
                 self.dataset, scan_period=self.config.scan_period
             )
-            elapsed = time.perf_counter() - started
-            # First computation wins: a result that crossed a process
-            # boundary keeps the original run's analyze phase instead
-            # of re-stamping it on recompute (summaries stay stable
-            # across pickle round trips).  Copy-on-write on rss_kb so
-            # results sharing a dict don't see each other's marks.
-            if self._analyze_seconds is None:
-                self._analyze_seconds = round(elapsed, 6)
-            if "analyze" not in self.rss_kb:
-                self.rss_kb = {**self.rss_kb, "analyze": peak_rss_kb()}
+            self._analyze_seconds = round(time.perf_counter() - started, 6)
+            # Copy-on-write: results sharing a dict don't see each
+            # other's marks.
+            self.rss_kb = {**self.rss_kb, "analyze": peak_rss_kb()}
         return self._analysis
 
     def overview(self) -> OverviewStats:
@@ -191,12 +187,11 @@ class RunResult:
         phase RSS accounting landed), the summary also reports the
         measurement's RSS high-water mark and the memory-efficiency
         headline ``accounts_per_gb`` — honey accounts measured per GB
-        of peak RSS, the number the out-of-core telemetry budget exists
+        of peak RSS, the number spilled (out-of-core) telemetry exists
         to raise.  Only marks recorded by the run itself are included:
         the analyze-phase marks (:attr:`rss_kb` ``["analyze"]``,
-        :meth:`analyze_perf`) depend on where and when the analysis was
-        (re)computed, and summaries must compare equal across pickle
-        round trips.
+        :meth:`analyze_perf`) appear only once the analysis has been
+        computed, and summaries must not depend on whether it was.
         """
         summary = {
             "events_executed": self.events_executed,
@@ -222,11 +217,11 @@ class RunResult:
         return summary
 
     def analyze_perf(self) -> dict:
-        """Wall-clock and RSS of the first ``analysis`` computation.
+        """Wall-clock and RSS of the ``analysis`` computation.
 
         Empty until :attr:`analysis` has been accessed.  Kept out of
-        :meth:`perf_summary`: the marks describe whichever process
-        first computed the analysis, not the run.
+        :meth:`perf_summary`: the marks describe the process that
+        computed the analysis, not the run.
         """
         marks: dict = {}
         if self._analyze_seconds is not None:
@@ -313,12 +308,11 @@ class RunResult:
         return written
 
     # ------------------------------------------------------------------
-    # pickling: drop the live world and the analysis cache
+    # pickling: drop the live world, keep the analysis cache
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["experiment_result"] = None
-        state["_analysis"] = None
         return state
 
 

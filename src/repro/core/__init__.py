@@ -18,7 +18,7 @@ from repro.core.groups import GroupSpec, LeakPlan, OutletKind, paper_leak_plan
 from repro.core.honeyaccount import HoneyAccount, HoneyAccountFactory
 from repro.core.monitor import MonitorInfrastructure, ScrapeOutcome
 from repro.core.notifications import NotificationKind, NotificationRecord
-from repro.core.records import ObservedAccess, ObservedDataset
+from repro.core.records import ObservedDataset
 from repro.core.script import HoneyMonitorScript
 from repro.core.sinkhole import SinkholeMailServer
 from repro.core.experiment import (
@@ -39,7 +39,6 @@ __all__ = [
     "MonitorInfrastructure",
     "NotificationKind",
     "NotificationRecord",
-    "ObservedAccess",
     "ObservedDataset",
     "OutletKind",
     "ScrapeOutcome",

@@ -142,8 +142,8 @@ class ExperimentResult:
     blacklisted_ips: set[str] = field(default_factory=set)
     perf: dict[str, float] = field(default_factory=dict)
     #: RSS high-water mark (kB) at the end of each run phase, from the
-    #: same :class:`~repro.perf.PhaseTimer`; budgeted runs use it to
-    #: show the simulate phase staying under the telemetry budget.
+    #: same :class:`~repro.perf.PhaseTimer`; spilled runs use it to
+    #: show what spilling saves.
     rss_kb: dict[str, int] = field(default_factory=dict)
     #: All account addresses in provision (= watch) order.  In a
     #: sharded run every shard provisions the full population, so this

@@ -15,10 +15,11 @@ Everything the monitor collects is telemetry: scraped rows, script
 notifications, scrape diagnostics and lockouts each stream into a typed
 :class:`~repro.telemetry.eventlog.EventLog` sharing one string-interning
 table, so a million-row run stores every address, user agent and city
-exactly once.  The historical list attributes (``scraped_accesses``,
-``notifications``, ``scrape_log``) remain available as lazy row views.
-Each watched account carries a monotonic index cursor into its activity
-page, making every scrape O(new events) instead of a full rescan.
+exactly once.  Readers take row tuples or columns off the stores
+(``access_store``, ``notification_store``, ``scrape_log_store``,
+``failure_log``).  Each watched account carries a monotonic index
+cursor into its activity page, making every scrape O(new events)
+instead of a full rescan.
 
 A full scrape visit (:meth:`MonitorInfrastructure._scrape_one`) is a
 credential check, not a session: the scraper calls
@@ -67,12 +68,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from repro.core.notifications import (
-    NotificationRecord,
-    notification_row_factory,
-    notification_to_fields,
-)
-from repro.core.records import access_row_factory
+from repro.core.notifications import NotificationRecord, notification_to_fields
 from repro.core.sharding import stable_hash64
 from repro.errors import (
     AccountBlockedError,
@@ -93,7 +89,6 @@ from repro.telemetry import (
     AccessStore,
     DefenseActionStore,
     NotificationStore,
-    RowView,
     ScrapeFailureLog,
     ScrapeLogStore,
     StringTable,
@@ -225,23 +220,6 @@ class _QuietPlan:
         self.log_columns = (addresses, outcomes, counts)
 
 
-@dataclass(frozen=True)
-class ScrapeLogEntry:
-    """Diagnostic record of one scraper visit."""
-
-    address: str
-    timestamp: float
-    outcome: ScrapeOutcome
-    new_events: int
-
-
-def _scrape_entry_factory(log, index: int) -> ScrapeLogEntry:
-    address, timestamp, outcome, new_events = log.row(index)
-    return ScrapeLogEntry(
-        address, timestamp, ScrapeOutcome(outcome), new_events
-    )
-
-
 def _access_fields(
     address: str,
     cookie: str,
@@ -342,11 +320,6 @@ class MonitorInfrastructure:
         )
 
     @property
-    def notifications(self) -> RowView:
-        """Script notifications as records, lazily materialised."""
-        return RowView(self.notification_store, notification_row_factory)
-
-    @property
     def notification_counts(self) -> dict[str, int]:
         """Per-kind notification counts off the raw kind-id column.
 
@@ -360,21 +333,6 @@ class MonitorInfrastructure:
     # ------------------------------------------------------------------
     # scraping
     # ------------------------------------------------------------------
-    @property
-    def scraped_accesses(self) -> RowView:
-        """Parsed activity-page rows, lazily materialised."""
-        return RowView(self.access_store, access_row_factory)
-
-    @property
-    def scrape_log(self) -> RowView:
-        """Diagnostic entries, lazily materialised."""
-        return RowView(self.scrape_log_store, _scrape_entry_factory)
-
-    @property
-    def scrape_failures(self) -> ScrapeFailureLog:
-        """(address, time) lockout rows (tuple sequence)."""
-        return self.failure_log
-
     @property
     def monitor_ips(self) -> tuple[IPAddress, ...]:
         return tuple(self._monitor_ips)

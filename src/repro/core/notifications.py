@@ -62,27 +62,6 @@ def heartbeat(account_address: str, timestamp: float) -> NotificationRecord:
     )
 
 
-#: Value-string -> member map for decoding columnar rows without the
-#: per-call cost of ``NotificationKind(value)``.
-KIND_BY_VALUE: dict[str, NotificationKind] = {
-    kind.value: kind for kind in NotificationKind
-}
-
-
-def notification_row_factory(log, index: int) -> NotificationRecord:
-    """Materialise one :class:`NotificationRecord` from a columnar
-    :class:`~repro.telemetry.stores.NotificationStore` row."""
-    kind_value, address, timestamp, message_id, subject, body = log.row(index)
-    return NotificationRecord(
-        kind=KIND_BY_VALUE[kind_value],
-        account_address=address,
-        timestamp=timestamp,
-        message_id=message_id,
-        subject=subject,
-        body_copy=body,
-    )
-
-
 def notification_to_fields(record: NotificationRecord) -> tuple:
     """Flatten a record into the ``NOTIFICATION_FIELDS`` column order."""
     return (

@@ -3,10 +3,9 @@
 Two artifact streams exist, mirroring the paper's Section 3.1:
 
 * **scraped accesses** — rows of the account activity page captured by the
-  scraper (:class:`ObservedAccess`), including cookie identifier, IP,
-  geolocated city when available, and device fingerprint;
-* **notifications** — events reported by the hidden scripts
-  (:class:`~repro.core.notifications.NotificationRecord`).
+  scraper, including cookie identifier, IP, geolocated city when
+  available, and device fingerprint;
+* **notifications** — events reported by the hidden scripts.
 
 :class:`ObservedDataset` bundles both plus the metadata needed for the
 cleaning step (monitor IPs and monitor city) and per-account leak
@@ -14,11 +13,9 @@ provenance.  The analysis package consumes *only* this object.
 
 The dataset is a thin view over :mod:`repro.telemetry` stores: rows
 live in struct-of-arrays event logs with a shared string-interning
-table.  The analysis layer reads those columns directly
-(:attr:`ObservedDataset.access_store` and friends); the row accessors
-(``dataset.accesses``, ``dataset.notifications``) are read-only, lazy
-:class:`~repro.telemetry.eventlog.RowView` adapters for code that wants
-records.  Rows are written only through the stores' ``append`` /
+table.  Readers take columns or row tuples (``iter_rows()``,
+``row(i)``) straight off :attr:`ObservedDataset.access_store` and
+friends; rows are written only through the stores' ``append`` /
 ``append_fields``.
 """
 
@@ -29,88 +26,13 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.core.groups import GroupSpec
-from repro.core.notifications import notification_row_factory
 from repro.telemetry import (
     AccessStore,
     DefenseActionStore,
     NotificationStore,
-    RowView,
     ScrapeFailureLog,
     StringTable,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class ObservedAccess:
-    """One scraped activity-page row, as parsed offline.
-
-    Location fields are ``None`` when the provider could not geolocate the
-    source (Tor exit nodes and anonymous proxies).
-
-    Field order matches :data:`repro.telemetry.ACCESS_FIELDS`, so a
-    columnar row tuple expands positionally: ``ObservedAccess(*row)``.
-    """
-
-    account_address: str
-    cookie_id: str
-    ip_address: str
-    city: str | None
-    country: str | None
-    latitude: float | None
-    longitude: float | None
-    device_kind: str
-    os_family: str
-    browser: str
-    user_agent: str
-    timestamp: float
-
-    @property
-    def has_location(self) -> bool:
-        return self.city is not None
-
-
-def access_row_factory(log, index: int) -> ObservedAccess:
-    """Materialise one :class:`ObservedAccess` from a columnar row."""
-    return ObservedAccess(*log.row(index))
-
-
-def access_to_fields(access: ObservedAccess) -> tuple:
-    """Flatten a record into the ``ACCESS_FIELDS`` column order."""
-    return (
-        access.account_address,
-        access.cookie_id,
-        access.ip_address,
-        access.city,
-        access.country,
-        access.latitude,
-        access.longitude,
-        access.device_kind,
-        access.os_family,
-        access.browser,
-        access.user_agent,
-        access.timestamp,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class DefenseAction:
-    """One defender-side event (check, notify, reset, ...).
-
-    Field order matches :data:`repro.telemetry.DEFENSE_ACTION_FIELDS`,
-    so a columnar row tuple expands positionally:
-    ``DefenseAction(*row)``.
-    """
-
-    defense: str
-    action: str
-    account_address: str
-    timestamp: float
-    detail: str = ""
-
-
-def defense_action_row_factory(log, index: int) -> DefenseAction:
-    """Materialise one :class:`DefenseAction` from a columnar row."""
-    return DefenseAction(*log.row(index))
 
 
 @dataclass(frozen=True)
@@ -126,11 +48,12 @@ class ObservedDataset:
     """Everything the measurement produced, ready for analysis.
 
     Attributes:
-        accesses: scraped activity-page rows (uncleaned; analysis applies
-            the monitor-IP / monitor-city filter).  A lazy, read-only row
-            view over the columnar store.
-        notifications: script notifications, in arrival order (same
-            read-only view semantics).
+        access_store: scraped activity-page rows (uncleaned; analysis
+            applies the monitor-IP / monitor-city filter).
+        notification_store: script notifications, in arrival order.
+        failure_log: (address, time) rows at which the scraper could
+            no longer log in (password changed by a hijacker).
+        defense_store: defender-side actions (empty without defenses).
         provenance: per-account leak group and leak time.
         monitor_ips: IP addresses belonging to the monitoring and sandbox
             infrastructure, to be excluded from analysis.
@@ -139,8 +62,6 @@ class ObservedDataset:
         all_email_texts: text of every email seeded into honey accounts
             (the TF-IDF "all emails" document, per account address).
         blocked_accounts: addresses suspended by the provider, with time.
-        scrape_failures: (address, time) pairs at which the scraper could
-            no longer log in (password changed by a hijacker).
         ground_truth_personas: researcher-side ground truth mapping
             ``(account_address, cookie_id)`` to the persona names that
             actually drove the access.  Simulation metadata — the paper
@@ -330,27 +251,6 @@ class ObservedDataset:
     @property
     def defense_store(self) -> DefenseActionStore:
         return self._defense_store
-
-    # ------------------------------------------------------------------
-    # read-only row views
-    # ------------------------------------------------------------------
-    @property
-    def accesses(self) -> RowView:
-        return RowView(self._access_store, access_row_factory)
-
-    @property
-    def notifications(self) -> RowView:
-        return RowView(self._notification_store, notification_row_factory)
-
-    @property
-    def scrape_failures(self) -> ScrapeFailureLog:
-        """(address, time) rows — the log doubles as a tuple sequence."""
-        return self._failure_log
-
-    @property
-    def defense_actions(self) -> RowView:
-        """Defender-side events, lazily materialised."""
-        return RowView(self._defense_store, defense_action_row_factory)
 
     @property
     def account_addresses(self) -> tuple[str, ...]:

@@ -247,7 +247,7 @@ def events_from_dataset(
             notification_event_from_row,
         ),
         _tagged(
-            iter(dataset.scrape_failures),
+            dataset.failure_log.iter_rows(),
             "lockout",
             lockout_event_from_row,
         ),

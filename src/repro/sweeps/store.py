@@ -163,6 +163,9 @@ class ResultsStore:
         gate it separately from raw byte-push, whose cost belongs to
         the disk, not the store.
         """
+        # The overview runs the analysis first, so the payload carries
+        # it and a loaded run is not re-analysed.
+        overview = _overview_summary(run)
         payload = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
         sidecar = {
             "format_version": SIDECAR_FORMAT_VERSION,
@@ -181,7 +184,7 @@ class ResultsStore:
             "run": {
                 "elapsed_seconds": run.elapsed_seconds,
                 "events_executed": run.events_executed,
-                "overview": _overview_summary(run),
+                "overview": overview,
             },
         }
         return payload, sidecar

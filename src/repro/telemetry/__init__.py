@@ -14,10 +14,8 @@ gives that stream a compact, typed representation:
   finished log through it;
 * typed stores — :class:`AccessStore`, :class:`NotificationStore`,
   :class:`ScrapeLogStore` and :class:`ScrapeFailureLog` fix the schemas
-  the monitor produces and the analysis consumes;
-* :class:`RowView` — a read-only sequence adapter that materialises
-  typed row objects lazily, keeping the historical ``list``-of-dataclass
-  API intact on top of the columnar store.
+  the monitor produces and the analysis consumes, read back as row
+  tuples (``iter_rows()``, ``row(i)``) or as columns.
 
 Stores can also leave RAM entirely: :meth:`EventLog.configure_spill`
 swaps a log's columns for chunked, disk-spillable twins
@@ -33,7 +31,7 @@ The numpy-backed spill machinery is re-exported lazily so importing
 """
 
 from repro.telemetry.columns import Field, make_column
-from repro.telemetry.eventlog import EventLog, RowView
+from repro.telemetry.eventlog import EventLog
 from repro.telemetry.interning import (
     DiskStringTable,
     StringTable,
@@ -84,7 +82,6 @@ __all__ = [
     "JsonlSink",
     "NOTIFICATION_FIELDS",
     "NotificationStore",
-    "RowView",
     "ScrapeFailureLog",
     "ScrapeLogStore",
     "StringTable",

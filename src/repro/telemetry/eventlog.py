@@ -5,9 +5,8 @@ reproduction flows through.  Rows go in as tuples (one value per schema
 field), land column-wise in compact arrays, and come back out two
 ways:
 
-* **row access** — ``log[i]`` / iteration yield value tuples, and
-  :class:`RowView` wraps a log in a read-only sequence of typed records
-  for callers that still expect lists of dataclasses;
+* **row access** — ``log.row(i)``, ``log.iter_rows()``, ``log[i]`` and
+  iteration yield value tuples;
 * **column access** — ``log.column(name)`` exposes the raw arrays for
   single-pass analysis without materialising any row objects.
 """
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.telemetry.columns import Field, make_column
 from repro.telemetry.interning import StringTable
@@ -133,7 +132,7 @@ class EventLog(Sequence):
         Appends keep landing in resident per-column tails; whenever the
         tail reaches ``chunk_rows`` rows, all columns flush one aligned
         chunk to files under ``directory``.  Every read API — ``row``,
-        ``iter_rows``, :class:`RowView`, column iteration — keeps working
+        ``iter_rows``, column iteration — keeps working
         with global indices, so callers cannot tell a spilled log from
         a resident one.
         """
@@ -322,47 +321,3 @@ class EventLog(Sequence):
         names = ", ".join(f.name for f in self.schema)
         return f"{type(self).__name__}({len(self)} rows: {names})"
 
-
-class RowView(Sequence):
-    """Read-only sequence of typed rows over an :class:`EventLog`.
-
-    ``factory(log, index)`` materialises one typed record; materialising
-    is lazy, so iterating a view allocates one record at a time and
-    ``len``/``bool`` touch no rows at all.  This is what keeps the
-    historical ``monitor.scraped_accesses``-style list APIs alive on top
-    of the columnar store.
-    """
-
-    __slots__ = ("_log", "_factory")
-
-    def __init__(
-        self, log: EventLog, factory: Callable[[EventLog, int], object]
-    ) -> None:
-        self._log = log
-        self._factory = factory
-
-    @property
-    def log(self) -> EventLog:
-        return self._log
-
-    def __len__(self) -> int:
-        return len(self._log)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [
-                self._factory(self._log, i)
-                for i in range(*index.indices(len(self._log)))
-            ]
-        if index < 0:
-            index += len(self._log)
-        if not 0 <= index < len(self._log):
-            raise IndexError(index)
-        return self._factory(self._log, index)
-
-    def __iter__(self):
-        for i in range(len(self._log)):
-            yield self._factory(self._log, i)
-
-    def __repr__(self) -> str:
-        return f"RowView({len(self)} rows over {self._log!r})"

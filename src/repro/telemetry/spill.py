@@ -27,7 +27,7 @@ an append-only binary file, reloading them on demand through
 The five ``Spillable*Column`` classes subclass the resident columns in
 :mod:`repro.telemetry.columns` and swap their backing containers only;
 ``get``/``values``/``__len__``/``append`` are inherited unchanged, which
-is what keeps ``EventLog``, ``RowView`` and every typed store
+is what keeps ``EventLog`` and every typed store
 oblivious to where rows physically live.
 
 All columns of one log flush in lockstep (the log triggers the flush),

@@ -14,10 +14,9 @@ loop writes straight into the column arrays (interning as it goes)
 instead of dispatching through the generic per-column loop, which is
 what buys the multi-x throughput over building frozen dataclasses.
 
-The stores know nothing about ``repro.core`` row types; the monitor and
-:class:`~repro.core.records.ObservedDataset` supply row factories that
-materialise ``ObservedAccess`` / ``NotificationRecord`` objects from
-row tuples when a caller still wants objects.
+Readers get rows back as plain value tuples in schema order
+(``iter_rows()``, ``row(i)``) or read the columns directly; the stores
+know nothing about ``repro.core`` types.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from repro.telemetry.columns import Field
 from repro.telemetry.eventlog import EventLog
 from repro.telemetry.interning import StringTable
 
-#: Schema of one scraped activity-page row; field order matches the
-#: ``ObservedAccess`` constructor so ``ObservedAccess(*row)`` works.
+#: Schema of one scraped activity-page row.
 ACCESS_FIELDS: tuple[Field, ...] = (
     Field("account_address", "intern"),
     Field("cookie_id", "intern"),
@@ -247,11 +245,7 @@ class ScrapeLogStore(EventLog):
 
 
 class ScrapeFailureLog(EventLog):
-    """Lockout events: ``(address, timestamp)`` rows.
-
-    Row tuples already match the historical ``list[tuple[str, float]]``
-    shape of ``scrape_failures``, so this log doubles as its own view.
-    """
+    """Lockout events: ``(address, timestamp)`` rows."""
 
     def __init__(self, *, strings: StringTable | None = None) -> None:
         super().__init__(SCRAPE_FAILURE_FIELDS, strings=strings)

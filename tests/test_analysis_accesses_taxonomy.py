@@ -1,6 +1,6 @@
 """Tests for repro.analysis.accesses and taxonomy on synthetic datasets."""
 
-from _datasets import fill_dataset
+from _datasets import access_row, fill_dataset
 from repro.analysis.accesses import (
     extract_unique_accesses,
     observed_ip_strings,
@@ -11,7 +11,7 @@ from repro.analysis.taxonomy import (
     label_counts,
 )
 from repro.core.notifications import NotificationKind, NotificationRecord
-from repro.core.records import ObservedAccess, ObservedDataset
+from repro.core.records import ObservedDataset
 from repro.sim.clock import hours
 
 
@@ -23,7 +23,7 @@ def make_access(
     timestamp=0.0,
     user_agent="Mozilla/5.0",
 ):
-    return ObservedAccess(
+    return access_row(
         account_address=account,
         cookie_id=cookie,
         ip_address=ip,
@@ -31,9 +31,6 @@ def make_access(
         country="FR" if city else None,
         latitude=48.86 if city else None,
         longitude=2.35 if city else None,
-        device_kind="desktop",
-        os_family="Windows",
-        browser="chrome",
         user_agent=user_agent,
         timestamp=timestamp,
     )

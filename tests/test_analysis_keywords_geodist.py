@@ -2,23 +2,19 @@
 
 import pytest
 
-from _datasets import fill_dataset
+from _datasets import access_row, fill_dataset
 from repro.analysis.accesses import extract_unique_accesses
 from repro.analysis.durations import time_to_first_access
 from repro.analysis.geodist import distance_vectors, median_circles
 from repro.analysis.keywords import infer_searched_words
 from repro.core.groups import paper_leak_plan
 from repro.core.notifications import NotificationKind, NotificationRecord
-from repro.core.records import (
-    AccountProvenance,
-    ObservedAccess,
-    ObservedDataset,
-)
+from repro.core.records import AccountProvenance, ObservedDataset
 from repro.sim.clock import days
 
 
 def located_access(account, cookie, lat, lon, city="X", timestamp=0.0):
-    return ObservedAccess(
+    return access_row(
         account_address=account,
         cookie_id=cookie,
         ip_address=f"10.0.{len(cookie)}.{abs(hash(cookie)) % 250}",
@@ -26,10 +22,6 @@ def located_access(account, cookie, lat, lon, city="X", timestamp=0.0):
         country="ZZ",
         latitude=lat,
         longitude=lon,
-        device_kind="desktop",
-        os_family="Windows",
-        browser="chrome",
-        user_agent="UA",
         timestamp=timestamp,
     )
 

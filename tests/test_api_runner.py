@@ -69,10 +69,11 @@ class TestRunResult:
         }
 
     def test_pickle_round_trip_drops_live_world(self, tiny_run):
-        _ = tiny_run.analysis  # populate the cache, then drop it
+        _ = tiny_run.analysis  # populate the cache; it travels along
         restored = pickle.loads(pickle.dumps(tiny_run))
         assert restored.experiment_result is None
-        assert restored._analysis is None
+        assert restored._analysis is not None
+        assert restored.analyze_perf() == tiny_run.analyze_perf()
         assert restored.summary() == tiny_run.summary()
 
     def test_outlet_restricted_significance_is_partial(self):

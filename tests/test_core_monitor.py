@@ -44,21 +44,21 @@ class TestScraping:
             hours(1), lambda: attacker_login(service, geo, sim.now)
         )
         sim.run_until(hours(13))
-        attacker_rows = [
-            a
-            for a in monitor.scraped_accesses
-            if a.ip_address not in monitor.monitor_ip_strings
+        store = monitor.access_store
+        attacker_cities = [
+            city
+            for ip, city in zip(store.values("ip_address"), store.values("city"))
+            if ip not in monitor.monitor_ip_strings
         ]
-        assert len(attacker_rows) == 1
-        assert attacker_rows[0].city == "Paris"
+        assert attacker_cities == ["Paris"]
 
     def test_scraper_own_accesses_visible_then_excludable(self, world):
         sim, service, monitor = world
         sim.run_until(hours(13))
         own_rows = [
-            a
-            for a in monitor.scraped_accesses
-            if a.ip_address in monitor.monitor_ip_strings
+            ip
+            for ip in monitor.access_store.values("ip_address")
+            if ip in monitor.monitor_ip_strings
         ]
         assert own_rows, "the scraper's own logins appear on the page"
 
@@ -68,12 +68,8 @@ class TestScraping:
             hours(1), lambda: attacker_login(service, geo, sim.now)
         )
         sim.run_until(hours(25))
-        attacker_rows = [
-            a
-            for a in monitor.scraped_accesses
-            if a.city == "Paris"
-        ]
-        assert len(attacker_rows) == 1
+        cities = monitor.access_store.values("city")
+        assert cities.count("Paris") == 1
 
     def test_lockout_on_password_change(self, world, geo):
         sim, service, monitor = world
@@ -85,12 +81,12 @@ class TestScraping:
         sim.schedule_at(hours(1), hijack)
         sim.run_until(hours(30))
         assert monitor.locked_out_accounts() == ["target@gmail.example"]
-        assert monitor.scrape_failures
-        address, when = monitor.scrape_failures[0]
+        assert monitor.failure_log
+        address, when = monitor.failure_log.row(0)
         assert address == "target@gmail.example"
         assert when >= hours(6)
-        outcomes = [entry.outcome for entry in monitor.scrape_log]
-        assert ScrapeOutcome.LOCKED_OUT in outcomes
+        outcomes = monitor.scrape_log_store.values("outcome")
+        assert ScrapeOutcome.LOCKED_OUT.value in outcomes
 
     def test_no_scraping_after_lockout(self, world, geo):
         sim, service, monitor = world
@@ -101,27 +97,24 @@ class TestScraping:
 
         sim.schedule_at(hours(1), hijack)
         sim.run_until(hours(48))
-        lockouts = [
-            e
-            for e in monitor.scrape_log
-            if e.outcome is ScrapeOutcome.LOCKED_OUT
-        ]
-        assert len(lockouts) == 1  # not retried every period
+        outcomes = monitor.scrape_log_store.values("outcome")
+        # not retried every period
+        assert outcomes.count(ScrapeOutcome.LOCKED_OUT.value) == 1
 
     def test_blocked_account_outcome(self, world):
         sim, service, monitor = world
         service.account("target@gmail.example").block("spam", hours(2))
         sim.run_until(hours(13))
-        outcomes = {entry.outcome for entry in monitor.scrape_log}
-        assert outcomes == {ScrapeOutcome.BLOCKED}
+        outcomes = set(monitor.scrape_log_store.values("outcome"))
+        assert outcomes == {ScrapeOutcome.BLOCKED.value}
 
     def test_stop_halts_scraping(self, world):
         sim, service, monitor = world
         sim.run_until(hours(7))
-        scrapes_before = len(monitor.scrape_log)
+        scrapes_before = len(monitor.scrape_log_store)
         monitor.stop()
         sim.run_until(hours(48))
-        assert len(monitor.scrape_log) == scrapes_before
+        assert len(monitor.scrape_log_store) == scrapes_before
 
 
 class TestNotificationStore:
@@ -130,7 +123,7 @@ class TestNotificationStore:
         from repro.core.notifications import heartbeat
 
         monitor.notification_sink(heartbeat("target@gmail.example", 1.0))
-        assert len(monitor.notifications) == 1
+        assert len(monitor.notification_store) == 1
 
     def test_register_extra_monitor_ip(self, world, geo):
         _, _, monitor = world

@@ -3,18 +3,14 @@
 import random
 
 
-from _datasets import fill_dataset
+from _datasets import access_row, fill_dataset
 from repro.core.groups import LocationHint, paper_leak_plan
 from repro.core.notifications import (
     NotificationKind,
     NotificationRecord,
     heartbeat,
 )
-from repro.core.records import (
-    AccountProvenance,
-    ObservedAccess,
-    ObservedDataset,
-)
+from repro.core.records import AccountProvenance, ObservedDataset
 from repro.corpus.identity import IdentityFactory
 from repro.leaks.formats import leak_content_for
 from repro.leaks.malware import MalwareLeakChannel
@@ -45,36 +41,20 @@ class TestNotifications:
 
 
 class TestObservedDataset:
-    def make_access(self, account, timestamp=0.0):
-        return ObservedAccess(
-            account_address=account,
-            cookie_id="ck-1",
-            ip_address="10.0.0.1",
-            city=None,
-            country=None,
-            latitude=None,
-            longitude=None,
-            device_kind="desktop",
-            os_family="Windows",
-            browser="chrome",
-            user_agent="UA",
-            timestamp=timestamp,
-        )
-
     def test_per_account_views(self):
         dataset = fill_dataset(
             ObservedDataset(),
             accesses=[
-                self.make_access("a@x.example"),
-                self.make_access("b@x.example"),
+                access_row(account_address="a@x.example"),
+                access_row(account_address="b@x.example"),
             ],
             notifications=[heartbeat("a@x.example", 1.0)],
         )
-        assert [a.account_address for a in dataset.accesses] == [
+        assert dataset.access_store.values("account_address") == [
             "a@x.example",
             "b@x.example",
         ]
-        assert [n.account_address for n in dataset.notifications] == [
+        assert dataset.notification_store.values("account_address") == [
             "a@x.example"
         ]
 

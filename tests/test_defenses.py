@@ -5,7 +5,9 @@ full-window defended equivalence and overhead gates live in
 ``benchmarks/bench_defenses.py`` (gated in CI).
 """
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -191,31 +193,35 @@ class TestEngineEndToEnd:
         return _defended().run(seed=2016)
 
     def test_defended_run_records_actions(self, defended_run):
-        actions = {row.action for row in defended_run.dataset.defense_actions}
+        actions = set(defended_run.dataset.defense_store.values("action"))
         assert "check" in actions
         assert "detect" in actions
         assert "reset" in actions
         assert "prevented_login" in actions
 
     def test_prevented_logins_follow_resets(self, defended_run):
+        rows = list(defended_run.dataset.defense_store.iter_rows())
         first_reset: dict[str, float] = {}
-        for row in defended_run.dataset.defense_actions:
-            if row.action == "reset":
-                first_reset.setdefault(row.account_address, row.timestamp)
+        for _, action, address, timestamp, _ in rows:
+            if action == "reset":
+                first_reset.setdefault(address, timestamp)
         assert first_reset
-        for row in defended_run.dataset.defense_actions:
-            if row.action == "prevented_login":
-                assert row.timestamp >= first_reset[row.account_address]
+        for _, action, address, timestamp, _ in rows:
+            if action == "prevented_login":
+                assert timestamp >= first_reset[address]
+
+    @pytest.fixture(scope="class")
+    def baseline_run(self):
+        return _defended().with_defenses().run(seed=2016)
 
     def test_defense_report_counts_match_rows(self, defended_run):
         report = defended_run.defense_report()
-        rows = list(defended_run.dataset.defense_actions)
-        assert report.prevented_accesses == sum(
-            1 for r in rows if r.action == "prevented_login"
-        )
-        assert report.resets == sum(
-            1 for r in rows if r.action == "reset"
-        )
+        actions = [
+            action
+            for _, action, _, _, _ in defended_run.dataset.defense_store.iter_rows()
+        ]
+        assert report.prevented_accesses == actions.count("prevented_login")
+        assert report.resets == actions.count("reset")
         assert report.prevented_accesses > 0
         assert report.median_dwell_days is not None
         assert report.median_dwell_days >= 0.0
@@ -224,9 +230,24 @@ class TestEngineEndToEnd:
         assert payload["prevented_accesses"] == report.prevented_accesses
         assert json.dumps(payload)  # JSON-serialisable
 
-    def test_taxonomy_delta_against_undefended_baseline(self, defended_run):
-        baseline = _defended().with_defenses().run(seed=2016)
-        report = defended_run.defense_report(baseline=baseline)
+    def test_defense_report_is_pinned(self, defended_run, baseline_run):
+        # sha256 of the sorted-key JSON report, recorded before the
+        # report moved from record objects to store row tuples.
+        def digest(report):
+            payload = json.dumps(report.to_dict(), sort_keys=True)
+            return hashlib.sha256(payload.encode()).hexdigest()
+
+        assert digest(defended_run.defense_report()) == (
+            "2007dd7e6631eb190b1ffc310f598f651160f8d8a85f0e219e429d8cc0a3ce62"
+        )
+        assert digest(defended_run.defense_report(baseline=baseline_run)) == (
+            "5e6bbbe1b41912f0e32282829056ac0e6e545bbb114d1697f8804ecdb9e7442a"
+        )
+
+    def test_taxonomy_delta_against_undefended_baseline(
+        self, defended_run, baseline_run
+    ):
+        report = defended_run.defense_report(baseline=baseline_run)
         assert report.taxonomy_delta is not None
         # A 15-day defended window must show suppressed access labels.
         assert sum(report.taxonomy_delta.values()) < 0
@@ -237,8 +258,8 @@ class TestEngineEndToEnd:
         restored = ObservedDataset.from_json_dict(
             defended_run.dataset.to_json_dict()
         )
-        assert list(restored.defense_actions) == list(
-            defended_run.dataset.defense_actions
+        assert list(restored.defense_store.iter_rows()) == list(
+            defended_run.dataset.defense_store.iter_rows()
         )
 
     def test_sharded_defended_run_is_bit_identical(self, defended_run):
@@ -258,8 +279,8 @@ class TestEngineEndToEnd:
 
     def test_shard_count_does_not_change_defense_rows(self, defended_run):
         other = run_sharded(_defended().with_seed(2016), shards=5, jobs=1)
-        assert list(other.dataset.defense_actions) == list(
-            defended_run.dataset.defense_actions
+        assert list(other.dataset.defense_store.iter_rows()) == list(
+            defended_run.dataset.defense_store.iter_rows()
         )
 
 
@@ -278,9 +299,7 @@ class TestBreachNotification:
             .build()
         )
         run = scenario.run(seed=5)
-        by_action: dict[str, int] = {}
-        for row in run.dataset.defense_actions:
-            by_action[row.action] = by_action.get(row.action, 0) + 1
+        by_action = Counter(run.dataset.defense_store.values("action"))
         assert by_action.get("notify", 0) > 0
         assert by_action.get("reset", 0) > 0
 

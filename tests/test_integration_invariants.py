@@ -20,9 +20,9 @@ class TestDeterminism:
             result = Experiment(config).run()
             dataset = result.dataset
             return (
-                len(dataset.accesses),
-                len(dataset.notifications),
-                tuple(sorted(a.cookie_id for a in dataset.accesses)),
+                len(dataset.access_store),
+                len(dataset.notification_store),
+                tuple(sorted(dataset.access_store.values("cookie_id"))),
                 tuple(sorted(dataset.blocked_accounts)),
             )
 
@@ -39,7 +39,7 @@ class TestDeterminism:
             )
             result = Experiment(config).run()
             return tuple(
-                sorted(a.cookie_id for a in result.dataset.accesses)
+                sorted(result.dataset.access_store.values("cookie_id"))
             )
 
         assert run(1) != run(2)
@@ -87,9 +87,9 @@ class TestObservedDataHygiene:
     ):
         dataset = experiment_result.dataset
         monitor_rows = [
-            a
-            for a in dataset.accesses
-            if a.ip_address in dataset.monitor_ips
+            ip
+            for ip in dataset.access_store.values("ip_address")
+            if ip in dataset.monitor_ips
         ]
         assert monitor_rows, "raw dataset must contain scraper logins"
         for access in analysis.unique_accesses:
@@ -122,13 +122,15 @@ class TestObservedDataHygiene:
     ):
         """The paper's key observation about password changes."""
         dataset = experiment_result.dataset
-        if not dataset.scrape_failures:
+        if not dataset.failure_log:
             return
-        address, lockout_time = dataset.scrape_failures[0]
+        address, lockout_time = dataset.failure_log.row(0)
+        store = dataset.access_store
         later_rows = [
-            a
-            for a in dataset.accesses
-            if a.account_address == address
-            and a.timestamp > lockout_time
+            timestamp
+            for account, timestamp in zip(
+                store.values("account_address"), store.values("timestamp")
+            )
+            if account == address and timestamp > lockout_time
         ]
         assert later_rows == []

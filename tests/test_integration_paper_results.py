@@ -218,10 +218,12 @@ class TestCaseStudies:
         from repro.core.notifications import NotificationKind
 
         reads = [
-            n
-            for n in experiment_result.dataset.notifications
-            if n.kind is NotificationKind.READ
-            and "computer time" in n.subject
+            subject
+            for kind, _, _, _, subject, _ in (
+                experiment_result.dataset.notification_store.iter_rows()
+            )
+            if kind == NotificationKind.READ.value
+            and "computer time" in subject
         ]
         # The notice exists in at most 2 accounts; reading it is
         # probabilistic, so only require delivery evidence via drafts
@@ -232,11 +234,13 @@ class TestCaseStudies:
         from repro.core.notifications import NotificationKind
 
         drafts = [
-            n
-            for n in experiment_result.dataset.notifications
-            if n.kind is NotificationKind.DRAFT
+            body
+            for kind, _, _, _, _, body in (
+                experiment_result.dataset.notification_store.iter_rows()
+            )
+            if kind == NotificationKind.DRAFT.value
         ]
-        assert any("bitcoin" in d.body_copy for d in drafts)
+        assert any("bitcoin" in body for body in drafts)
 
     def test_carding_registration_delivered(self, experiment_result):
         # The honey account used as a stepping stone received the forum

@@ -151,7 +151,7 @@ class TestRunPerfAccounting:
         assert marks["analyze_seconds"] > 0
         assert marks["analyze_peak_rss_kb"] > 0
         again = resident_run.analyze_perf()
-        assert again == marks  # first computation wins, stable after
+        assert again == marks  # computed once, cached after
 
     def test_summary_stable_across_pickle(self, resident_run):
         expected = resident_run.summary()

@@ -418,7 +418,7 @@ class TestScrapeVisit:
     def test_opens_no_session_and_writes_nothing_to_the_page(self, one_account):
         sim, service, monitor = one_account
         sim.run_until(5 * PERIOD)
-        assert len(monitor.scrape_log) == 5
+        assert len(monitor.scrape_log_store) == 5
         assert len(monitor.access_store) == 5
         assert service.sessions.sessions_for(ADDRESSES[0]) == []
         assert service.activity.event_count(ADDRESSES[0]) == 0
@@ -434,10 +434,10 @@ class TestScrapeVisit:
 
         sim.schedule_at(hours(1), attacker)
         sim.run_until(2 * PERIOD)
-        assert [entry.new_events for entry in monitor.scrape_log] == [2, 1]
-        rows = list(monitor.scraped_accesses)
-        assert [row.city for row in rows] == ["Paris", "Reading", "Reading"]
-        assert rows[1].ip_address in monitor.monitor_ip_strings
+        assert monitor.scrape_log_store.values("new_events") == [2, 1]
+        store = monitor.access_store
+        assert store.values("city") == ["Paris", "Reading", "Reading"]
+        assert store.values("ip_address")[1] in monitor.monitor_ip_strings
 
     def test_cookie_generation_bump_changes_the_self_row(self, one_account):
         sim, service, monitor = one_account
@@ -447,7 +447,7 @@ class TestScrapeVisit:
             lambda: service.sessions.bump_cookie_generation(ADDRESSES[0]),
         )
         sim.run_until(2 * PERIOD)
-        before, after = (row.cookie_id for row in monitor.scraped_accesses)
+        before, after = monitor.access_store.values("cookie_id")
         assert before != after
         assert after == service.sessions.cookie_for(
             "monitor-browser", ADDRESSES[0]

@@ -169,9 +169,11 @@ class TestShardedEquivalence:
         # The blackmail drafts (a case-study artifact) survive the
         # merge, proving shard 0 ran the scripted campaigns.
         drafts = [
-            n
-            for n in sharded.dataset.notifications
-            if n.kind.value == "draft" and "bitcoin" in n.body_copy
+            body
+            for kind, _, _, _, _, body in (
+                sharded.dataset.notification_store.iter_rows()
+            )
+            if kind == "draft" and "bitcoin" in body
         ]
         assert drafts
 

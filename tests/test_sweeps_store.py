@@ -4,6 +4,8 @@ import pickle
 
 import pytest
 
+from repro.analysis.dataset import analyze
+from repro.analysis.fingerprint import fingerprint_digest
 from repro.api import run_scenario, scenarios
 from repro.errors import ConfigurationError
 from repro.sweeps import JobSpec, ResultsStore, open_store
@@ -184,4 +186,21 @@ class TestPayloadShape:
             store._payload_path(spec.address).read_bytes()
         )
         assert restored.experiment_result is None
-        assert restored._analysis is None
+        # The analysis the sidecar's overview ran is stored with it.
+        assert restored._analysis is not None
+
+    def test_stored_analysis_matches_reanalysis(self, store, tiny_run):
+        # A loaded run is not re-analysed, so check here that what it
+        # carries is what analysing its own dataset gives.
+        spec = spec_of()
+        store.put(spec, tiny_run)
+        restored = store.get(spec)
+        fresh = analyze(
+            restored.dataset, scan_period=restored.config.scan_period
+        )
+        assert fingerprint_digest(restored.analysis) == fingerprint_digest(
+            fresh
+        )
+        assert fingerprint_digest(restored.analysis) == fingerprint_digest(
+            tiny_run.analysis
+        )

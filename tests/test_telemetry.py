@@ -5,18 +5,14 @@ import pickle
 
 import pytest
 
-from _datasets import fill_dataset
+from _datasets import access_row, fill_dataset
 from repro.core.monitor import MonitorInfrastructure
 from repro.core.notifications import (
     NotificationKind,
     NotificationRecord,
     heartbeat,
 )
-from repro.core.records import (
-    ObservedAccess,
-    ObservedDataset,
-    access_to_fields,
-)
+from repro.core.records import ObservedDataset
 from repro.netsim.cities import city_by_name
 from repro.sim.clock import hours
 from repro.sim.engine import Simulator
@@ -25,7 +21,6 @@ from repro.telemetry import (
     EventLog,
     Field,
     NotificationStore,
-    RowView,
     StringTable,
     write_jsonl,
 )
@@ -37,18 +32,13 @@ from repro.webmail.service import LoginContext, WebmailService
 
 def make_access(account="a@x.example", cookie="ck-1", timestamp=0.0,
                 city="Paris"):
-    return ObservedAccess(
+    return access_row(
         account_address=account,
         cookie_id=cookie,
-        ip_address="10.0.0.1",
         city=city,
         country="FR" if city else None,
         latitude=48.86 if city else None,
         longitude=2.35 if city else None,
-        device_kind="desktop",
-        os_family="Windows",
-        browser="chrome",
-        user_agent="UA",
         timestamp=timestamp,
     )
 
@@ -196,11 +186,12 @@ class TestJsonlSink:
 
 
 class TestTypedStores:
-    def test_access_store_row_matches_dataclass(self):
+    def test_access_store_row_round_trips(self):
         store = AccessStore()
         access = make_access()
-        store.append_fields(*access_to_fields(access))
-        assert ObservedAccess(*store.row(0)) == access
+        store.append_fields(*access)
+        assert store.row(0) == access
+        assert list(store.iter_rows()) == [access]
 
     def test_shared_string_table(self):
         strings = StringTable()
@@ -214,22 +205,20 @@ class TestTypedStores:
         assert strings.id_of("a@x") is not None
         assert access.account_ids[0] == notes.account_ids[0]
 
-    def test_row_view_lazy_and_sliceable(self):
+    def test_store_rows_index_and_slice(self):
         store = AccessStore()
-        from repro.core.records import access_row_factory
-
-        for i in range(3):
-            store.append_fields(
-                *access_to_fields(make_access(cookie=f"ck-{i}",
-                                              timestamp=float(i)))
-            )
-        view = RowView(store, access_row_factory)
-        assert len(view) == 3
-        assert view[0].cookie_id == "ck-0"
-        assert view[-1].cookie_id == "ck-2"
-        assert [a.cookie_id for a in view[1:]] == ["ck-1", "ck-2"]
+        rows = [
+            make_access(cookie=f"ck-{i}", timestamp=float(i))
+            for i in range(3)
+        ]
+        for row in rows:
+            store.append_fields(*row)
+        assert len(store) == 3
+        assert store.row(0) == rows[0]
+        assert store.row(-1) == store[-1] == rows[2]
+        assert store[1:] == rows[1:]
         with pytest.raises(IndexError):
-            view[3]
+            store.row(3)
 
 
 class TestObservedDatasetColumnar:
@@ -241,9 +230,11 @@ class TestObservedDatasetColumnar:
             notifications=[heartbeat("a@x.example", 1.0)],
             failures=[("a@x.example", 5.0)],
         )
-        assert list(dataset.accesses) == rows
-        assert dataset.notifications[0].kind is NotificationKind.HEARTBEAT
-        assert tuple(dataset.scrape_failures[0]) == ("a@x.example", 5.0)
+        assert list(dataset.access_store.iter_rows()) == rows
+        assert dataset.notification_store.row(0)[0] == (
+            NotificationKind.HEARTBEAT.value
+        )
+        assert dataset.failure_log.row(0) == ("a@x.example", 5.0)
 
     def test_pickle_round_trip(self):
         dataset = fill_dataset(
@@ -254,8 +245,12 @@ class TestObservedDatasetColumnar:
         dataset.monitor_ips = {"10.9.9.9"}
         dataset.monitor_city = "Reading"
         rebuilt = pickle.loads(pickle.dumps(dataset))
-        assert list(rebuilt.accesses) == list(dataset.accesses)
-        assert list(rebuilt.notifications) == list(dataset.notifications)
+        assert list(rebuilt.access_store.iter_rows()) == list(
+            dataset.access_store.iter_rows()
+        )
+        assert list(rebuilt.notification_store.iter_rows()) == list(
+            dataset.notification_store.iter_rows()
+        )
         assert rebuilt.monitor_ips == {"10.9.9.9"}
 
     def test_json_round_trip(self):
@@ -288,9 +283,13 @@ class TestObservedDatasetColumnar:
         dataset.blocked_accounts = [("a@x.example", 9.0)]
         payload = json.loads(json.dumps(dataset.to_json_dict()))
         rebuilt = ObservedDataset.from_json_dict(payload)
-        assert list(rebuilt.accesses) == list(dataset.accesses)
-        assert list(rebuilt.notifications) == list(dataset.notifications)
-        assert [tuple(r) for r in rebuilt.scrape_failures] == [
+        assert list(rebuilt.access_store.iter_rows()) == list(
+            dataset.access_store.iter_rows()
+        )
+        assert list(rebuilt.notification_store.iter_rows()) == list(
+            dataset.notification_store.iter_rows()
+        )
+        assert list(rebuilt.failure_log.iter_rows()) == [
             ("a@x.example", 3.0)
         ]
         assert rebuilt.provenance.keys() == dataset.provenance.keys()
@@ -397,9 +396,10 @@ class TestMonitorTelemetry:
         assert watched.cursor == service.activity.event_count(
             "target@gmail.example"
         )
-        # No duplicate ingestion across scrapes.
-        cookies = [a.cookie_id for a in monitor.scraped_accesses]
-        assert len(cookies) == len(monitor.access_store)
+        # No duplicate ingestion across scrapes: with no other client
+        # on the page, each visit adds exactly its own login row.
+        assert len(monitor.access_store) == len(monitor.scrape_log_store)
+        assert len(monitor.access_store) > 1
 
     def test_stores_share_one_string_table(self, geo):
         _, _, monitor = self.make_world(geo)

@@ -2,7 +2,7 @@
 
 The contract under test: a store that spills chunked columns to disk
 behaves *identically* to the resident store behind every existing API
-— ``append_fields``, ``row``, ``iter_rows``, ``RowView``, pickling —
+— ``append_fields``, ``row``, ``iter_rows``, pickling —
 and the spilled end-to-end run produces a bit-identical analysis.
 """
 
